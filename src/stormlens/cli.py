@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,30 +108,39 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_OPTIONAL_FLOATS = {"lime_width"}
-_OPTIONAL_STRS = {"data", "model", "sample_id"}
+def _optional(parse, none_words: tuple[str, ...]):
+    """``parse``, except that any of ``none_words`` means unset (None)."""
+
+    def parse_optional(raw: str):
+        return None if raw.lower() in none_words else parse(raw)
+
+    # argparse names the type in "invalid <type> value" messages
+    parse_optional.__name__ = f"optional {parse.__name__}"
+    return parse_optional
+
+
+# How a config-file value or a flag value is read, per field type.
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    str | None: _optional(str, ("",)),
+    float | None: _optional(float, ("", "auto", "none")),
+}
+_FIELD_PARSERS = {
+    name: _PARSERS[hint] for name, hint in typing.get_type_hints(RunConfig).items()
+}
 
 
 def _coerce(key: str, raw: str):
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    if key not in fields:
+    parse = _FIELD_PARSERS.get(key)
+    if parse is None:
         raise InputError(f"unknown config key {key!r}")
     raw = raw.strip()
-    if key in _OPTIONAL_FLOATS and raw.lower() in ("", "auto", "none"):
-        return None
-    if key in _OPTIONAL_STRS:
-        return raw or None
-    default = fields[key].default
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float) or key in _OPTIONAL_FLOATS:
-            return float(raw)
+        return parse(raw)
     except ValueError:
         raise InputError(f"config key {key!r}: cannot parse value {raw!r}") from None
-    return raw
 
 
 def load_config_file(path) -> dict:
@@ -154,6 +164,7 @@ def load_config_file(path) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command; every RunConfig field is a flag on each."""
     p = argparse.ArgumentParser(
         prog="stormlens",
         description="solar-storm prediction with global and local explanations",
@@ -169,45 +180,20 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", help="flat KEY=VALUE config file")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="artifact output directory")
-        sp.add_argument("--data", help="dataset CSV path")
-        sp.add_argument("--model", help="model checkpoint path")
-        sp.add_argument("--threads", type=int)
-        sp.add_argument("--window", type=int)
-        sp.add_argument("--train-fraction", dest="train_fraction", type=float)
-        sp.add_argument("--hidden", type=int)
-        sp.add_argument("--epochs", type=int)
-        sp.add_argument("--batch", type=int)
-        sp.add_argument("--lr", type=float)
-        sp.add_argument("--threshold", type=float)
-        sp.add_argument("--method", choices=METHODS)
-        sp.add_argument("--background", type=int)
-        sp.add_argument("--n-coalitions", dest="n_coalitions", type=int)
-        sp.add_argument("--n-steps", dest="n_steps", type=int)
-        sp.add_argument("--lime-n", dest="lime_n", type=int)
-        sp.add_argument("--lime-k", dest="lime_k", type=int)
-        sp.add_argument("--lime-width", dest="lime_width", type=float)
-        sp.add_argument("--lime-lambda", dest="lime_lambda", type=float)
-        sp.add_argument("--sample-id", dest="sample_id")
-        sp.add_argument("--n-ars", dest="n_ars", type=int)
-        sp.add_argument("--samples-per-ar", dest="samples_per_ar", type=int)
-        sp.add_argument("--dominant")
-        sp.add_argument("--correlate", dest="correlate")
-        sp.add_argument("--rho", type=float)
-        sp.add_argument("--label-noise", dest="label_noise", type=float)
+        for f in dataclasses.fields(RunConfig):
+            # an absent flag (SUPPRESS) leaves the config-file value alone
+            sp.add_argument(
+                "--" + f.name.replace("_", "-"), dest=f.name, type=_FIELD_PARSERS[f.name],
+                choices=METHODS if f.name == "method" else None,
+                default=argparse.SUPPRESS, help=f"default: {f.default}",
+            )
     return p
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(cfg, f.name, value)
+    values = load_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _FIELD_PARSERS)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -253,6 +239,9 @@ def _sanitize(identifier: str) -> str:
 def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, dict]:
     _require(cfg, "model")
     net, extra = model_mod.load_checkpoint(cfg.model)
+    if net.input_dim != len(FEATURE_NAMES):
+        raise InputError(f"checkpoint input_dim {net.input_dim} does not match the "
+                         f"{len(FEATURE_NAMES)} dataset features")
     stored = extra.get("feature_names")
     if stored is not None and tuple(stored) != FEATURE_NAMES:
         raise InputError(
@@ -263,7 +252,8 @@ def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, dict]:
 
 
 def _prepare_windows(cfg: RunConfig, extra: dict):
-    """Rebuild the exact train/test windows a checkpoint was trained with."""
+    """(train samples, norm stats, train windows, test windows) as set by
+    ``cfg``, or as a checkpoint's ``extra`` records them where it does."""
     _require(cfg, "data")
     samples = data.load_csv(cfg.data)
     window = int(extra.get("window_length", cfg.window))
@@ -279,12 +269,12 @@ def _prepare_windows(cfg: RunConfig, extra: dict):
             f"windowing with T={window} left an empty split "
             f"({len(train_w)} train / {len(test_w)} test windows)"
         )
-    return samples, train_s, test_s, stats, train_w, test_w
+    return train_s, stats, train_w, test_w
 
 
 def _explain_test_set(cfg: RunConfig, net, train_w, test_w):
     background = shapley.sample_background(train_w.values, cfg.background, cfg.seed)
-    explanations = shapley.explain_set(
+    return shapley.explain_set(
         net,
         test_w.values,
         background,
@@ -295,7 +285,6 @@ def _explain_test_set(cfg: RunConfig, net, train_w, test_w):
         n_steps=cfg.n_steps,
         threads=cfg.threads,
     )
-    return background, explanations
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +314,8 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:
-    _require(cfg, "data")
     os.makedirs(cfg.out, exist_ok=True)
-    samples = data.load_csv(cfg.data)
-    train_s, test_s = data.split(samples, cfg.train_fraction, cfg.seed)
-    stats = data.fit_norm_stats(train_s)
-    train_w = data.windowize(data.normalize_samples(train_s, stats), cfg.window)
-    test_w = data.windowize(data.normalize_samples(test_s, stats), cfg.window)
-    if len(train_w) == 0 or len(test_w) == 0:
-        raise InputError(
-            f"windowing with T={cfg.window} left an empty split "
-            f"({len(train_w)} train / {len(test_w)} test windows)"
-        )
+    _, stats, train_w, test_w = _prepare_windows(cfg, {})
 
     tc = model_mod.TrainConfig(
         hidden=cfg.hidden, epochs=cfg.epochs, batch=cfg.batch,
@@ -378,7 +357,7 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
     net, extra = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    _, _, _, _, train_w, test_w = _prepare_windows(cfg, extra)
+    _, _, train_w, test_w = _prepare_windows(cfg, extra)
     result = model_mod.evaluate(net, test_w, cfg.threshold)
     metrics = {
         "evaluation": result.to_dict(),
@@ -397,8 +376,8 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
 def cmd_explain_global(cfg: RunConfig) -> list[str]:
     net, extra = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    _, _, _, _, train_w, test_w = _prepare_windows(cfg, extra)
-    _, explanations = _explain_test_set(cfg, net, train_w, test_w)
+    _, _, train_w, test_w = _prepare_windows(cfg, extra)
+    explanations = _explain_test_set(cfg, net, train_w, test_w)
 
     _write_json(
         os.path.join(cfg.out, "shap.json"), [e.to_dict() for e in explanations]
@@ -428,7 +407,7 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _require(cfg, "sample_id")
     net, extra = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    _, _, _, _, train_w, test_w = _prepare_windows(cfg, extra)
+    _, _, train_w, test_w = _prepare_windows(cfg, extra)
 
     ids = test_w.sample_ids
     if cfg.sample_id in ids:
@@ -471,7 +450,7 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
 def cmd_correlate(cfg: RunConfig) -> list[str]:
     net, extra = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    _, train_s, _, _, train_w, test_w = _prepare_windows(cfg, extra)
+    train_s, _, train_w, test_w = _prepare_windows(cfg, extra)
 
     matrix = analysis.correlation_matrix(data.features_matrix(train_s))
     with open(os.path.join(cfg.out, "corr.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -479,7 +458,7 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     _write_json(os.path.join(cfg.out, "corr.json"), matrix.to_dict())
     artifacts = ["corr.csv", "corr.json"]
 
-    _, explanations = _explain_test_set(cfg, net, train_w, test_w)
+    explanations = _explain_test_set(cfg, net, train_w, test_w)
     importance = shapley.global_importance(explanations)
     top = FEATURE_NAMES[importance.order[0]]
     bottom = FEATURE_NAMES[importance.order[-1]]

@@ -268,8 +268,15 @@ def split(
 
 
 def fit_norm_stats(samples: list[Sample]) -> NormStats:
-    """Fit z-score statistics on the (training) samples."""
-    stats = numerics.zscore_fit(features_matrix(samples))
+    """Fit z-score statistics on the (training) samples; a feature whose
+    mean or std overflows is an input error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = numerics.zscore_fit(features_matrix(samples))
+    finite = np.isfinite(stats.mean) & np.isfinite(stats.std)
+    if not finite.all():
+        name = FEATURE_NAMES[int(np.argmin(finite))]
+        raise InputError(f"feature {name}: mean or standard deviation overflows; "
+                         "values are too large to normalise")
     return NormStats(mean=stats.mean, std=stats.std, constant=stats.constant)
 
 

@@ -81,9 +81,14 @@ class LstmParams:
     def to_dict(self) -> dict:
         return {name: arr.tolist() for name, arr in self.items()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LstmParams":
-        return cls(**{k: np.asarray(v, dtype=np.float64) for k, v in d.items()})
+
+def _param_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every LstmParams array for input size d and hidden size H."""
+    d, H = input_dim, hidden
+    return {
+        "w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,), "w_att": (H, H),
+        "b_att": (H,), "v_att": (H,), "w_out": (H,), "b_out": (1,),
+    }
 
 
 def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
@@ -306,18 +311,19 @@ class LstmModel:
         return self.input_gradient_batch(seq[None, :, :])[0]
 
 
+LR_DECAY = 0.1  # the final epoch runs at learning_rate * LR_DECAY (linear ramp)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class TrainConfig:
     hidden: int = 32
     epochs: int = 30
     batch: int = 32
     learning_rate: float = 1e-3
-    lr_decay: float = 0.1  # final epoch runs at lr * lr_decay (linear ramp)
     seed: int = 42
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    class_weighted: bool = True
 
     def validate(self) -> None:
         if self.hidden < 1:
@@ -355,11 +361,8 @@ def train(
     if n_pos == 0 or n_pos == n:
         raise InputError("training set contains a single class; need both P and N")
 
-    if config.class_weighted:
-        w_pos = n / (2.0 * n_pos)
-        w_neg = n / (2.0 * (n - n_pos))
-    else:
-        w_pos = w_neg = 1.0
+    w_pos = n / (2.0 * n_pos)
+    w_neg = n / (2.0 * (n - n_pos))
     sample_w = np.where(y == 1.0, w_pos, w_neg)
 
     params = init_params(sequences.values.shape[2], config.hidden, config.seed)
@@ -373,7 +376,7 @@ def train(
     X = sequences.values
     for epoch in range(config.epochs):
         frac = epoch / max(config.epochs - 1, 1)
-        lr = config.learning_rate * (1.0 + (config.lr_decay - 1.0) * frac)
+        lr = config.learning_rate * (1.0 + (LR_DECAY - 1.0) * frac)
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         weight_sum = 0.0
@@ -390,11 +393,11 @@ def train(
             step += 1
             for name, arr in params.items():
                 gr = grads[name]
-                m[name] = config.beta1 * m[name] + (1 - config.beta1) * gr
-                v[name] = config.beta2 * v[name] + (1 - config.beta2) * gr**2
-                mhat = m[name] / (1 - config.beta1**step)
-                vhat = v[name] / (1 - config.beta2**step)
-                arr -= lr * mhat / (np.sqrt(vhat) + config.eps)
+                m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * gr
+                v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * gr**2
+                mhat = m[name] / (1 - ADAM_BETA1**step)
+                vhat = v[name] / (1 - ADAM_BETA2**step)
+                arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         history.append(loss_sum / weight_sum)
 
     return LstmModel(params), history
@@ -485,7 +488,11 @@ def save_checkpoint(path, model: LstmModel, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[LstmModel, dict]:
-    """Load a checkpoint written by :func:`save_checkpoint`."""
+    """Load a checkpoint written by :func:`save_checkpoint`.
+
+    The parameter names, their shapes against the stored ``config`` and
+    their finiteness are checked; a bad field raises an InputError naming it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -493,9 +500,34 @@ def load_checkpoint(path) -> tuple[LstmModel, dict]:
         raise InputError(f"cannot read model checkpoint {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"model checkpoint {path} is not valid JSON: {exc}") from None
-    if doc.get("schema") != CHECKPOINT_SCHEMA:
-        raise InputError(
-            f"unsupported checkpoint schema {doc.get('schema')!r} in {path}"
-        )
-    params = LstmParams.from_dict(doc["params"])
-    return LstmModel(params), doc.get("extra", {})
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != CHECKPOINT_SCHEMA:
+        raise InputError(f"unsupported checkpoint schema {schema!r} in {path}")
+
+    def bad(field: str, problem: str) -> InputError:
+        return InputError(f"model checkpoint {path}: field {field!r} {problem}")
+
+    config, raw, extra = doc.get("config"), doc.get("params"), doc.get("extra", {})
+    for field, value in (("config", config), ("params", raw), ("extra", extra)):
+        if not isinstance(value, dict):
+            raise bad(field, "is missing or not an object")
+    for key in ("input_dim", "hidden"):
+        value = config.get(key)
+        if type(value) is not int or value < 1:
+            raise bad(f"config.{key}", f"must be a positive integer, got {value!r}")
+    shapes = _param_shapes(config["input_dim"], config["hidden"])
+    arrays = {}
+    for name, shape in shapes.items():
+        field = f"params.{name}"
+        if name not in raw:
+            raise bad(field, "is missing")
+        try:
+            arr = np.asarray(raw[name], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise bad(field, "is not a numeric array") from None
+        if arr.shape != shape:
+            raise bad(field, f"has shape {arr.shape}, but config gives {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise bad(field, "contains non-finite values")
+        arrays[name] = arr
+    return LstmModel(LstmParams(**arrays)), extra

@@ -462,26 +462,6 @@ def render(spec: PlotSpec) -> str:
     return builder(spec)
 
 
-def render_beeswarm(explanations, feature_values, importance, names) -> str:
-    return render(spec_beeswarm(explanations, feature_values, importance, names))
-
-
-def render_bar(importance, names) -> str:
-    return render(spec_bar(importance, names))
-
-
-def render_decision(paths, bottom_up, base, fx, names) -> str:
-    return render(spec_decision(paths, bottom_up, base, fx, names))
-
-
-def render_dependence(dep) -> str:
-    return render(spec_dependence(dep))
-
-
-def render_lime(exp) -> str:
-    return render(spec_lime(exp))
-
-
 def write_pair(out_dir, name: str, spec: PlotSpec) -> list[str]:
     """Write <name>.svg plus <name>.json; returns the two file names."""
     svg_name, json_name = f"{name}.svg", f"{name}.json"

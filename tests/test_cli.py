@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -84,6 +86,24 @@ class TestTrain:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_overflowing_feature_rejected(self, tmp_path, capsys, cells):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        samples = data.load_csv(out / "data.csv")
+        train_s, _ = data.split(samples, 0.8, 42)
+        huge = {(s.ar_id, s.timestamp) for s in train_s[:cells]}
+        edited = []
+        for s in samples:
+            feats = s.features.copy()
+            if (s.ar_id, s.timestamp) in huge:
+                feats[FEATURE_NAMES.index("TOTPOT")] = 1e308
+            edited.append(data.Sample(s.ar_id, s.timestamp, feats, s.label))
+        data.write_csv(out / "data.csv", edited)
+        assert run(train_args(out)) == 2
+        assert "TOTPOT" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
     def test_manifest_records_inputs_and_artifacts(self, trained):
         manifest = json.loads((trained / "run_manifest_train.json").read_text())
         assert manifest["command"] == "train"
@@ -118,6 +138,96 @@ class TestConfigFile:
 
     def test_default_seed_is_42(self):
         assert cli.RunConfig().seed == 42
+
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(cli.RunConfig), ids=lambda f: f.name
+    )
+    def test_every_field_is_a_flag_and_a_config_key(self, tmp_path, field):
+        hint = typing.get_type_hints(cli.RunConfig)[field.name]
+        raw, expected = {
+            int: ("7", 7), float: ("0.25", 0.25), float | None: ("0.25", 0.25),
+            str: ("kernel", "kernel"), str | None: ("kernel", "kernel"),
+        }[hint]
+        assert expected != field.default
+        flag = "--" + field.name.replace("_", "-")
+        args = cli._build_parser().parse_args(["train", flag, raw])
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{field.name}={raw}\n", encoding="utf-8")
+        from_file = cli.load_config_file(cfgfile)[field.name]
+        assert getattr(args, field.name) == from_file == expected
+        assert type(from_file) is type(expected)
+
+    @pytest.mark.parametrize(
+        "key, raw", [("lime_width", "auto"), ("lime_width", ""), ("lime_width", "none"),
+                     ("lime_width", "NONE"), ("sample_id", "")],
+    )
+    def test_unset_words_give_none(self, tmp_path, key, raw):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key}=0.5\n", encoding="utf-8")
+        flag = "--" + key.replace("_", "-")
+        args = cli._build_parser().parse_args(
+            ["train", "--config", str(cfgfile), flag, raw]
+        )
+        assert getattr(cli.resolve_config(args), key) is None
+        cfgfile.write_text(f"{key}={raw}\n", encoding="utf-8")
+        assert cli.load_config_file(cfgfile)[key] is None
+
+    def test_fractional_seed_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed=3.5\n", encoding="utf-8")
+        with pytest.raises(InputError, match=r"config key 'seed': cannot parse value '3.5'"):
+            cli.load_config_file(cfgfile)
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(["train", "--seed", "3.5"])
+        assert exc.value.code == 2
+        assert "invalid int value: '3.5'" in capsys.readouterr().err
+
+    def test_method_flag_limited_to_methods(self, capsys):
+        parser = cli._build_parser()
+        for method in cli.METHODS:
+            assert parser.parse_args(["train", "--method", method]).method == method
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", "--method", "lime"])
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestCheckpoint:
+    def evaluate_edited(self, trained, edit):
+        doc = json.loads((trained / "model.json").read_text())
+        edit(doc)
+        (trained / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+        return run([
+            "evaluate", "--data", str(trained / "data.csv"),
+            "--model", str(trained / "bad.json"), "--out", str(trained / "eval"),
+        ])
+
+    def test_missing_params_exit_2(self, trained, capsys):
+        assert self.evaluate_edited(trained, lambda doc: doc.pop("params")) == 2
+        assert "'params' is missing" in capsys.readouterr().err
+
+    def test_nan_weight_exit_2(self, trained, capsys):
+        def poison(doc):
+            doc["params"]["w_x"][0][0] = float("nan")
+
+        assert self.evaluate_edited(trained, poison) == 2
+        assert "'params.w_x' contains non-finite values" in capsys.readouterr().err
+
+    def test_wrong_shape_exit_2(self, trained, capsys):
+        def cut(doc):
+            doc["params"]["w_h"] = doc["params"]["w_h"][:3]
+
+        assert self.evaluate_edited(trained, cut) == 2
+        err = capsys.readouterr().err
+        assert "'params.w_h' has shape (3, 4)" in err
+        assert "(16, 4)" in err
+
+    def test_input_dim_other_than_feature_count_exit_2(self, trained, capsys):
+        def narrow(doc):
+            doc["config"]["input_dim"] = 11
+            doc["params"]["w_x"] = [row[:11] for row in doc["params"]["w_x"]]
+
+        assert self.evaluate_edited(trained, narrow) == 2
+        assert "input_dim 11" in capsys.readouterr().err
 
 
 class TestExplainGlobal:

@@ -112,20 +112,20 @@ def rect_widths(svg):
 class TestBar:
     def test_proportional_lengths(self):
         imp = make_importance([1.0, 0.5] + [0.0] * 10)
-        svg = plot.render_bar(imp, FEATURE_NAMES)
+        svg = plot.render(plot.spec_bar(imp, FEATURE_NAMES))
         widths = rect_widths(svg)
         assert widths[0] == 2.0 * widths[1]
 
     def test_zero_importance_bar(self):
         imp = make_importance([1.0] + [0.0] * 11)
-        svg = plot.render_bar(imp, FEATURE_NAMES)
+        svg = plot.render(plot.spec_bar(imp, FEATURE_NAMES))
         assert "0.000" in svg
         assert rect_widths(svg)[-1] == 0.0
 
     def test_all_equal_catalog_order(self):
         imp = make_importance([0.5] * 12)
         assert imp.order == list(range(12))
-        svg = plot.render_bar(imp, FEATURE_NAMES)
+        svg = plot.render(plot.spec_bar(imp, FEATURE_NAMES))
         widths = rect_widths(svg)
         assert len(set(widths)) == 1
 
@@ -135,7 +135,7 @@ class TestBeeswarm:
         exps = [_exp(np.zeros(12), sid=str(i)) for i in range(3)]
         values = np.random.default_rng(1).normal(size=(3, 12))
         imp = shapley.global_importance(exps)
-        svg = plot.render_beeswarm(exps, values, imp, FEATURE_NAMES)
+        svg = plot.render(plot.spec_beeswarm(exps, values, imp, FEATURE_NAMES))
         root = ET.fromstring(svg)
         zero_px = plot._Axis(
             float(root.attrib["data-x0"]), float(root.attrib["data-x1"]),
@@ -146,7 +146,7 @@ class TestBeeswarm:
 
     def test_single_sample_no_jitter(self):
         exps, values, imp = beeswarm_inputs(n=1)
-        svg = plot.render_beeswarm(exps, values, imp, FEATURE_NAMES)
+        svg = plot.render(plot.spec_beeswarm(exps, values, imp, FEATURE_NAMES))
         root = ET.fromstring(svg)
         cys = [float(c.attrib["cy"]) for c in root.iter() if c.tag.endswith("circle")]
         # row centers sit at top + 36 * (i + 0.5): fractional part .00 or .50
@@ -158,7 +158,7 @@ class TestDecision:
         e = _exp(np.zeros(12), base=0.48)
         imp = shapley.global_importance([e])
         paths, bottom_up = shapley.decision_path([e], imp, 0.48)
-        svg = plot.render_decision(paths, bottom_up, 0.48, [e.fx], FEATURE_NAMES)
+        svg = plot.render(plot.spec_decision(paths, bottom_up, 0.48, [e.fx], FEATURE_NAMES))
         pts = re.search(r'<polyline points="([^"]+)"', svg).group(1)
         xs = {p.split(",")[0] for p in pts.split(" ")}
         assert len(xs) == 1
@@ -168,7 +168,9 @@ class TestDecision:
         down = _exp(np.append([-0.2], np.zeros(11)), base=0.4)
         imp = shapley.global_importance([up, down])
         paths, bottom_up = shapley.decision_path([up, down], imp, 0.4)
-        svg = plot.render_decision(paths, bottom_up, 0.4, [up.fx, down.fx], FEATURE_NAMES)
+        svg = plot.render(
+            plot.spec_decision(paths, bottom_up, 0.4, [up.fx, down.fx], FEATURE_NAMES)
+        )
         strokes = re.findall(r'stroke="(#[0-9a-f]{6})" stroke-width="1.2"', svg)
         def channels(h):
             return int(h[1:3], 16), int(h[5:7], 16)  # (red, blue)
@@ -185,7 +187,7 @@ class TestDependence:
             x=np.array([0.0, 1.0]), shap=np.array([0.0, 0.0]),
             color=np.array([0.0, 1.0]),
         )
-        svg = plot.render_dependence(dep)
+        svg = plot.render(plot.spec_dependence(dep))
         root = ET.fromstring(svg)
         ay = plot._Axis(
             float(root.attrib["data-y0"]), float(root.attrib["data-y1"]),
@@ -200,7 +202,7 @@ class TestDependence:
             x=np.array([0.0, 1.0]), shap=np.array([-0.1, 0.1]),
             color=np.array([-2.0, 2.0]),
         )
-        svg = plot.render_dependence(dep)
+        svg = plot.render(plot.spec_dependence(dep))
         fills = re.findall(r'<circle[^>]*fill="(#[0-9a-f]{6})"', svg)
         assert fills == ["#1f77e0", "#e01f5f"]
 
@@ -210,7 +212,7 @@ class TestDependence:
             feature="TOTPOT", correlate="SAVNCPP", correlate_positive=True,
             x=rng.normal(size=10), shap=rng.normal(size=10), color=rng.normal(size=10),
         )
-        svg = plot.render_dependence(dep)
+        svg = plot.render(plot.spec_dependence(dep))
         root = ET.fromstring(svg)
         a = root.attrib
         ax = plot._Axis(float(a["data-x0"]), float(a["data-x1"]),
@@ -226,7 +228,7 @@ class TestDependence:
 class TestLimePlot:
     def test_single_positive_entry_points_right(self):
         exp = lime_explanation([0.3] + [0.0] * 11)
-        svg = plot.render_lime(exp)
+        svg = plot.render(plot.spec_lime(exp))
         root = ET.fromstring(svg)
         rects = [r for r in root.iter()
                  if r.tag.endswith("rect") and "data-weight" in r.attrib]
@@ -237,7 +239,7 @@ class TestLimePlot:
 
     def test_mirrored_weights_equal_lengths_opposite_sides(self):
         exp = lime_explanation([0.3, -0.3] + [0.0] * 10)
-        svg = plot.render_lime(exp)
+        svg = plot.render(plot.spec_lime(exp))
         root = ET.fromstring(svg)
         rects = [r for r in root.iter()
                  if r.tag.endswith("rect") and "data-weight" in r.attrib]
@@ -250,6 +252,6 @@ class TestLimePlot:
     def test_rule_text_escaped(self):
         exp = lime_explanation([0.1] + [0.0] * 11)
         exp.entries[0].rule = "TOTUSJZ <= -0.81"
-        svg = plot.render_lime(exp)
+        svg = plot.render(plot.spec_lime(exp))
         assert "TOTUSJZ &lt;= -0.81" in svg
         ET.fromstring(svg)  # stays well-formed
