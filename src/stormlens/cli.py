@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -216,13 +217,19 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(cfg: RunConfig, command: str, inputs: list[str], artifacts: list[str]) -> None:
+def _write_manifest(
+    cfg: RunConfig, command: str, inputs: list[str], artifacts: list[str],
+    extra: dict | None = None,
+) -> None:
+    """``extra`` is the ``extra`` block of the checkpoint the command read."""
     doc = {
         "command": command,
         "config": cfg.to_dict(),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": sorted(artifacts),
     }
+    if extra is not None and "norm_stats" not in extra:
+        doc["norm_stats_refit"] = True  # refitted on the training split
     _write_json(os.path.join(cfg.out, f"run_manifest_{command.replace('-', '_')}.json"), doc)
 
 
@@ -236,12 +243,55 @@ def _sanitize(identifier: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", identifier)
 
 
+def _check_extra(path, extra: dict) -> None:
+    """Reject a checkpoint ``extra`` field that later steps would misread,
+    with an InputError naming it; warn when ``norm_stats`` is absent, as
+    they are then refitted on the training split."""
+
+    def bad(field: str, problem: str) -> InputError:
+        return InputError(f"model checkpoint {path}: field 'extra.{field}' {problem}")
+
+    rules = {
+        "window_length": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+        "train_fraction": (lambda v: type(v) is float and 0.0 < v < 1.0, "a number in (0, 1)"),
+        "split_seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+        "feature_names": (
+            lambda v: type(v) is list and all(type(name) is str for name in v),
+            "a list of strings",
+        ),
+    }
+    for field, (ok, want) in rules.items():
+        if field in extra and not ok(extra[field]):
+            raise bad(field, f"must be {want}, got {extra[field]!r}")
+
+    if "norm_stats" not in extra:
+        print(f"warning: model checkpoint {path} has no 'extra.norm_stats'; "
+              "refitting them on the training split", file=sys.stderr)
+        return
+    stats = extra["norm_stats"]
+    if type(stats) is not dict:
+        raise bad("norm_stats", "is not an object")
+    n = len(FEATURE_NAMES)
+    for key in ("mean", "std", "constant"):
+        value = stats.get(key)
+        if type(value) is not list or len(value) != n:
+            raise bad(f"norm_stats.{key}", f"must be a list of {n} values")
+        if key == "constant":
+            if not all(type(v) is bool for v in value):
+                raise bad("norm_stats.constant", "must hold only true/false")
+        elif not all(type(v) in (int, float) and math.isfinite(v) for v in value):
+            raise bad(f"norm_stats.{key}", "must hold only finite numbers")
+    if not all(v > 0 for v in stats["std"]):
+        raise bad("norm_stats.std", "must be positive")
+
+
 def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, dict]:
     _require(cfg, "model")
     net, extra = model_mod.load_checkpoint(cfg.model)
     if net.input_dim != len(FEATURE_NAMES):
         raise InputError(f"checkpoint input_dim {net.input_dim} does not match the "
                          f"{len(FEATURE_NAMES)} dataset features")
+    _check_extra(cfg.model, extra)
     stored = extra.get("feature_names")
     if stored is not None and tuple(stored) != FEATURE_NAMES:
         raise InputError(
@@ -256,9 +306,9 @@ def _prepare_windows(cfg: RunConfig, extra: dict):
     ``cfg``, or as a checkpoint's ``extra`` records them where it does."""
     _require(cfg, "data")
     samples = data.load_csv(cfg.data)
-    window = int(extra.get("window_length", cfg.window))
-    fraction = float(extra.get("train_fraction", cfg.train_fraction))
-    split_seed = int(extra.get("split_seed", cfg.seed))
+    window = extra.get("window_length", cfg.window)
+    fraction = extra.get("train_fraction", cfg.train_fraction)
+    split_seed = extra.get("split_seed", cfg.seed)
     train_s, test_s = data.split(samples, fraction, split_seed)
     stats = data.NormStats.from_dict(extra["norm_stats"]) if "norm_stats" in extra \
         else data.fit_norm_stats(train_s)
@@ -369,7 +419,7 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
     }
     _write_json(os.path.join(cfg.out, "metrics.json"), metrics)
     artifacts = ["metrics.json"]
-    _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts)
+    _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts, extra)
     return artifacts
 
 
@@ -399,7 +449,7 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
         "decision",
         plot.spec_decision(paths, bottom_up, base, [e.fx for e in explanations], FEATURE_NAMES),
     )
-    _write_manifest(cfg, "explain-global", [cfg.data, cfg.model], artifacts)
+    _write_manifest(cfg, "explain-global", [cfg.data, cfg.model], artifacts, extra)
     return artifacts
 
 
@@ -443,7 +493,7 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _write_json(os.path.join(cfg.out, f"{stem}.json"), explanation.to_dict())
     artifacts = [f"{stem}.json"]
     artifacts += plot.write_pair(cfg.out, f"{stem}_plot", plot.spec_lime(explanation))
-    _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts)
+    _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts, extra)
     return artifacts
 
 
@@ -465,7 +515,7 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     for stem, feature in (("dependence_top", top), ("dependence_bottom", bottom)):
         dep = analysis.dependence_data(feature, explanations, test_w.values, matrix)
         artifacts += plot.write_pair(cfg.out, stem, plot.spec_dependence(dep))
-    _write_manifest(cfg, "correlate", [cfg.data, cfg.model], artifacts)
+    _write_manifest(cfg, "correlate", [cfg.data, cfg.model], artifacts, extra)
     return artifacts
 
 

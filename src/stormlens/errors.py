@@ -29,3 +29,7 @@ class ModelOverflowError(StormlensError):
     def __init__(self, step: int):
         self.step = step
         super().__init__(f"non-finite activation at time step {step}")
+
+
+class NonFiniteParameterError(StormlensError):
+    """A model parameter holds NaN or infinity, as after a diverged training run."""

@@ -7,6 +7,13 @@ Forward pass, per step t on input x_t (batch, d):
     c_t  = f * c_{t-1} + i * g
     h_t  = o * tanh(c_t)
 
+All steps share one (T, n, 4H) gate array ``A``: it starts as the input
+projection x_t W_x' of every step, computed in one matmul, and step t
+overwrites ``A[t]`` with its activated gates [i, f, o, g]. The cell states
+``C`` and hidden states ``Hs`` are (T + 1, n, H) arrays whose last row stays
+zero, so step 0 reads its initial state at index t - 1 = -1 like any other
+step. Finiteness is checked once per call, after the loop.
+
 Additive attention over the hidden states:
 
     s_t  = tanh(h_t W_att' + b_att)
@@ -17,7 +24,8 @@ Additive attention over the hidden states:
 
 The backward pass is exact reverse-mode differentiation of this graph and
 serves both training (parameter gradients) and attribution (input
-gradients).
+gradients). It reads the gates from ``A`` and writes the four gate
+gradients of a step into one (n, 4H) buffer.
 """
 
 from __future__ import annotations
@@ -27,21 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ModelOverflowError
+from .errors import InputError, ModelOverflowError, NonFiniteParameterError
 from .data import SequenceSet
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-_GATES = ("i", "f", "o", "g")
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass
@@ -70,13 +73,10 @@ class LstmParams:
         for name in ("w_x", "w_h", "b", "w_att", "b_att", "v_att", "w_out", "b_out"):
             yield name, getattr(self, name)
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(**{name: arr.copy() for name, arr in self.items()})
-
     def check_finite(self) -> None:
         for name, arr in self.items():
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name} contains non-finite values")
+                raise NonFiniteParameterError(f"parameter {name} contains non-finite values")
 
     def to_dict(self) -> dict:
         return {name: arr.tolist() for name, arr in self.items()}
@@ -148,44 +148,37 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
-    I = np.empty((T, n, H))
-    F = np.empty((T, n, H))
-    O = np.empty((T, n, H))
-    G = np.empty((T, n, H))
-    C = np.empty((T, n, H))
-    TC = np.empty((T, n, H))
-    Hs = np.empty((T, n, H))
-
-    h = np.zeros((n, H))
-    c = np.zeros((n, H))
+    A = np.empty((T, n, 4 * H))
+    np.matmul(X.transpose(1, 0, 2), params.w_x.T, out=A)
+    C = np.zeros((T + 1, n, H))
+    Hs = np.zeros((T + 1, n, H))
     for t in range(T):
-        a = X[:, t, :] @ params.w_x.T + h @ params.w_h.T + params.b
-        I[t] = _sigmoid(a[:, 0 * H : 1 * H])
-        F[t] = _sigmoid(a[:, 1 * H : 2 * H])
-        O[t] = _sigmoid(a[:, 2 * H : 3 * H])
-        G[t] = np.tanh(a[:, 3 * H : 4 * H])
-        c = F[t] * c + I[t] * G[t]
-        tc = np.tanh(c)
-        h = O[t] * tc
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-            raise ModelOverflowError(t)
-        C[t] = c
-        TC[t] = tc
-        Hs[t] = h
+        a = A[t]
+        a += Hs[t - 1] @ params.w_h.T
+        a += params.b
+        a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
+        a[:, 3 * H :] = np.tanh(a[:, 3 * H :])
+        i, f, o, g = (a[:, k * H : (k + 1) * H] for k in range(4))
+        C[t] = f * C[t - 1] + i * g
+        Hs[t] = o * np.tanh(C[t])
+    Hs_T = Hs[:T]
+    # h_t = o * tanh(c_t) is non-finite wherever c_t is
+    finite = np.isfinite(Hs_T).all(axis=(1, 2))
+    if not finite.all():
+        raise ModelOverflowError(int(np.argmin(finite)))
 
     # additive attention over hidden states
-    S = np.tanh(Hs @ params.w_att.T + params.b_att)  # (T, n, H)
+    S = np.tanh(Hs_T @ params.w_att.T + params.b_att)  # (T, n, H)
     e = (S @ params.v_att).T  # (n, T)
     e_shift = e - e.max(axis=1, keepdims=True)
     expe = np.exp(e_shift)
     alpha = expe / expe.sum(axis=1, keepdims=True)  # (n, T)
-    ctx = np.einsum("nt,tnh->nh", alpha, Hs)
+    ctx = np.einsum("nt,tnh->nh", alpha, Hs_T)
     z = ctx @ params.w_out + params.b_out[0]
     p = _sigmoid(z)
 
     cache = {
-        "X": X, "I": I, "F": F, "O": O, "G": G, "C": C, "TC": TC, "Hs": Hs,
-        "S": S, "alpha": alpha, "ctx": ctx, "z": z, "p": p,
+        "X": X, "A": A, "C": C, "Hs": Hs, "S": S, "alpha": alpha, "ctx": ctx, "z": z, "p": p,
     }
     return p, alpha, cache
 
@@ -205,8 +198,8 @@ def backward_batch(
     X = cache["X"]
     n, T, d = X.shape
     H = params.hidden
-    I, F, O, G = cache["I"], cache["F"], cache["O"], cache["G"]
-    C, TC, Hs, S, alpha = cache["C"], cache["TC"], cache["Hs"], cache["S"], cache["alpha"]
+    A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
+    Hs_T = Hs[:T]
 
     grads = (
         {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -222,45 +215,37 @@ def backward_batch(
     dctx = dz[:, None] * params.w_out[None, :]  # (n, H)
 
     # attention backward
-    dalpha = np.einsum("nh,tnh->nt", dctx, Hs)  # (n, T)
+    dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     dS = de.T[:, :, None] * params.v_att[None, None, :]  # (T, n, H)
     dU = dS * (1.0 - S**2)
     if want_param_grads:
         grads["v_att"] += np.einsum("tnh,nt->h", S, de)
-        grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs)
+        grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
         grads["b_att"] += dU.sum(axis=(0, 1))
     dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + dU @ params.w_att  # (T, n, H)
 
-    # backprop through time
+    # backprop through time; da holds the gate gradients [i, f, o, g]
+    da = np.empty((n, 4 * H))
     dh_next = np.zeros((n, H))
     dc_next = np.zeros((n, H))
     for t in range(T - 1, -1, -1):
+        i, f, o, g = (A[t][:, k * H : (k + 1) * H] for k in range(4))
+        tc = np.tanh(C[t])
         dh = dH_ext[t] + dh_next
-        c_prev = C[t - 1] if t > 0 else np.zeros((n, H))
-        h_prev = Hs[t - 1] if t > 0 else np.zeros((n, H))
-        do = dh * TC[t]
-        dc = dc_next + dh * O[t] * (1.0 - TC[t] ** 2)
-        di = dc * G[t]
-        dg = dc * I[t]
-        df = dc * c_prev
-        da = np.concatenate(
-            [
-                di * I[t] * (1.0 - I[t]),
-                df * F[t] * (1.0 - F[t]),
-                do * O[t] * (1.0 - O[t]),
-                dg * (1.0 - G[t] ** 2),
-            ],
-            axis=1,
-        )  # (n, 4H)
+        dc = dc_next + dh * o * (1.0 - tc**2)
+        da[:, :H] = dc * g * i * (1.0 - i)
+        da[:, H : 2 * H] = dc * C[t - 1] * f * (1.0 - f)
+        da[:, 2 * H : 3 * H] = dh * tc * o * (1.0 - o)
+        da[:, 3 * H :] = dc * i * (1.0 - g**2)
         if want_param_grads:
             grads["w_x"] += da.T @ X[:, t, :]
-            grads["w_h"] += da.T @ h_prev
+            grads["w_h"] += da.T @ Hs[t - 1]
             grads["b"] += da.sum(axis=0)
         if want_input_grads:
             dX[:, t, :] = da @ params.w_x
         dh_next = da @ params.w_h
-        dc_next = dc * F[t]
+        dc_next = dc * f
 
     return grads, dX
 

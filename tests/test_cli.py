@@ -104,6 +104,17 @@ class TestTrain:
         assert "TOTPOT" in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
+    def test_diverged_training_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        # one batch per epoch: the second Adam step turns w_x non-finite
+        with np.errstate(all="ignore"):
+            code = run(train_args(out) + ["--lr", "1e300", "--batch", "1000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "internal error: parameter w_x contains non-finite values" in err
+        assert not (out / "model.json").exists()
+
     def test_manifest_records_inputs_and_artifacts(self, trained):
         manifest = json.loads((trained / "run_manifest_train.json").read_text())
         assert manifest["command"] == "train"
@@ -228,6 +239,98 @@ class TestCheckpoint:
 
         assert self.evaluate_edited(trained, narrow) == 2
         assert "input_dim 11" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param(
+                "norm_stats", {"mean": [0]}, "'extra.norm_stats.mean' must be a list of 12",
+                id="norm_stats-short",
+            ),
+            pytest.param(
+                "norm_stats", "stats", "'extra.norm_stats' is not an object",
+                id="norm_stats-string",
+            ),
+            pytest.param(
+                "window_length", "x", "'extra.window_length' must be an integer >= 1, got 'x'",
+                id="window_length-string",
+            ),
+            pytest.param(
+                "window_length", 0, "'extra.window_length' must be an integer >= 1",
+                id="window_length-zero",
+            ),
+            pytest.param(
+                "window_length", 4.0, "'extra.window_length' must be an integer >= 1",
+                id="window_length-float",
+            ),
+            pytest.param(
+                "train_fraction", 1.5, "'extra.train_fraction' must be a number in (0, 1)",
+                id="train_fraction-above-1",
+            ),
+            pytest.param(
+                "split_seed", -1, "'extra.split_seed' must be an integer >= 0",
+                id="split_seed-negative",
+            ),
+            pytest.param(
+                "split_seed", True, "'extra.split_seed' must be an integer >= 0",
+                id="split_seed-bool",
+            ),
+            pytest.param(
+                "feature_names", "TOTPOT", "'extra.feature_names' must be a list of strings",
+                id="feature_names-string",
+            ),
+        ],
+    )
+    def test_bad_extra_field_exit_2(self, trained, capsys, field, value, message):
+        def spoil(doc):
+            doc["extra"][field] = value
+
+        assert self.evaluate_edited(trained, spoil) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param(
+                "std", None, "'extra.norm_stats.std' must be a list of 12",
+                id="std-null",
+            ),
+            pytest.param(
+                "std", [0.0] * 12, "'extra.norm_stats.std' must be positive",
+                id="std-zero",
+            ),
+            pytest.param(
+                "mean", [float("nan")] * 12, "'extra.norm_stats.mean' must hold only finite",
+                id="mean-nan",
+            ),
+            pytest.param(
+                "mean", ["1"] * 12, "'extra.norm_stats.mean' must hold only finite",
+                id="mean-strings",
+            ),
+            pytest.param(
+                "constant", [0] * 12, "'extra.norm_stats.constant' must hold only true/false",
+                id="constant-ints",
+            ),
+        ],
+    )
+    def test_bad_norm_stats_exit_2(self, trained, capsys, key, value, message):
+        def spoil(doc):
+            doc["extra"]["norm_stats"][key] = value
+
+        assert self.evaluate_edited(trained, spoil) == 2
+        assert message in capsys.readouterr().err
+
+    def test_missing_norm_stats_warned_and_recorded(self, trained, capsys):
+        assert self.evaluate_edited(trained, lambda doc: doc) == 0
+        manifest = json.loads((trained / "eval" / "run_manifest_evaluate.json").read_text())
+        assert "norm_stats_refit" not in manifest
+        assert "warning" not in capsys.readouterr().err
+
+        assert self.evaluate_edited(trained, lambda doc: doc["extra"].pop("norm_stats")) == 0
+        assert "has no 'extra.norm_stats'; refitting" in capsys.readouterr().err
+        manifest = json.loads((trained / "eval" / "run_manifest_evaluate.json").read_text())
+        assert manifest["norm_stats_refit"] is True
 
 
 class TestExplainGlobal:

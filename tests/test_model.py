@@ -3,6 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stormlens import model
 from stormlens.data import SequenceSet
@@ -152,6 +153,24 @@ class TestForward:
             model.forward_batch(params, np.ones((1, 4, 3)))
         assert err.value.step == 0
 
+    def test_overflow_error_identifies_later_step(self):
+        # every gate pre-activation is 1e300 * x, except that h_{t-1} (about
+        # tanh(1) from step 1 on) drives the input gate to -inf; step 1 only
+        # closes that gate, and step 2, where x = 1e300, computes inf - inf
+        H = 2
+        params = model.init_params(1, H, seed=0)
+        params.w_x[:] = 1e300
+        params.w_h[:] = 0.0
+        params.w_h[:H] = -1.7e308
+        params.b[:] = 0.0
+        X = np.ones((2, 4, 1))
+        X[:, 2, :] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelOverflowError) as err:
+                model.forward_batch(params, X)
+        assert err.value.step == 2
+
+
 
 class TestInputGradient:
     def test_dead_output_path(self):
@@ -191,6 +210,52 @@ class TestInputGradient:
         seq[:, 5] = seq[:, 2]
         g = net.input_gradient(seq)
         assert np.array_equal(g[:, 2], g[:, 5])
+
+
+def _central_differences(loss, arr, h):
+    """d loss / d arr by central differences, perturbing ``arr`` in place."""
+    fd = np.empty_like(arr)
+    for idx in np.ndindex(arr.shape):
+        keep = arr[idx]
+        arr[idx] = keep + h
+        up = loss()
+        arr[idx] = keep - h
+        down = loss()
+        arr[idx] = keep
+        fd[idx] = (up - down) / (2 * h)
+    return fd
+
+
+class TestBackwardProperties:
+    """backward_batch against central finite differences (criterion 5's
+    h and bound) on random shapes, parameters and inputs."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 3), T=st.integers(1, 4), d=st.integers(1, 3),
+        H=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, T=1, d=1, H=1, seed=0)
+    @example(n=2, T=1, d=3, H=3, seed=1)
+    @example(n=3, T=4, d=2, H=1, seed=2)
+    def test_gradients_match_finite_differences(self, n, T, d, H, seed):
+        rng = np.random.default_rng(seed)
+        params = model.init_params(d, H, seed=0)
+        for _, arr in params.items():
+            arr[...] = rng.normal(scale=0.5, size=arr.shape)
+        X = rng.normal(size=(n, T, d))
+
+        def loss():  # mean probability over the batch
+            return model.forward_batch(params, X)[0].mean()
+
+        p, _, cache = model.forward_batch(params, X)
+        grads, dX = model.backward_batch(
+            params, cache, p * (1.0 - p) / n, want_param_grads=True, want_input_grads=True
+        )
+        for name, grad, arr in [("X", dX, X)] + [(k, grads[k], a) for k, a in params.items()]:
+            fd = _central_differences(loss, arr, h=1e-5)
+            rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
+            assert rel.max() < 1e-4, name
 
 
 class TestTrain:
