@@ -45,11 +45,11 @@ class CorrMatrix:
         }
 
 
-def correlation_matrix(rows: np.ndarray, names: tuple[str, ...] = FEATURE_NAMES) -> CorrMatrix:
+def correlation_matrix(rows: np.ndarray) -> CorrMatrix:
     """Pairwise Pearson correlation over raw feature columns (n, d)."""
     X = np.asarray(rows, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(names):
-        raise InputError(f"expected (n, {len(names)}) matrix, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
+        raise InputError(f"expected (n, {len(FEATURE_NAMES)}) matrix, got shape {X.shape}")
     if X.shape[0] < 2:
         raise InputError("need at least 2 samples for a correlation matrix")
     d = X.shape[1]
@@ -61,7 +61,7 @@ def correlation_matrix(rows: np.ndarray, names: tuple[str, ...] = FEATURE_NAMES)
             r, _ = numerics.pearson_flagged(X[:, i], X[:, j])
             M[i, j] = r
             M[j, i] = r
-    return CorrMatrix(values=M, constant=constant, names=names)
+    return CorrMatrix(values=M, constant=constant)
 
 
 class CorrelateChoice(NamedTuple):

@@ -39,7 +39,6 @@ class RunConfig:
     out: str = "out"
     model: str | None = None
     seed: int = 42
-    threads: int = 1
     # data / training
     window: int = 10
     train_fraction: float = 0.8
@@ -88,11 +87,8 @@ class RunConfig:
             raise InputError("lime_width must be positive")
         if self.lime_lambda < 0:
             raise InputError("lime_lambda must be nonnegative")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
         if not 0.0 < self.threshold < 1.0:
             raise InputError("threshold must be in (0, 1)")
-        self.plant()  # validates rho / label_noise / feature names
 
     def plant(self) -> data.PlantSpec:
         spec = data.PlantSpec(
@@ -333,7 +329,6 @@ def _explain_test_set(cfg: RunConfig, net, train_w, test_w):
         sample_ids=test_w.sample_ids,
         n_coalitions=cfg.n_coalitions,
         n_steps=cfg.n_steps,
-        threads=cfg.threads,
     )
 
 

@@ -227,7 +227,6 @@ def explain_local(
     kernel_width: float | None = None,
     raw_mode: bool = False,
     sample_id: str = "",
-    feature_names: tuple[str, ...] = FEATURE_NAMES,
 ) -> LimeExplanation:
     """Fit a proximity-weighted ridge surrogate around one sample.
 
@@ -241,8 +240,8 @@ def explain_local(
     """
     x = np.asarray(sample, dtype=np.float64).reshape(-1)
     d = disc.n_features
-    if len(feature_names) != d:
-        raise InputError("feature_names length must match the discretizer")
+    if d != len(FEATURE_NAMES):
+        raise InputError(f"discretizer has {d} columns, expected {len(FEATURE_NAMES)} features")
 
     if raw_mode:
         design, raw = perturb_raw(x, disc, n, seed)
@@ -256,12 +255,12 @@ def explain_local(
     flags: list[str] = []
     for j in range(d):
         if disc.collapsed[j]:
-            flags.append(f"collapsed bins: {feature_names[j]}")
+            flags.append(f"collapsed bins: {FEATURE_NAMES[j]}")
 
     keep = [j for j in range(d) if np.ptp(design[:, j]) > 0.0]
     for j in range(d):
         if j not in keep:
-            flags.append(f"degenerate: constant column {feature_names[j]}")
+            flags.append(f"degenerate: constant column {FEATURE_NAMES[j]}")
 
     sw = weights / weights.sum()
     ybar = float(sw @ y)
@@ -289,8 +288,8 @@ def explain_local(
     ranked = sorted(range(d), key=lambda j: (-abs(beta_full[j]), j))[: max(0, int(k))]
     entries = [
         LimeEntry(
-            feature=feature_names[j],
-            rule=rule_text(feature_names[j], float(x[j]), disc.cuts[j]),
+            feature=FEATURE_NAMES[j],
+            rule=rule_text(FEATURE_NAMES[j], float(x[j]), disc.cuts[j]),
             weight=float(beta_full[j]),
         )
         for j in ranked

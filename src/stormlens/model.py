@@ -40,6 +40,9 @@ from .data import SequenceSet
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
+# The most rows one batched explainer pass hands to a forward call.
+CHUNK_ROWS = 4096
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows
@@ -73,10 +76,11 @@ class LstmParams:
         for name in ("w_x", "w_h", "b", "w_att", "b_att", "v_att", "w_out", "b_out"):
             yield name, getattr(self, name)
 
-    def check_finite(self) -> None:
+    def check_finite(self, where: str = "") -> None:
         for name, arr in self.items():
             if not np.all(np.isfinite(arr)):
-                raise NonFiniteParameterError(f"parameter {name} contains non-finite values")
+                raise NonFiniteParameterError(
+                    f"parameter {name} contains non-finite values{where}")
 
     def to_dict(self) -> dict:
         return {name: arr.tolist() for name, arr in self.items()}
@@ -276,12 +280,12 @@ class LstmModel:
         p, alpha, _ = forward_batch(self.params, seq[None, :, :])
         return Prediction(probability=float(p[0]), attention=alpha[0])
 
-    def input_gradient_batch(self, X: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of the output probability w.r.t. every input cell."""
         X = np.asarray(X, dtype=np.float64)
         out = np.empty_like(X)
-        for lo in range(0, X.shape[0], chunk):
-            part = X[lo : lo + chunk]
+        for lo in range(0, X.shape[0], CHUNK_ROWS):
+            part = X[lo : lo + CHUNK_ROWS]
             p, _, cache = forward_batch(self.params, part)
             dz = p * (1.0 - p)  # d sigmoid(z) / dz
             _, dX = backward_batch(
@@ -359,31 +363,35 @@ def train(
     history: list[float] = []
 
     X = sequences.values
-    for epoch in range(config.epochs):
-        frac = epoch / max(config.epochs - 1, 1)
-        lr = config.learning_rate * (1.0 + (LR_DECAY - 1.0) * frac)
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        weight_sum = 0.0
-        for lo in range(0, n, config.batch):
-            idx = order[lo : lo + config.batch]
-            xb, yb, wb = X[idx], y[idx], sample_w[idx]
-            p, _, cache = forward_batch(params, xb)
-            z = cache["z"]
-            losses = _bce_from_logits(z, yb)
-            loss_sum += float((wb * losses).sum())
-            weight_sum += float(wb.sum())
-            dz = wb * (p - yb) / wb.sum()
-            grads, _ = backward_batch(params, cache, dz, want_param_grads=True)
-            step += 1
-            for name, arr in params.items():
-                gr = grads[name]
-                m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * gr
-                v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * gr**2
-                mhat = m[name] / (1 - ADAM_BETA1**step)
-                vhat = v[name] / (1 - ADAM_BETA2**step)
-                arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        history.append(loss_sum / weight_sum)
+    # a diverging run overflows here; the check after each update names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            frac = epoch / max(config.epochs - 1, 1)
+            lr = config.learning_rate * (1.0 + (LR_DECAY - 1.0) * frac)
+            order = shuffle_rng.permutation(n)
+            loss_sum = 0.0
+            weight_sum = 0.0
+            for lo in range(0, n, config.batch):
+                idx = order[lo : lo + config.batch]
+                xb, yb, wb = X[idx], y[idx], sample_w[idx]
+                p, _, cache = forward_batch(params, xb)
+                z = cache["z"]
+                losses = _bce_from_logits(z, yb)
+                loss_sum += float((wb * losses).sum())
+                weight_sum += float(wb.sum())
+                dz = wb * (p - yb) / wb.sum()
+                grads, _ = backward_batch(params, cache, dz, want_param_grads=True)
+                step += 1
+                for name, arr in params.items():
+                    gr = grads[name]
+                    m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * gr
+                    v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * gr**2
+                    mhat = m[name] / (1 - ADAM_BETA1**step)
+                    vhat = v[name] / (1 - ADAM_BETA2**step)
+                    arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+                params.check_finite(f" after the update of epoch {epoch + 1}, "
+                                    f"batch {lo // config.batch + 1}: training diverged")
+            history.append(loss_sum / weight_sum)
 
     return LstmModel(params), history
 

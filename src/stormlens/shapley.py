@@ -9,17 +9,15 @@ and the gradient method sums each feature's column over time.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .errors import InputError, SingularSystemError
+from .model import CHUNK_ROWS
 
 MAX_EXACT_FEATURES = 20
-
-_CHUNK_WINDOWS = 4096
 
 
 @dataclass
@@ -91,7 +89,7 @@ def _coalition_values(model, sample, background, masks: np.ndarray) -> np.ndarra
     B = background.shape[0]
     m = masks.shape[0]
     out = np.empty(m)
-    chunk = max(1, _CHUNK_WINDOWS // B)
+    chunk = max(1, CHUNK_ROWS // B)
     for lo in range(0, m, chunk):
         mk = masks[lo : lo + chunk]  # (mc, d)
         mixed = np.where(
@@ -275,37 +273,33 @@ def explain_set(
     sample_ids: list[str] | None = None,
     n_coalitions: int = 2048,
     n_steps: int = 16,
-    threads: int = 1,
 ) -> list[ShapExplanation]:
-    """Explain every window with the chosen method.
+    """Explain every window with the chosen method, one window at a time.
 
-    Each window's stochastic sub-seed derives from (seed, window index),
-    so results are independent of execution order and thread count.
+    Window ``i`` is explained with the sub-seed ``subseed(seed, i)``, so its
+    result is the one ``kernel_shap``/``gradient_shap`` give for that window
+    alone, whatever the other windows are.
     """
     windows = np.asarray(windows, dtype=np.float64)
     n = windows.shape[0]
     ids = sample_ids if sample_ids is not None else [str(i) for i in range(n)]
     if len(ids) != n:
         raise InputError("sample_ids length does not match the window count")
-
-    def one(i: int) -> ShapExplanation:
-        w = windows[i]
-        if method == "exact":
-            return exact_shapley(model, w, background, sample_id=ids[i])
-        if method == "kernel":
-            return kernel_shap(
-                model, w, background, n_coalitions, subseed(seed, i), sample_id=ids[i]
-            )
-        if method == "gradient":
-            return gradient_shap(
-                model, w, background, n_steps, subseed(seed, i), sample_id=ids[i]
-            )
+    if method not in ("exact", "kernel", "gradient"):
         raise InputError(f"unknown method {method!r}; expected exact, kernel, gradient")
 
-    if threads > 1 and n > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n)))
-    return [one(i) for i in range(n)]
+    explanations = []
+    for i, w in enumerate(windows):
+        if method == "exact":
+            e = exact_shapley(model, w, background, sample_id=ids[i])
+        elif method == "kernel":
+            e = kernel_shap(model, w, background, n_coalitions, subseed(seed, i),
+                            sample_id=ids[i])
+        else:
+            e = gradient_shap(model, w, background, n_steps, subseed(seed, i),
+                              sample_id=ids[i])
+        explanations.append(e)
+    return explanations
 
 
 def global_importance(explanations: list[ShapExplanation]) -> GlobalImportance:

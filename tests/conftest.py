@@ -23,7 +23,7 @@ class LinearWindowModel:
     def predict_proba(self, X):
         return np.einsum("ntd,td->n", np.asarray(X, dtype=np.float64), self.W) + self.b
 
-    def input_gradient_batch(self, X, chunk: int = 4096):
+    def input_gradient_batch(self, X):
         X = np.asarray(X, dtype=np.float64)
         return np.repeat(self.W[None], X.shape[0], axis=0)
 

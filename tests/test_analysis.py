@@ -53,6 +53,10 @@ class TestCorrelationMatrix:
         with pytest.raises(InputError):
             analysis.correlation_matrix(np.zeros((1, 12)))
 
+    def test_wrong_feature_count_rejected(self):
+        with pytest.raises(InputError, match=r"expected \(n, 12\) matrix"):
+            analysis.correlation_matrix(np.ones((5, 11)))
+
 
 class TestStrongestCorrelate:
     def _matrix(self, row):

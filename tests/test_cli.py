@@ -60,6 +60,13 @@ class TestSynth:
         assert "rho" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_single_step_window_rejected(self, tmp_path, capsys):
+        # the planted trend needs two steps; the model itself takes one
+        out = tmp_path / "o"
+        assert run(synth_args(out) + ["--window", "1"]) == 2
+        assert "trend window must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_and_metrics(self, trained):
@@ -107,13 +114,23 @@ class TestTrain:
     def test_diverged_training_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run(synth_args(out)) == 0
-        # one batch per epoch: the second Adam step turns w_x non-finite
-        with np.errstate(all="ignore"):
-            code = run(train_args(out) + ["--lr", "1e300", "--batch", "1000"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "internal error: parameter w_x contains non-finite values" in err
-        assert not (out / "model.json").exists()
+        capsys.readouterr()
+        # the second Adam update turns w_x non-finite, whether it is the
+        # update of epoch 2's only batch or of epoch 1's second batch
+        for batch, where in (("1000", "epoch 2, batch 1"), ("32", "epoch 1, batch 2")):
+            assert run(train_args(out) + ["--lr", "1e300", "--batch", batch]) == 1
+            err = capsys.readouterr().err
+            assert "internal error: parameter w_x contains non-finite values" in err
+            assert where in err
+            assert "RuntimeWarning" not in err
+            assert not (out / "model.json").exists()
+
+    def test_single_step_window_trains(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        assert run(train_args(out, window=1)) == 0
+        checkpoint = json.loads((out / "model.json").read_text())
+        assert checkpoint["extra"]["window_length"] == 1
 
     def test_manifest_records_inputs_and_artifacts(self, trained):
         manifest = json.loads((trained / "run_manifest_train.json").read_text())
@@ -135,11 +152,21 @@ class TestConfigFile:
         assert cfg.epochs == 9  # flag wins
         assert cfg.seed == 7
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("mystery=1\n", encoding="utf-8")
-        with pytest.raises(InputError, match="mystery"):
-            cli.load_config_file(cfgfile)
+        for key in ("mystery", "threads"):
+            cfgfile.write_text(f"{key}=2\n", encoding="utf-8")
+            with pytest.raises(InputError, match=key):
+                cli.load_config_file(cfgfile)
+            assert run(["train", "--config", str(cfgfile)]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+    def test_unknown_flag_rejected(self, capsys):
+        for flag in ("--mystery", "--threads"):
+            with pytest.raises(SystemExit) as exc:
+                run(["train", flag, "2"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

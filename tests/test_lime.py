@@ -120,6 +120,12 @@ class TestRuleText:
 
 
 class TestExplainLocal:
+    def test_wrong_feature_count_rejected(self):
+        rows = training_rows(7)[:, :5]
+        disc = lime.discretizer_fit(rows)
+        with pytest.raises(InputError, match="discretizer has 5 columns, expected 12"):
+            lime.explain_local(lambda r: r[:, 0], rows[0], disc, n=50, seed=0)
+
     def test_constant_model_is_degenerate(self):
         rows = training_rows(7)
         disc = lime.discretizer_fit(rows)

@@ -273,15 +273,22 @@ class TestExplainSet:
         assert shapley.subseed(42, 3) == shapley.subseed(42, 3)
         assert shapley.subseed(42, 3) != shapley.subseed(42, 4)
 
-    def test_thread_count_does_not_change_results(self):
+    @pytest.mark.parametrize("method", ["gradient", "kernel"])
+    def test_each_window_seeded_by_its_index(self, method):
         rng = np.random.default_rng(21)
         net = random_lstm(5, 3, seed=21)
         windows = rng.normal(size=(6, 2, 5))
         bg = rng.normal(size=(3, 2, 5))
-        seq = shapley.explain_set(net, windows, bg, method="gradient", seed=5, n_steps=4)
-        par = shapley.explain_set(net, windows, bg, method="gradient", seed=5, n_steps=4, threads=3)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.phi, b.phi)
+        explain = {
+            "gradient": lambda w, seed: shapley.gradient_shap(net, w, bg, 4, seed),
+            "kernel": lambda w, seed: shapley.kernel_shap(net, w, bg, 20, seed),
+        }[method]
+        got = shapley.explain_set(net, windows, bg, method=method, seed=5,
+                                  n_coalitions=20, n_steps=4)
+        for i, e in enumerate(got):
+            alone = explain(windows[i], shapley.subseed(5, i))
+            assert e.phi.tobytes() == alone.phi.tobytes()
+            assert (e.base, e.fx) == (alone.base, alone.fx)
 
     def test_unknown_method_rejected(self):
         net = LinearWindowModel(np.ones((1, 3)))
