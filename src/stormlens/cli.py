@@ -83,8 +83,8 @@ class RunConfig:
             raise InputError("lime_n must be >= 10")
         if not 1 <= self.lime_k <= len(FEATURE_NAMES):
             raise InputError(f"lime_k must be in 1..{len(FEATURE_NAMES)}")
-        if self.lime_width is not None and not self.lime_width > 0:
-            raise InputError("lime_width must be positive")
+        if self.lime_width is not None:
+            lime.kernel_scale(self.lime_width)
         if self.lime_lambda < 0:
             raise InputError("lime_lambda must be nonnegative")
         if not 0.0 < self.threshold < 1.0:

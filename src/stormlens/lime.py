@@ -160,15 +160,32 @@ def perturb_raw(
     return design, R
 
 
+def kernel_scale(width: float) -> float:
+    """width**2, the denominator of the proximity kernel.
+
+    Raises an InputError naming ``lime_width`` unless the width is positive
+    and its square a positive finite number: a square that underflows to 0
+    would give the explained row the weight 0/0.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            scale = width**2
+        except OverflowError:  # a Python float raises where numpy gives inf
+            scale = np.inf
+    if not (width > 0 and 0.0 < scale < np.inf):
+        raise InputError(
+            f"lime_width must be positive with a positive finite square, got {width!r}")
+    return scale
+
+
 def proximity(design: np.ndarray, width: float | None = None) -> np.ndarray:
     """Exponential kernel weights exp(-D^2 / width^2) from row 0."""
     X = np.asarray(design, dtype=np.float64)
     if width is None:
         width = default_kernel_width(X.shape[1])
-    if not width > 0:
-        raise InputError("kernel width must be positive")
+    scale = kernel_scale(width)
     d2 = ((X - X[0]) ** 2).sum(axis=1)
-    return np.exp(-d2 / width**2)
+    return np.exp(-d2 / scale)
 
 
 def rule_text(feature: str, value: float, cuts_row: np.ndarray) -> str:
@@ -265,6 +282,12 @@ def explain_local(
     sw = weights / weights.sum()
     ybar = float(sw @ y)
     beta_full = np.zeros(d)
+    support = int(np.count_nonzero(weights > 0))
+    if ridge_lambda == 0 and support < len(keep):
+        raise InputError(
+            f"lime_lambda=0 leaves the surrogate underdetermined: {support} of lime_n={n} "
+            f"perturbations have positive weight for {len(keep)} features; "
+            f"raise lime_n or set lime_lambda > 0")
     if keep:
         Xk = design[:, keep]
         xbar = sw @ Xk

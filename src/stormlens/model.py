@@ -7,12 +7,20 @@ Forward pass, per step t on input x_t (batch, d):
     c_t  = f * c_{t-1} + i * g
     h_t  = o * tanh(c_t)
 
-All steps share one (T, n, 4H) gate array ``A``: it starts as the input
-projection x_t W_x' of every step, computed in one matmul, and step t
-overwrites ``A[t]`` with its activated gates [i, f, o, g]. The cell states
-``C`` and hidden states ``Hs`` are (T + 1, n, H) arrays whose last row stays
-zero, so step 0 reads its initial state at index t - 1 = -1 like any other
-step. Finiteness is checked once per call, after the loop.
+The activated gates of all steps live in one gate-major (T, 4, n, H) array
+``A``, so each gate of a step is one contiguous (n, H) block and the
+elementwise work runs over whole blocks. Step t computes x_t W_x' and
+h_{t-1} W_h' into two (n, 4H) buffers that every step reuses, adds them and
+then b in that order, copies the sum gate-major into ``A[t]`` and activates
+it in place; the buffers also serve as the sigmoid's and the cell update's
+scratch and are freed before the attention block. The cell states ``C`` and
+hidden states ``Hs`` are (T + 1, n, H) arrays whose last row is zero, so
+step 0 reads its initial state at index t - 1 = -1 like any other step.
+Finiteness is checked once per call, after the loop.
+
+Output bits depend on the numpy/BLAS build and on the batch a row is
+computed in, not on the layout of ``A``: the tests compare both passes bit
+for bit with a reference cell that keeps ``A`` as (T, n, 4H).
 
 Additive attention over the hidden states:
 
@@ -24,8 +32,9 @@ Additive attention over the hidden states:
 
 The backward pass is exact reverse-mode differentiation of this graph and
 serves both training (parameter gradients) and attribution (input
-gradients). It reads the gates from ``A`` and writes the four gate
-gradients of a step into one (n, 4H) buffer.
+gradients). It reads the gates from ``A``, writes the four gate gradients
+of a step into one contiguous (4, n, H) buffer and copies them once into the
+(n, 4H) layout that every weight matmul reads.
 """
 
 from __future__ import annotations
@@ -40,14 +49,25 @@ from .data import SequenceSet
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The most rows one batched explainer pass hands to a forward call.
+# The most rows one batched explainer pass hands to a forward call. Part of
+# the artifact contract: a row's output bits depend on the batch it is
+# computed in, so another value changes the bytes of shap.json.
 CHUNK_ROWS = 4096
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, bit for bit ``where(z >= 0, 1/(1+e), e/(1+e))``
+    with ``e = exp(-|z|)``, which never overflows. The numerator
+    ``max(e, z >= 0)`` is exactly 1 where z >= 0 (there e <= 1) and e
+    elsewhere, and NaN propagates. ``out`` may be ``z``; ``work`` is an
+    optional scratch array of z's shape."""
+    e = np.abs(z, out=work)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, z >= 0, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 @dataclass
@@ -152,19 +172,28 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
-    A = np.empty((T, n, 4 * H))
-    np.matmul(X.transpose(1, 0, 2), params.w_x.T, out=A)
-    C = np.zeros((T + 1, n, H))
-    Hs = np.zeros((T + 1, n, H))
+    A = np.empty((T, 4, n, H))
+    C = np.empty((T + 1, n, H))
+    Hs = np.empty((T + 1, n, H))
+    C[T] = Hs[T] = 0.0  # the initial state; rows 0..T-1 are written before read
+    xw, hw = np.empty((2, n, 4 * H))  # one step's x_t W_x' and h_{t-1} W_h'
     for t in range(T):
+        np.matmul(X[:, t, :], params.w_x.T, out=xw)
+        np.matmul(Hs[t - 1], params.w_h.T, out=hw)
+        xw += hw
+        xw += params.b
         a = A[t]
-        a += Hs[t - 1] @ params.w_h.T
-        a += params.b
-        a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
-        a[:, 3 * H :] = np.tanh(a[:, 3 * H :])
-        i, f, o, g = (a[:, k * H : (k + 1) * H] for k in range(4))
-        C[t] = f * C[t - 1] + i * g
-        Hs[t] = o * np.tanh(C[t])
+        np.copyto(a, xw.reshape(n, 4, H).transpose(1, 0, 2))
+        _sigmoid(a[:3], out=a[:3], work=hw.reshape(4, n, H)[:3])
+        np.tanh(a[3], out=a[3])
+        i, f, o, g = a
+        ig = xw.reshape(4, n, H)[0]
+        np.multiply(i, g, out=ig)
+        np.multiply(f, C[t - 1], out=C[t])
+        C[t] += ig
+        np.tanh(C[t], out=Hs[t])
+        Hs[t] *= o
+    del xw, hw, ig  # frees the step buffers (ig is a view of them) before attention
     Hs_T = Hs[:T]
     # h_t = o * tanh(c_t) is non-finite wherever c_t is
     finite = np.isfinite(Hs_T).all(axis=(1, 2))
@@ -172,7 +201,9 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ModelOverflowError(int(np.argmin(finite)))
 
     # additive attention over hidden states
-    S = np.tanh(Hs_T @ params.w_att.T + params.b_att)  # (T, n, H)
+    S = Hs_T @ params.w_att.T  # (T, n, H)
+    S += params.b_att
+    np.tanh(S, out=S)
     e = (S @ params.v_att).T  # (n, T)
     e_shift = e - e.max(axis=1, keepdims=True)
     expe = np.exp(e_shift)
@@ -221,35 +252,51 @@ def backward_batch(
     # attention backward
     dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    dS = de.T[:, :, None] * params.v_att[None, None, :]  # (T, n, H)
-    dU = dS * (1.0 - S**2)
+    dU = de.T[:, :, None] * params.v_att  # dS, then dS * (1 - S**2); (T, n, H)
+    work = np.square(S)
+    dU *= np.subtract(1.0, work, out=work)
     if want_param_grads:
         grads["v_att"] += np.einsum("tnh,nt->h", S, de)
         grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
         grads["b_att"] += dU.sum(axis=(0, 1))
-    dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + dU @ params.w_att  # (T, n, H)
+    dH_ext = np.matmul(dU, params.w_att, out=work)  # (T, n, H)
+    dH_ext += np.multiply(alpha.T[:, :, None], dctx, out=dU)
 
-    # backprop through time; da holds the gate gradients [i, f, o, g]
+    # backprop through time; dG holds the gate gradients [i, f, o, g] gate-major,
+    # da the same values in the (n, 4H) layout that w_x and w_h multiply
+    dG = np.empty((4, n, H))
     da = np.empty((n, 4 * H))
-    dh_next = np.zeros((n, H))
-    dc_next = np.zeros((n, H))
+    tc, u, dh, dc, dh_next, dc_next = np.zeros((6, n, H))
     for t in range(T - 1, -1, -1):
-        i, f, o, g = (A[t][:, k * H : (k + 1) * H] for k in range(4))
-        tc = np.tanh(C[t])
-        dh = dH_ext[t] + dh_next
-        dc = dc_next + dh * o * (1.0 - tc**2)
-        da[:, :H] = dc * g * i * (1.0 - i)
-        da[:, H : 2 * H] = dc * C[t - 1] * f * (1.0 - f)
-        da[:, 2 * H : 3 * H] = dh * tc * o * (1.0 - o)
-        da[:, 3 * H :] = dc * i * (1.0 - g**2)
+        i, f, o, g = A[t]
+        np.tanh(C[t], out=tc)
+        np.add(dH_ext[t], dh_next, out=dh)
+        # dc = dc_next + dh * o * (1 - tc**2)
+        np.subtract(1.0, np.square(tc, out=u), out=u)
+        np.multiply(dh, o, out=dc)
+        dc *= u
+        dc += dc_next
+        # each gate gradient keeps the operation order ((a * b) * c) * d
+        np.multiply(dc, g, out=dG[0])
+        dG[0] *= i
+        dG[0] *= np.subtract(1.0, i, out=u)
+        np.multiply(dc, C[t - 1], out=dG[1])
+        dG[1] *= f
+        dG[1] *= np.subtract(1.0, f, out=u)
+        np.multiply(dh, tc, out=dG[2])
+        dG[2] *= o
+        dG[2] *= np.subtract(1.0, o, out=u)
+        np.multiply(dc, i, out=dG[3])
+        dG[3] *= np.subtract(1.0, np.square(g, out=u), out=u)
+        np.copyto(da.reshape(n, 4, H), dG.transpose(1, 0, 2))
         if want_param_grads:
             grads["w_x"] += da.T @ X[:, t, :]
             grads["w_h"] += da.T @ Hs[t - 1]
             grads["b"] += da.sum(axis=0)
         if want_input_grads:
             dX[:, t, :] = da @ params.w_x
-        dh_next = da @ params.w_h
-        dc_next = dc * f
+        np.matmul(da, params.w_h, out=dh_next)
+        np.multiply(dc, f, out=dc_next)
 
     return grads, dX
 

@@ -1,0 +1,146 @@
+"""Reference LSTM-attention cell for the bit-equality tests of
+``stormlens.model``: ``forward_batch`` and ``backward_batch`` there must
+reproduce every output, cache entry and gradient of these, bit for bit.
+
+Here the gate array ``A`` is (T, n, 4H), with the gates [i, f, o, g] side by
+side in the last axis; ``stormlens.model`` keeps it as (T, 4, n, H).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from stormlens.errors import ModelOverflowError
+from stormlens.model import LstmParams
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))  # never overflows
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Run the network on a batch of sequences.
+
+    Parameters
+    ----------
+    X : (n, T, d) finite float array.
+
+    Returns
+    -------
+    (probs (n,), alphas (n, T), cache) where the cache holds every
+    intermediate needed by :func:`backward_batch`.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3:
+        raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+    n, T, d = X.shape
+    if d != params.input_dim:
+        raise ValueError(f"input dim {d} does not match model dim {params.input_dim}")
+    if T < 1:
+        raise ValueError("need at least one time step")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("input contains non-finite values")
+    H = params.hidden
+
+    A = np.empty((T, n, 4 * H))
+    np.matmul(X.transpose(1, 0, 2), params.w_x.T, out=A)
+    C = np.zeros((T + 1, n, H))
+    Hs = np.zeros((T + 1, n, H))
+    for t in range(T):
+        a = A[t]
+        a += Hs[t - 1] @ params.w_h.T
+        a += params.b
+        a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
+        a[:, 3 * H :] = np.tanh(a[:, 3 * H :])
+        i, f, o, g = (a[:, k * H : (k + 1) * H] for k in range(4))
+        C[t] = f * C[t - 1] + i * g
+        Hs[t] = o * np.tanh(C[t])
+    Hs_T = Hs[:T]
+    # h_t = o * tanh(c_t) is non-finite wherever c_t is
+    finite = np.isfinite(Hs_T).all(axis=(1, 2))
+    if not finite.all():
+        raise ModelOverflowError(int(np.argmin(finite)))
+
+    # additive attention over hidden states
+    S = np.tanh(Hs_T @ params.w_att.T + params.b_att)  # (T, n, H)
+    e = (S @ params.v_att).T  # (n, T)
+    e_shift = e - e.max(axis=1, keepdims=True)
+    expe = np.exp(e_shift)
+    alpha = expe / expe.sum(axis=1, keepdims=True)  # (n, T)
+    ctx = np.einsum("nt,tnh->nh", alpha, Hs_T)
+    z = ctx @ params.w_out + params.b_out[0]
+    p = _sigmoid(z)
+
+    cache = {
+        "X": X, "A": A, "C": C, "Hs": Hs, "S": S, "alpha": alpha, "ctx": ctx, "z": z, "p": p,
+    }
+    return p, alpha, cache
+
+
+def backward_batch(
+    params: LstmParams,
+    cache: dict,
+    dz: np.ndarray,
+    want_param_grads: bool = True,
+    want_input_grads: bool = False,
+) -> tuple[dict | None, np.ndarray | None]:
+    """Reverse-mode pass from an upstream gradient on the logit z.
+
+    Returns ``(param_grads, input_grads)``; each is None unless requested.
+    Parameter gradients are summed over the batch.
+    """
+    X = cache["X"]
+    n, T, d = X.shape
+    H = params.hidden
+    A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
+    Hs_T = Hs[:T]
+
+    grads = (
+        {name: np.zeros_like(arr) for name, arr in params.items()}
+        if want_param_grads
+        else None
+    )
+    dX = np.zeros_like(X) if want_input_grads else None
+
+    dz = np.asarray(dz, dtype=np.float64).reshape(n)
+    if want_param_grads:
+        grads["w_out"] += cache["ctx"].T @ dz
+        grads["b_out"] += np.array([dz.sum()])
+    dctx = dz[:, None] * params.w_out[None, :]  # (n, H)
+
+    # attention backward
+    dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
+    de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    dS = de.T[:, :, None] * params.v_att[None, None, :]  # (T, n, H)
+    dU = dS * (1.0 - S**2)
+    if want_param_grads:
+        grads["v_att"] += np.einsum("tnh,nt->h", S, de)
+        grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
+        grads["b_att"] += dU.sum(axis=(0, 1))
+    dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + dU @ params.w_att  # (T, n, H)
+
+    # backprop through time; da holds the gate gradients [i, f, o, g]
+    da = np.empty((n, 4 * H))
+    dh_next = np.zeros((n, H))
+    dc_next = np.zeros((n, H))
+    for t in range(T - 1, -1, -1):
+        i, f, o, g = (A[t][:, k * H : (k + 1) * H] for k in range(4))
+        tc = np.tanh(C[t])
+        dh = dH_ext[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc**2)
+        da[:, :H] = dc * g * i * (1.0 - i)
+        da[:, H : 2 * H] = dc * C[t - 1] * f * (1.0 - f)
+        da[:, 2 * H : 3 * H] = dh * tc * o * (1.0 - o)
+        da[:, 3 * H :] = dc * i * (1.0 - g**2)
+        if want_param_grads:
+            grads["w_x"] += da.T @ X[:, t, :]
+            grads["w_h"] += da.T @ Hs[t - 1]
+            grads["b"] += da.sum(axis=0)
+        if want_input_grads:
+            dX[:, t, :] = da @ params.w_x
+        dh_next = da @ params.w_h
+        dc_next = dc * f
+
+    return grads, dX

@@ -435,6 +435,21 @@ class TestExplainLocal:
         assert code == 2
         assert "sample-id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--lime-width", "1e-200"], "lime_width"),  # the square underflows to 0
+        (["--lime-width", "1e200"], "lime_width"),  # the square overflows
+        (["--lime-lambda", "0", "--lime-n", "10"], "lime_lambda"),  # 10 rows, 12 features
+    ])
+    def test_unusable_surrogate_settings_exit_2(self, trained, capsys, flags, field):
+        code = run([
+            "explain-local", "--data", str(trained / "data.csv"),
+            "--model", str(trained / "model.json"), "--out", str(trained),
+            "--sample-id", "0", *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and "Traceback" not in err and "Warning" not in err
+
 
 class TestCorrelate:
     def test_matrix_and_dependence_artifacts(self, trained):

@@ -90,6 +90,12 @@ class TestProximity:
         w = lime.proximity(Z)
         assert np.all(np.diff(w) < 0)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e200,
+                                       np.float64(1e-200), np.float64(1e200)])
+    def test_width_without_positive_finite_square_rejected(self, width):
+        with pytest.raises(InputError, match="lime_width"):
+            lime.proximity(np.ones((3, 12)), width)
+
 
 class TestRuleText:
     def test_top_bin_format(self):

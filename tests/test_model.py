@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lstm_reference
 from stormlens import model
 from stormlens.data import SequenceSet
 from stormlens.errors import InputError, ModelOverflowError
@@ -256,6 +257,61 @@ class TestBackwardProperties:
             fd = _central_differences(loss, arr, h=1e-5)
             rel = np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6)
             assert rel.max() < 1e-4, name
+
+
+class TestBitsAgainstReference:
+    """The gate-major cell computes every output, cached intermediate and
+    gradient with the same bits as the reference cell, whose gate array is
+    (T, n, 4H)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40), T=st.integers(1, 5), d=st.integers(1, 4),
+        H=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, T=1, d=1, H=1, seed=0)
+    @example(n=13, T=3, d=2, H=1, seed=1)
+    @example(n=9, T=1, d=3, H=5, seed=2)
+    @example(n=1, T=4, d=12, H=16, seed=3)
+    @example(n=37, T=10, d=12, H=16, seed=4)
+    def test_forward_and_backward_match_reference(self, n, T, d, H, seed):
+        rng = np.random.default_rng(seed)
+        params = model.init_params(d, H, seed=0)
+        for _, arr in params.items():
+            arr[...] = rng.normal(scale=1.5, size=arr.shape)
+        X = rng.normal(scale=2.0, size=(n, T, d))
+        dz = rng.normal(size=n)
+
+        p, alpha, cache = model.forward_batch(params, X)
+        want_p, want_alpha, want = lstm_reference.forward_batch(params, X)
+        assert np.array_equal(p, want_p) and np.array_equal(alpha, want_alpha)
+        for key in ("C", "Hs", "S", "alpha", "ctx", "z", "p"):
+            assert np.array_equal(cache[key], want[key]), key
+        gates = cache["A"].transpose(0, 2, 1, 3).reshape(T, n, 4 * H)
+        assert np.array_equal(gates, want["A"])
+
+        grads, dX = model.backward_batch(params, cache, dz, True, True)
+        want_grads, want_dX = lstm_reference.backward_batch(params, want, dz, True, True)
+        assert np.array_equal(dX, want_dX)
+        for name, grad in want_grads.items():
+            assert np.array_equal(grads[name], grad), name
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, 5e-324, 1e-300, 36.0, 709.8, 745.0, 1e308, np.inf]
+
+    def test_bits_match_masked_form(self):
+        rng = np.random.default_rng(6)
+        z = np.concatenate([
+            self.SPECIAL, np.negative(self.SPECIAL), [np.nan],
+            rng.normal(scale=20.0, size=500), rng.uniform(-1e-3, 1e-3, size=100),
+        ])
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert np.array_equal(model._sigmoid(z).view(np.uint64), want.view(np.uint64))
+        in_place = z.copy()
+        model._sigmoid(in_place, out=in_place, work=np.empty_like(z))
+        assert np.array_equal(in_place.view(np.uint64), want.view(np.uint64))
 
 
 class TestTrain:
