@@ -18,9 +18,24 @@ hidden states ``Hs`` are (T + 1, n, H) arrays whose last row is zero, so
 step 0 reads its initial state at index t - 1 = -1 like any other step.
 Finiteness is checked once per call, after the loop.
 
+``forward_batch`` runs in one of two modes of the same loop. With
+``keep_cache=True`` (training and gradients) it keeps ``A``, ``C`` and ``Hs``
+for every step and returns them in the cache for :func:`backward_batch`.
+With ``keep_cache=False`` (every forward-only call) ``A`` holds one step's
+gates, reused by every step, ``C`` is two rows used in turn (the zeroed
+last row again serves as the initial state), and no cache is returned. ``LstmModel.predict_proba`` walks its rows in
+forward-only tiles of ``TILE_ROWS`` rows.
+
 Output bits depend on the numpy/BLAS build and on the batch a row is
-computed in, not on the layout of ``A``: the tests compare both passes bit
-for bit with a reference cell that keeps ``A`` as (T, n, 4H).
+computed in, not on the layout of ``A`` or on the mode: the tests compare
+both passes bit for bit with a reference cell that keeps ``A`` as
+(T, n, 4H), and ``predict_proba`` with the reference's whole-batch output.
+
+Both passes take an optional ``work`` dict and then keep their large arrays
+in it, reused by the next call with that dict instead of allocated anew. A
+cache built with a ``work`` dict, and the input gradients read from it, are
+valid only until the next call with that dict. ``LstmModel`` keeps one such
+dict for ``input_gradient_batch``.
 
 Additive attention over the hidden states:
 
@@ -40,6 +55,7 @@ of a step into one contiguous (4, n, H) buffer and copies them once into the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +69,34 @@ CHECKPOINT_SCHEMA = "stormlens-model/1"
 # the artifact contract: a row's output bits depend on the batch it is
 # computed in, so another value changes the bytes of shap.json.
 CHUNK_ROWS = 4096
+
+# The rows of one forward call in LstmModel.predict_proba. Not part of the
+# artifact contract: in the numpy/BLAS builds tested, a row's bits depend on
+# its offset mod 4 in its call and on whether the call has exactly one row,
+# so tiles that start at multiples of 8 and hold at least TILE_ROWS rows give
+# every row the bits of one whole-batch call (tests/test_model.py holds this).
+TILE_ROWS = 1024
+
+
+def _buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of ``shape``: a new one when ``work`` is
+    None, else a view of ``work[key]``, which grows to the largest size
+    asked for."""
+    if work is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _tile_bounds(n: int) -> list[int]:
+    """Row bounds of predict_proba's tiles: every tile starts at a multiple
+    of TILE_ROWS and the last one takes the remainder, so no tile is shorter
+    than TILE_ROWS unless the whole batch is."""
+    starts = range(0, max(1, n // TILE_ROWS) * TILE_ROWS, TILE_ROWS)
+    return [*starts, n]
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
@@ -148,17 +192,23 @@ class Prediction:
     attention: np.ndarray  # (T,)
 
 
-def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+def forward_batch(
+    params: LstmParams, X: np.ndarray, keep_cache: bool = True, work: dict | None = None
+) -> tuple[np.ndarray, np.ndarray, dict | None]:
     """Run the network on a batch of sequences.
 
     Parameters
     ----------
     X : (n, T, d) finite float array.
+    keep_cache : keep every step's gates and cell state and return them.
+    work : optional dict of arrays reused between calls (see the module
+        docstring); the cache is valid until the next call with it.
 
     Returns
     -------
     (probs (n,), alphas (n, T), cache) where the cache holds every
-    intermediate needed by :func:`backward_batch`.
+    intermediate needed by :func:`backward_batch`, or is None when
+    ``keep_cache`` is False.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
@@ -172,28 +222,31 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
-    A = np.empty((T, 4, n, H))
-    C = np.empty((T + 1, n, H))
-    Hs = np.empty((T + 1, n, H))
-    C[T] = Hs[T] = 0.0  # the initial state; rows 0..T-1 are written before read
-    xw, hw = np.empty((2, n, 4 * H))  # one step's x_t W_x' and h_{t-1} W_h'
+    kept = T if keep_cache else 1  # steps of gates and cell state kept
+    A = _buffer(work, "A", (kept, 4, n, H))
+    C = _buffer(work, "C", (kept + 1, n, H))
+    Hs = _buffer(work, "Hs", (T + 1, n, H))
+    # the initial state; every other row is written before it is read
+    C[-1] = Hs[T] = 0.0
+    xw, hw = _buffer(work, "step", (2, n, 4 * H))  # one step's x_t W_x' and h_{t-1} W_h'
     for t in range(T):
         np.matmul(X[:, t, :], params.w_x.T, out=xw)
         np.matmul(Hs[t - 1], params.w_h.T, out=hw)
         xw += hw
         xw += params.b
-        a = A[t]
+        a = A[t % kept]
         np.copyto(a, xw.reshape(n, 4, H).transpose(1, 0, 2))
         _sigmoid(a[:3], out=a[:3], work=hw.reshape(4, n, H)[:3])
         np.tanh(a[3], out=a[3])
         i, f, o, g = a
         ig = xw.reshape(4, n, H)[0]
         np.multiply(i, g, out=ig)
-        np.multiply(f, C[t - 1], out=C[t])
-        C[t] += ig
-        np.tanh(C[t], out=Hs[t])
+        c = C[t % (kept + 1)]
+        np.multiply(f, C[(t - 1) % (kept + 1)], out=c)
+        c += ig
+        np.tanh(c, out=Hs[t])
         Hs[t] *= o
-    del xw, hw, ig  # frees the step buffers (ig is a view of them) before attention
+    del xw, hw, ig  # frees the step buffers (ig is a view of them) unless work keeps them
     Hs_T = Hs[:T]
     # h_t = o * tanh(c_t) is non-finite wherever c_t is
     finite = np.isfinite(Hs_T).all(axis=(1, 2))
@@ -201,7 +254,7 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ModelOverflowError(int(np.argmin(finite)))
 
     # additive attention over hidden states
-    S = Hs_T @ params.w_att.T  # (T, n, H)
+    S = np.matmul(Hs_T, params.w_att.T, out=_buffer(work, "S", (T, n, H)))
     S += params.b_att
     np.tanh(S, out=S)
     e = (S @ params.v_att).T  # (n, T)
@@ -212,6 +265,8 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
     z = ctx @ params.w_out + params.b_out[0]
     p = _sigmoid(z)
 
+    if not keep_cache:
+        return p, alpha, None
     cache = {
         "X": X, "A": A, "C": C, "Hs": Hs, "S": S, "alpha": alpha, "ctx": ctx, "z": z, "p": p,
     }
@@ -224,11 +279,13 @@ def backward_batch(
     dz: np.ndarray,
     want_param_grads: bool = True,
     want_input_grads: bool = False,
+    work: dict | None = None,
 ) -> tuple[dict | None, np.ndarray | None]:
     """Reverse-mode pass from an upstream gradient on the logit z.
 
     Returns ``(param_grads, input_grads)``; each is None unless requested.
-    Parameter gradients are summed over the batch.
+    Parameter gradients are summed over the batch. With a ``work`` dict the
+    input gradients are one of its arrays, valid until its next use.
     """
     X = cache["X"]
     n, T, d = X.shape
@@ -241,7 +298,8 @@ def backward_batch(
         if want_param_grads
         else None
     )
-    dX = np.zeros_like(X) if want_input_grads else None
+    # every step's (n, d) slice is written below
+    dX = _buffer(work, "dX", X.shape) if want_input_grads else None
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
     if want_param_grads:
@@ -252,21 +310,24 @@ def backward_batch(
     # attention backward
     dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    dU = de.T[:, :, None] * params.v_att  # dS, then dS * (1 - S**2); (T, n, H)
-    work = np.square(S)
-    dU *= np.subtract(1.0, work, out=work)
+    # dS, then dS * (1 - S**2); (T, n, H)
+    dU = np.multiply(de.T[:, :, None], params.v_att, out=_buffer(work, "dU", (T, n, H)))
+    sq = np.square(S, out=_buffer(work, "dH_ext", (T, n, H)))
+    dU *= np.subtract(1.0, sq, out=sq)
     if want_param_grads:
         grads["v_att"] += np.einsum("tnh,nt->h", S, de)
         grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
         grads["b_att"] += dU.sum(axis=(0, 1))
-    dH_ext = np.matmul(dU, params.w_att, out=work)  # (T, n, H)
+    dH_ext = np.matmul(dU, params.w_att, out=sq)  # (T, n, H)
     dH_ext += np.multiply(alpha.T[:, :, None], dctx, out=dU)
 
     # backprop through time; dG holds the gate gradients [i, f, o, g] gate-major,
     # da the same values in the (n, 4H) layout that w_x and w_h multiply
-    dG = np.empty((4, n, H))
-    da = np.empty((n, 4 * H))
-    tc, u, dh, dc, dh_next, dc_next = np.zeros((6, n, H))
+    dG = _buffer(work, "dG", (4, n, H))
+    da = _buffer(work, "da", (n, 4 * H))
+    tc, u, dh, dc, dh_next, dc_next = _buffer(work, "bptt", (6, n, H))
+    dh_next.fill(0.0)  # the others are written before they are read
+    dc_next.fill(0.0)
     for t in range(T - 1, -1, -1):
         i, f, o, g = A[t]
         np.tanh(C[t], out=tc)
@@ -302,11 +363,17 @@ def backward_batch(
 
 
 class LstmModel:
-    """Immutable trained classifier exposing prediction and gradient access."""
+    """Trained classifier exposing prediction and gradient access.
+
+    The parameters are never changed. ``work`` holds the scratch arrays that
+    ``input_gradient_batch`` reuses from call to call, so one model must not
+    run it from two threads at once.
+    """
 
     def __init__(self, params: LstmParams):
         params.check_finite()
         self.params = params
+        self.work: dict[str, np.ndarray] = {}
 
     @property
     def hidden(self) -> int:
@@ -317,14 +384,22 @@ class LstmModel:
         return self.params.input_dim
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Positive-class probabilities for (n, T, d) input."""
-        p, _, _ = forward_batch(self.params, X)
+        """Positive-class probabilities for (n, T, d) input, computed
+        forward-only in tiles of TILE_ROWS rows (see ``_tile_bounds``). A
+        ModelOverflowError names the step of the first tile that overflows."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 3:
+            raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+        p = np.empty(X.shape[0])
+        bounds = _tile_bounds(X.shape[0])
+        for lo, hi in zip(bounds, bounds[1:]):
+            p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False)[0]
         return p
 
     def forward(self, seq: np.ndarray) -> Prediction:
         """Predict one (T, d) sequence."""
         seq = np.asarray(seq, dtype=np.float64)
-        p, alpha, _ = forward_batch(self.params, seq[None, :, :])
+        p, alpha, _ = forward_batch(self.params, seq[None, :, :], keep_cache=False)
         return Prediction(probability=float(p[0]), attention=alpha[0])
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
@@ -333,18 +408,14 @@ class LstmModel:
         out = np.empty_like(X)
         for lo in range(0, X.shape[0], CHUNK_ROWS):
             part = X[lo : lo + CHUNK_ROWS]
-            p, _, cache = forward_batch(self.params, part)
+            p, _, cache = forward_batch(self.params, part, work=self.work)
             dz = p * (1.0 - p)  # d sigmoid(z) / dz
             _, dX = backward_batch(
-                self.params, cache, dz, want_param_grads=False, want_input_grads=True
+                self.params, cache, dz, want_param_grads=False, want_input_grads=True,
+                work=self.work,
             )
             out[lo : lo + part.shape[0]] = dX
         return out
-
-    def input_gradient(self, seq: np.ndarray) -> np.ndarray:
-        """(T, d) gradient of the probability for a single sequence."""
-        seq = np.asarray(seq, dtype=np.float64)
-        return self.input_gradient_batch(seq[None, :, :])[0]
 
 
 LR_DECAY = 0.1  # the final epoch runs at learning_rate * LR_DECAY (linear ramp)

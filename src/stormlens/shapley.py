@@ -161,7 +161,8 @@ def _kernel_weight(d: int, size: np.ndarray) -> np.ndarray:
 
 
 def kernel_shap(
-    model, sample, background, n_coalitions: int, seed: int, sample_id: str = ""
+    model, sample, background, n_coalitions: int, seed: int, sample_id: str = "",
+    base: float | None = None,
 ) -> ShapExplanation:
     """Shapley approximation via weighted least squares on binary coalitions.
 
@@ -169,6 +170,8 @@ def kernel_shap(
     eliminating the last feature's coefficient. When ``n_coalitions``
     covers all 2^d - 2 non-trivial coalitions the full enumeration is used
     with exact Shapley-kernel weights, which reproduces the exact method.
+    ``base``, when given, must be ``base_value(model, background)``; it is
+    computed here otherwise.
     """
     sample = np.asarray(sample, dtype=np.float64)
     d = sample.shape[1]
@@ -195,14 +198,13 @@ def kernel_shap(
             key = int(np.sum(1 << members))
             counts[key] = counts.get(key, 0) + 1
         keys = sorted(counts)
-        masks = np.zeros((len(keys), d), dtype=bool)
-        for row, key in enumerate(keys):
-            for j in range(d):
-                masks[row, j] = bool((key >> j) & 1)
+        bits = (np.array(keys, dtype=np.int64)[:, None] >> np.arange(d)[None, :]) & 1
+        masks = bits.astype(bool)
         weights = np.array([counts[k] for k in keys], dtype=np.float64)
 
     values = _coalition_values(model, sample, background, masks)
-    base = float(model.predict_proba(np.asarray(background, dtype=np.float64)).mean())
+    if base is None:
+        base = base_value(model, background)
     fx = float(model.predict_proba(sample[None, :, :])[0])
 
     Z = masks.astype(np.float64)
@@ -222,7 +224,8 @@ def kernel_shap(
 
 
 def gradient_shap(
-    model, sample, background, n_steps: int, seed: int, sample_id: str = ""
+    model, sample, background, n_steps: int, seed: int, sample_id: str = "",
+    base: float | None = None,
 ) -> ShapExplanation:
     """Expected-gradients attribution along sample-to-background paths.
 
@@ -230,7 +233,7 @@ def gradient_shap(
     points are drawn (one uniform jitter per stratum); the input gradient
     at each point is weighted by (sample - background) and averaged. The
     per-cell attribution is then summed over time steps to give one value
-    per feature.
+    per feature. ``base`` is as for :func:`kernel_shap`.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -249,7 +252,8 @@ def gradient_shap(
     per_cell = contrib.mean(axis=(0, 1))  # (T, d)
     phi = per_cell.sum(axis=0)
 
-    base = float(model.predict_proba(background).mean())
+    if base is None:
+        base = base_value(model, background)
     fx = float(model.predict_proba(sample[None, :, :])[0])
     return ShapExplanation(
         sample_id=sample_id, method="gradient", base=base, fx=fx, phi=phi
@@ -278,7 +282,8 @@ def explain_set(
 
     Window ``i`` is explained with the sub-seed ``subseed(seed, i)``, so its
     result is the one ``kernel_shap``/``gradient_shap`` give for that window
-    alone, whatever the other windows are.
+    alone, whatever the other windows are. Their base value, the same for
+    every window, is computed once per call.
     """
     windows = np.asarray(windows, dtype=np.float64)
     n = windows.shape[0]
@@ -289,15 +294,16 @@ def explain_set(
         raise InputError(f"unknown method {method!r}; expected exact, kernel, gradient")
 
     explanations = []
+    base = base_value(model, background) if method != "exact" and n else None
     for i, w in enumerate(windows):
         if method == "exact":
             e = exact_shapley(model, w, background, sample_id=ids[i])
         elif method == "kernel":
             e = kernel_shap(model, w, background, n_coalitions, subseed(seed, i),
-                            sample_id=ids[i])
+                            sample_id=ids[i], base=base)
         else:
             e = gradient_shap(model, w, background, n_steps, subseed(seed, i),
-                              sample_id=ids[i])
+                              sample_id=ids[i], base=base)
         explanations.append(e)
     return explanations
 

@@ -27,9 +27,6 @@ class LinearWindowModel:
         X = np.asarray(X, dtype=np.float64)
         return np.repeat(self.W[None], X.shape[0], axis=0)
 
-    def input_gradient(self, seq):
-        return self.W.copy()
-
 
 @pytest.fixture
 def linear_model_cls():

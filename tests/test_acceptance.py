@@ -132,7 +132,7 @@ def test_criterion_5_lstm_gradient_check():
         rng = np.random.default_rng(500 + i)
         net = random_lstm(12, 8, seed=i)
         seq = rng.normal(size=(5, 12))
-        grad = net.input_gradient(seq)
+        grad = net.input_gradient_batch(seq[None])[0]
         T, d = seq.shape
         batch = np.repeat(seq[None], 2 * T * d, axis=0)
         k = 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -178,7 +179,7 @@ class TestInputGradient:
         params = model.init_params(12, 4, seed=7)
         params.w_out[:] = 0.0
         net = model.LstmModel(params)
-        g = net.input_gradient(np.random.default_rng(1).normal(size=(5, 12)))
+        g = net.input_gradient_batch(np.random.default_rng(1).normal(size=(5, 12))[None])[0]
         assert np.all(g == 0.0)
 
     def test_finite_difference_oracle(self):
@@ -188,7 +189,7 @@ class TestInputGradient:
             rng = np.random.default_rng(100 + i)
             net = model.LstmModel(model.init_params(12, 8, seed=i))
             seq = rng.normal(size=(5, 12))
-            g = net.input_gradient(seq)
+            g = net.input_gradient_batch(seq[None])[0]
             T, d = seq.shape
             batch = np.repeat(seq[None], 2 * T * d, axis=0)
             k = 0
@@ -209,7 +210,7 @@ class TestInputGradient:
         net = model.LstmModel(params)
         seq = np.random.default_rng(3).normal(size=(6, 12))
         seq[:, 5] = seq[:, 2]
-        g = net.input_gradient(seq)
+        g = net.input_gradient_batch(seq[None])[0]
         assert np.array_equal(g[:, 2], g[:, 5])
 
 
@@ -295,6 +296,83 @@ class TestBitsAgainstReference:
         assert np.array_equal(dX, want_dX)
         for name, grad in want_grads.items():
             assert np.array_equal(grads[name], grad), name
+
+
+def _random_params(d, H, rng, scale):
+    params = model.init_params(d, H, seed=0)
+    for _, arr in params.items():
+        arr[...] = rng.normal(scale=scale, size=arr.shape)
+    return params
+
+
+class TestForwardOnlyTiles:
+    """predict_proba cuts a batch into forward-only tiles; every row keeps
+    the bits of the reference cell run on the whole batch at once."""
+
+    TILE = model.TILE_ROWS
+    SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE + 1, 2 * TILE + 7,
+             4090, 4097, 5000]
+
+    def test_tile_rows_keep_row_offsets_mod_8(self):
+        assert self.TILE % 8 == 0
+
+    @pytest.mark.parametrize("n", SIZES)
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(T=st.integers(1, 10), d=st.integers(1, 12), H=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1))
+    @example(T=10, d=12, H=16, seed=1)
+    @example(T=3, d=5, H=32, seed=2)
+    def test_bits_match_whole_batch_reference(self, n, T, d, H, seed):
+        rng = np.random.default_rng(seed)
+        params = _random_params(d, H, rng, scale=1.0)
+        X = rng.normal(scale=2.0, size=(n, T, d))
+        want_p, want_alpha, _ = lstm_reference.forward_batch(params, X)
+
+        assert np.array_equal(model.LstmModel(params).predict_proba(X), want_p)
+        p, alpha, cache = model.forward_batch(params, X, keep_cache=False)
+        assert cache is None
+        assert np.array_equal(p, want_p) and np.array_equal(alpha, want_alpha)
+
+    @pytest.mark.parametrize("n, bounds", [
+        (0, [0, 0]), (1, [0, 1]), (TILE, [0, TILE]), (2 * TILE - 1, [0, 2 * TILE - 1]),
+        (2 * TILE, [0, TILE, 2 * TILE]), (3 * TILE + 5, [0, TILE, 2 * TILE, 3 * TILE + 5]),
+    ])
+    def test_no_tile_shorter_than_tile_rows(self, n, bounds):
+        assert model._tile_bounds(n) == bounds
+
+    def test_peak_memory_below_half_of_full_forward(self):
+        params = model.init_params(12, 16, seed=0)
+        X = np.random.default_rng(0).normal(size=(5000, 10, 12))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tiled = peak(lambda: model.LstmModel(params).predict_proba(X))
+        full = peak(lambda: model.forward_batch(params, X))
+        assert tiled < full / 2
+
+
+class TestGradientWorkspace:
+    """input_gradient_batch reuses its arrays between calls; no call may
+    read what an earlier one left in them."""
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(T=st.integers(1, 10), d=st.integers(1, 12), H=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1))
+    @example(T=10, d=12, H=16, seed=0)
+    def test_each_call_matches_a_fresh_model(self, T, d, H, seed):
+        rng = np.random.default_rng(seed)
+        params = _random_params(d, H, rng, scale=0.5)
+        net = model.LstmModel(params)
+        for n in (1600, 7, 1600, 1, 4100):
+            X = rng.normal(size=(n, T, d))
+            want = model.LstmModel(params).input_gradient_batch(X)
+            assert np.array_equal(net.input_gradient_batch(X), want), n
 
 
 class TestSigmoid:
