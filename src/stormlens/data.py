@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -111,6 +112,21 @@ def _parse_timestamp(text: str, line: int) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
+def _parse_cells(row: list[str], feature_cols: list[int], line: int) -> list[float]:
+    """The feature cells of ``row`` parsed one by one, so that a non-numeric
+    one is named with its column."""
+    values = []
+    for name, j in zip(FEATURE_NAMES, feature_cols):
+        cell = row[j].strip()
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise SchemaError(
+                f"line {line}: non-numeric value {cell!r} in column {name}"
+            ) from None
+    return values
+
+
 def load_csv(path) -> list[Sample]:
     """Load samples from a CSV file, sorted by (ar_id, timestamp).
 
@@ -144,6 +160,7 @@ def load_csv(path) -> list[Sample]:
         if unknown:
             raise SchemaError(f"unknown column(s): {', '.join(unknown)}")
         col = {name: header.index(name) for name in header}
+        feature_cols = [col[name] for name in FEATURE_NAMES]
 
         samples: list[Sample] = []
         seen: set[tuple[str, datetime]] = set()
@@ -164,17 +181,13 @@ def load_csv(path) -> list[Sample]:
                     f"line {line}: invalid label {label!r}; allowed labels are "
                     + ", ".join(LABELS)
                 )
-            feats = np.empty(N_FEATURES, dtype=np.float64)
-            for j, name in enumerate(FEATURE_NAMES):
-                cell = row[col[name]].strip()
-                try:
-                    feats[j] = float(cell)
-                except ValueError:
-                    raise SchemaError(
-                        f"line {line}: non-numeric value {cell!r} in column {name}"
-                    ) from None
-            if not np.all(np.isfinite(feats)):
+            try:
+                values = [float(row[j]) for j in feature_cols]
+            except ValueError:
+                values = _parse_cells(row, feature_cols, line)
+            if not all(map(math.isfinite, values)):
                 raise SchemaError(f"line {line}: non-finite feature value")
+            feats = np.array(values)
             key = (ar, ts)
             if key in seen:
                 raise InputError(

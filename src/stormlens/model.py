@@ -13,17 +13,21 @@ elementwise work runs over whole blocks. Step t computes x_t W_x' and
 h_{t-1} W_h' into two (n, 4H) buffers that every step reuses, adds them and
 then b in that order, copies the sum gate-major into ``A[t]`` and activates
 it in place; the buffers also serve as the sigmoid's and the cell update's
-scratch and are freed before the attention block. The cell states ``C`` and
-hidden states ``Hs`` are (T + 1, n, H) arrays whose last row is zero, so
-step 0 reads its initial state at index t - 1 = -1 like any other step.
-Finiteness is checked once per call, after the loop.
+scratch. They share one step scratch array with the attention scores ``S``,
+which are computed after the loop, when the buffers are dead. The cell
+states ``C`` and hidden states ``Hs`` are (T + 1, n, H) arrays whose last
+row is zero, so step 0 reads its initial state at index t - 1 = -1 like any
+other step. Finiteness is checked once per call, on the output: a NaN in
+any hidden state reaches its row's probability, and only then are the
+steps scanned for the first one that overflowed.
 
 ``forward_batch`` runs in one of two modes of the same loop. With
 ``keep_cache=True`` (training and gradients) it keeps ``A``, ``C`` and ``Hs``
 for every step and returns them in the cache for :func:`backward_batch`.
 With ``keep_cache=False`` (every forward-only call) ``A`` holds one step's
 gates, reused by every step, ``C`` is two rows used in turn (the zeroed
-last row again serves as the initial state), and no cache is returned. ``LstmModel.predict_proba`` walks its rows in
+last row again serves as the initial state), both inside the step scratch,
+and no cache is returned. ``LstmModel.predict_proba`` walks its rows in
 forward-only tiles of ``TILE_ROWS`` rows.
 
 Output bits depend on the numpy/BLAS build and on the batch a row is
@@ -35,7 +39,9 @@ Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew. A
 cache built with a ``work`` dict, and the input gradients read from it, are
 valid only until the next call with that dict. ``LstmModel`` keeps one such
-dict for ``input_gradient_batch``.
+dict, shared by ``input_gradient_batch`` and the ``predict_proba`` calls of
+more than one tile, so one model must not run them from two threads at once;
+``train`` keeps another for its batches.
 
 Additive attention over the hidden states:
 
@@ -109,7 +115,9 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
     e = np.abs(z, out=work)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, z >= 0, out=out)
+    # z >= 0 as 1.0 / 0.0 straight into out, so that max reads two float arrays
+    out = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
+    np.maximum(e, out, out=out)
     e += 1.0
     return np.divide(out, e, out=out)
 
@@ -157,6 +165,16 @@ def _param_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
         "w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,), "w_att": (H, H),
         "b_att": (H,), "v_att": (H,), "w_out": (H,), "b_out": (1,),
     }
+
+
+def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Consecutive views of ``flat``, one per name of ``shapes``, in order."""
+    views, lo = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[lo : lo + size].reshape(shape)
+        lo += size
+    return views
 
 
 def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
@@ -222,13 +240,22 @@ def forward_batch(
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
+    # The step scratch holds one step's x_t W_x' and h_{t-1} W_h', and after
+    # the loop the attention scores S. Without a cache it also holds the one
+    # step of gates and the two rows of cell state, which die with the loop.
     kept = T if keep_cache else 1  # steps of gates and cell state kept
-    A = _buffer(work, "A", (kept, 4, n, H))
-    C = _buffer(work, "C", (kept + 1, n, H))
+    if keep_cache:
+        step = _buffer(work, "step", (max(8, T) * n * H,))
+        A = _buffer(work, "A", (T, 4, n, H))
+        C = _buffer(work, "C", (T + 1, n, H))
+    else:
+        step = _buffer(work, "step", (max(14, T) * n * H,))
+        A = step[8 * n * H : 12 * n * H].reshape(1, 4, n, H)
+        C = step[12 * n * H : 14 * n * H].reshape(2, n, H)
+    xw, hw = step[: 8 * n * H].reshape(2, n, 4 * H)
     Hs = _buffer(work, "Hs", (T + 1, n, H))
     # the initial state; every other row is written before it is read
     C[-1] = Hs[T] = 0.0
-    xw, hw = _buffer(work, "step", (2, n, 4 * H))  # one step's x_t W_x' and h_{t-1} W_h'
     for t in range(T):
         np.matmul(X[:, t, :], params.w_x.T, out=xw)
         np.matmul(Hs[t - 1], params.w_h.T, out=hw)
@@ -246,24 +273,26 @@ def forward_batch(
         c += ig
         np.tanh(c, out=Hs[t])
         Hs[t] *= o
-    del xw, hw, ig  # frees the step buffers (ig is a view of them) unless work keeps them
     Hs_T = Hs[:T]
-    # h_t = o * tanh(c_t) is non-finite wherever c_t is
-    finite = np.isfinite(Hs_T).all(axis=(1, 2))
-    if not finite.all():
-        raise ModelOverflowError(int(np.argmin(finite)))
 
     # additive attention over hidden states
-    S = np.matmul(Hs_T, params.w_att.T, out=_buffer(work, "S", (T, n, H)))
+    S = np.matmul(Hs_T, params.w_att.T, out=step[: T * n * H].reshape(T, n, H))
     S += params.b_att
     np.tanh(S, out=S)
-    e = (S @ params.v_att).T  # (n, T)
-    e_shift = e - e.max(axis=1, keepdims=True)
-    expe = np.exp(e_shift)
-    alpha = expe / expe.sum(axis=1, keepdims=True)  # (n, T)
+    # softmax over t, in place in the (n, T) transposed view of S v_att
+    alpha = (S @ params.v_att).T
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
     ctx = np.einsum("nt,tnh->nh", alpha, Hs_T)
     z = ctx @ params.w_out + params.b_out[0]
     p = _sigmoid(z)
+    # A NaN in any h_t (o * tanh(c_t) is never infinite) reaches its row's p
+    # through the attention, so the steps are scanned only when p has one.
+    if not np.isfinite(p).all():
+        finite = np.isfinite(Hs_T).all(axis=(1, 2))
+        if not finite.all():
+            raise ModelOverflowError(int(np.argmin(finite)))
 
     if not keep_cache:
         return p, alpha, None
@@ -280,12 +309,15 @@ def backward_batch(
     want_param_grads: bool = True,
     want_input_grads: bool = False,
     work: dict | None = None,
+    grads: dict | None = None,
 ) -> tuple[dict | None, np.ndarray | None]:
     """Reverse-mode pass from an upstream gradient on the logit z.
 
     Returns ``(param_grads, input_grads)``; each is None unless requested.
-    Parameter gradients are summed over the batch. With a ``work`` dict the
-    input gradients are one of its arrays, valid until its next use.
+    Parameter gradients are summed over the batch, into the arrays of
+    ``grads`` when given (one per parameter, added to, so zero them first)
+    and into new zeroed arrays otherwise. With a ``work`` dict the input
+    gradients are one of its arrays, valid until its next use.
     """
     X = cache["X"]
     n, T, d = X.shape
@@ -293,11 +325,10 @@ def backward_batch(
     A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
     Hs_T = Hs[:T]
 
-    grads = (
-        {name: np.zeros_like(arr) for name, arr in params.items()}
-        if want_param_grads
-        else None
-    )
+    if not want_param_grads:
+        grads = None
+    elif grads is None:
+        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     # every step's (n, d) slice is written below
     dX = _buffer(work, "dX", X.shape) if want_input_grads else None
 
@@ -366,8 +397,9 @@ class LstmModel:
     """Trained classifier exposing prediction and gradient access.
 
     The parameters are never changed. ``work`` holds the scratch arrays that
-    ``input_gradient_batch`` reuses from call to call, so one model must not
-    run it from two threads at once.
+    ``input_gradient_batch`` and the calls of ``predict_proba`` with more
+    than one tile reuse from call to call, so one model must not run either
+    from two threads at once.
     """
 
     def __init__(self, params: LstmParams):
@@ -385,15 +417,21 @@ class LstmModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed
-        forward-only in tiles of TILE_ROWS rows (see ``_tile_bounds``). A
-        ModelOverflowError names the step of the first tile that overflows."""
+        forward-only in tiles of TILE_ROWS rows (see ``_tile_bounds``).
+
+        A call of several tiles runs them in ``work``, last tile first: it
+        is the largest, so the arrays are sized once, before the others
+        run. A call of one tile allocates its own. A ModelOverflowError
+        names the step of the first tile to overflow in that order."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3:
             raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
         p = np.empty(X.shape[0])
         bounds = _tile_bounds(X.shape[0])
-        for lo, hi in zip(bounds, bounds[1:]):
-            p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False)[0]
+        tiles = list(zip(bounds, bounds[1:]))
+        work = self.work if len(tiles) > 1 else None
+        for lo, hi in tiles[-1:] + tiles[:-1]:
+            p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=work)[0]
         return p
 
     def forward(self, seq: np.ndarray) -> Prediction:
@@ -472,11 +510,18 @@ def train(
     w_neg = n / (2.0 * (n - n_pos))
     sample_w = np.where(y == 1.0, w_pos, w_neg)
 
-    params = init_params(sequences.values.shape[2], config.hidden, config.seed)
+    # the parameters, their gradients and both Adam moments are flat vectors;
+    # params and grads are per-parameter views into the first two
+    init = init_params(sequences.values.shape[2], config.hidden, config.seed)
+    shapes = {name: arr.shape for name, arr in init.items()}
+    flat = np.concatenate([arr.ravel() for _, arr in init.items()])
+    grad = np.zeros_like(flat)
+    params = LstmParams(**_views(flat, shapes))
+    grads = _views(grad, shapes)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    t, u = np.empty_like(flat), np.empty_like(flat)  # Adam scratch
+    work: dict[str, np.ndarray] = {}
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-
-    m = {name: np.zeros_like(arr) for name, arr in params.items()}
-    v = {name: np.zeros_like(arr) for name, arr in params.items()}
     step = 0
     history: list[float] = []
 
@@ -492,23 +537,30 @@ def train(
             for lo in range(0, n, config.batch):
                 idx = order[lo : lo + config.batch]
                 xb, yb, wb = X[idx], y[idx], sample_w[idx]
-                p, _, cache = forward_batch(params, xb)
+                p, _, cache = forward_batch(params, xb, work=work)
                 z = cache["z"]
                 losses = _bce_from_logits(z, yb)
                 loss_sum += float((wb * losses).sum())
                 weight_sum += float(wb.sum())
                 dz = wb * (p - yb) / wb.sum()
-                grads, _ = backward_batch(params, cache, dz, want_param_grads=True)
+                grad.fill(0.0)
+                backward_batch(params, cache, dz, want_param_grads=True, work=work, grads=grads)
                 step += 1
-                for name, arr in params.items():
-                    gr = grads[name]
-                    m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * gr
-                    v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * gr**2
-                    mhat = m[name] / (1 - ADAM_BETA1**step)
-                    vhat = v[name] / (1 - ADAM_BETA2**step)
-                    arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-                params.check_finite(f" after the update of epoch {epoch + 1}, "
-                                    f"batch {lo // config.batch + 1}: training diverged")
+                # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g**2,
+                # flat -= lr * (m / (1 - b1**step)) / (sqrt(v / (1 - b2**step)) + eps)
+                m *= ADAM_BETA1
+                m += np.multiply(grad, 1 - ADAM_BETA1, out=t)
+                v *= ADAM_BETA2
+                v += np.multiply(np.square(grad, out=t), 1 - ADAM_BETA2, out=t)
+                np.divide(m, 1 - ADAM_BETA1**step, out=t)
+                t *= lr
+                np.sqrt(np.divide(v, 1 - ADAM_BETA2**step, out=u), out=u)
+                u += ADAM_EPS
+                t /= u
+                flat -= t
+                if not np.isfinite(flat).all():
+                    params.check_finite(f" after the update of epoch {epoch + 1}, "
+                                        f"batch {lo // config.batch + 1}: training diverged")
             history.append(loss_sum / weight_sum)
 
     return LstmModel(params), history

@@ -87,29 +87,28 @@ def _coalition_values(model, sample, background, masks: np.ndarray) -> np.ndarra
     sample = np.asarray(sample, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     B = background.shape[0]
+    T, d = sample.shape
     m = masks.shape[0]
     out = np.empty(m)
     chunk = max(1, CHUNK_ROWS // B)
+    # A chunk's windows are where(mask, sample, background), selected bit by
+    # bit into one buffer reused by every chunk: (background & ~keep) |
+    # (sample & keep), where keep is all ones in the cells the mask takes
+    # from the sample.
+    buf = np.empty((min(chunk, m), B, T, d))
+    bg_bits = background.reshape(B, T * d).view(np.uint64)
+    sample_bits = sample.reshape(T * d).view(np.uint64)
     for lo in range(0, m, chunk):
         mk = masks[lo : lo + chunk]  # (mc, d)
-        mixed = np.where(
-            mk[:, None, None, :], sample[None, None, :, :], background[None, :, :, :]
-        )  # (mc, B, T, d)
         mc = mk.shape[0]
-        probs = model.predict_proba(mixed.reshape(mc * B, *sample.shape))
+        keep = np.negative(np.tile(mk, (1, T)).astype(np.uint64))[:, None, :]  # (mc, 1, T*d)
+        bits = buf[:mc].reshape(mc, B, T * d).view(np.uint64)
+        np.bitwise_and(bg_bits, ~keep, out=bits)
+        bits |= sample_bits & keep
+        del keep  # freed before the model's arrays are allocated
+        probs = model.predict_proba(buf[:mc].reshape(mc * B, T, d))
         out[lo : lo + mc] = probs.reshape(mc, B).mean(axis=1)
     return out
-
-
-def coalition_value(model, sample, background, subset) -> float:
-    """Value of one feature subset (columns kept from the sample)."""
-    d = np.asarray(sample).shape[1]
-    mask = np.zeros((1, d), dtype=bool)
-    for j in subset:
-        if not 0 <= int(j) < d:
-            raise InputError(f"feature index {j} outside 0..{d - 1}")
-        mask[0, int(j)] = True
-    return float(_coalition_values(model, sample, background, mask)[0])
 
 
 def _all_masks(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +159,34 @@ def _kernel_weight(d: int, size: np.ndarray) -> np.ndarray:
     return (d - 1) / (comb * size * (d - size))
 
 
+def _member_keys(rng: np.random.Generator, d: int, sizes) -> list[int]:
+    """Bit keys of the feature sets ``rng.choice(d, size=s, replace=False)``
+    draws for each s of ``sizes`` in turn, from the same random stream but
+    with one ``rng.integers`` call.
+
+    For a population of at most 10,000, numpy's ``Generator.choice`` runs
+    Floyd's algorithm: for j = d - s, ..., d - 1 it draws v on 0..j and
+    takes v, or j if v is taken already; then it shuffles the s members
+    with draws on s - 1, ..., 1, which leave the set as it is. The same
+    closed bounds given to ``rng.integers`` make the same draws, so the
+    keys and the generator's state after them are the loop's (a test holds
+    this against ``rng.choice``).
+    """
+    sizes = [int(s) for s in sizes]
+    bounds = [j for s in sizes for j in (*range(d - s, d), *range(s - 1, 0, -1))]
+    draws = iter(rng.integers(0, np.array(bounds, dtype=np.int64) + 1).tolist())
+    keys = []
+    for s in sizes:
+        key = 0
+        for j in range(d - s, d):
+            v = next(draws)
+            key |= 1 << (j if key >> v & 1 else v)
+        for _ in range(s - 1):  # the shuffle's draws
+            next(draws)
+        keys.append(key)
+    return keys
+
+
 def kernel_shap(
     model, sample, background, n_coalitions: int, seed: int, sample_id: str = "",
     base: float | None = None,
@@ -185,6 +212,9 @@ def kernel_shap(
         masks = masks[keep]
         weights = _kernel_weight(d, masks.sum(axis=1).astype(np.float64))
     else:
+        if d > 63:
+            raise InputError(f"sampled coalitions are int64 bit masks, so d must be <= 63 "
+                             f"(got {d})")
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A]))
         sizes = np.arange(1, d)
         size_mass = (d - 1) / (sizes * (d - sizes)) * np.array(
@@ -193,9 +223,7 @@ def kernel_shap(
         size_p = size_mass / size_mass.sum()
         counts: dict[int, int] = {}
         drawn_sizes = rng.choice(sizes, size=n_coalitions, p=size_p)
-        for s in drawn_sizes:
-            members = rng.choice(d, size=int(s), replace=False)
-            key = int(np.sum(1 << members))
+        for key in _member_keys(rng, d, drawn_sizes):
             counts[key] = counts.get(key, 0) + 1
         keys = sorted(counts)
         bits = (np.array(keys, dtype=np.int64)[:, None] >> np.arange(d)[None, :]) & 1
@@ -246,9 +274,11 @@ def gradient_shap(
     alphas = (np.arange(n_steps)[None, :] + jitter) / n_steps  # (B, K) in (0, 1)
 
     diff = sample[None, :, :] - background  # (B, T, d)
-    points = background[:, None, :, :] + alphas[:, :, None, None] * diff[:, None, :, :]
-    grads = model.input_gradient_batch(points.reshape(B * n_steps, T, d))
-    contrib = diff[:, None, :, :] * grads.reshape(B, n_steps, T, d)
+    points = alphas[:, :, None, None] * diff[:, None, :, :]
+    points += background[:, None, :, :]  # background + alpha * diff
+    contrib = model.input_gradient_batch(points.reshape(B * n_steps, T, d))
+    contrib = contrib.reshape(B, n_steps, T, d)
+    contrib *= diff[:, None, :, :]  # the gradient times (sample - background)
     per_cell = contrib.mean(axis=(0, 1))  # (T, d)
     phi = per_cell.sum(axis=0)
 

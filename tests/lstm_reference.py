@@ -1,6 +1,8 @@
 """Reference LSTM-attention cell for the bit-equality tests of
 ``stormlens.model``: ``forward_batch`` and ``backward_batch`` there must
-reproduce every output, cache entry and gradient of these, bit for bit.
+reproduce every output, cache entry and gradient of these, bit for bit, and
+``train`` there every parameter and loss of :func:`train` here, which keeps
+one Adam state array per parameter.
 
 Here the gate array ``A`` is (T, n, 4H), with the gates [i, f, o, g] side by
 side in the last axis; ``stormlens.model`` keeps it as (T, 4, n, H).
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from stormlens import model
 from stormlens.errors import ModelOverflowError
 from stormlens.model import LstmParams
 
@@ -144,3 +147,43 @@ def backward_batch(
         dc_next = dc * f
 
     return grads, dX
+
+
+def train(sequences, config) -> tuple[LstmParams, list[float]]:
+    """Adam on class-weighted binary cross-entropy, one parameter at a time,
+    with the schedule, shuffling and initialisation of ``model.train``."""
+    n = len(sequences)
+    y = sequences.labels.astype(np.float64)
+    n_pos = int(y.sum())
+    sample_w = np.where(y == 1.0, n / (2.0 * n_pos), n / (2.0 * (n - n_pos)))
+
+    params = model.init_params(sequences.values.shape[2], config.hidden, config.seed)
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
+    b1, b2, eps = model.ADAM_BETA1, model.ADAM_BETA2, model.ADAM_EPS
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    step = 0
+    history = []
+    X = sequences.values
+    for epoch in range(config.epochs):
+        frac = epoch / max(config.epochs - 1, 1)
+        lr = config.learning_rate * (1.0 + (model.LR_DECAY - 1.0) * frac)
+        order = shuffle_rng.permutation(n)
+        loss_sum = weight_sum = 0.0
+        for lo in range(0, n, config.batch):
+            idx = order[lo : lo + config.batch]
+            xb, yb, wb = X[idx], y[idx], sample_w[idx]
+            p, _, cache = forward_batch(params, xb)
+            loss_sum += float((wb * model._bce_from_logits(cache["z"], yb)).sum())
+            weight_sum += float(wb.sum())
+            grads, _ = backward_batch(params, cache, wb * (p - yb) / wb.sum())
+            step += 1
+            for name, arr in params.items():
+                gr = grads[name]
+                m[name] = b1 * m[name] + (1 - b1) * gr
+                v[name] = b2 * v[name] + (1 - b2) * gr**2
+                mhat = m[name] / (1 - b1**step)
+                vhat = v[name] / (1 - b2**step)
+                arr -= lr * mhat / (np.sqrt(vhat) + eps)
+        history.append(loss_sum / weight_sum)
+    return params, history

@@ -77,6 +77,30 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="line 3"):
             data.load_csv(f)
 
+    @staticmethod
+    def row_with_cells(cells: dict[str, str]) -> str:
+        feats = [cells.get(name, str(1.0 + j)) for j, name in enumerate(FEATURE_NAMES)]
+        return f"AR1,2024-01-01T00:00:00+00:00,{','.join(feats)},P"
+
+    def test_first_non_numeric_column_named(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_fixture(f, [self.row_with_cells({"MEANGBZ": "y", "TOTPOT": " x "})])
+        with pytest.raises(SchemaError, match=r"line 2: non-numeric value 'x' in column TOTPOT$"):
+            data.load_csv(f)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        f = tmp_path / "d.csv"
+        write_fixture(f, [self.row_with_cells({"USFLUX": cell})])
+        with pytest.raises(SchemaError, match="line 2: non-finite feature value"):
+            data.load_csv(f)
+
+    def test_cells_with_spaces_parse(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_fixture(f, [self.row_with_cells({"TOTUSJZ": " 2.5 ", "MEANGBZ": "\t-3e2"})])
+        feats = data.load_csv(f)[0].features
+        assert feats[0] == 2.5 and feats[11] == -300.0 and feats.dtype == np.float64
+
     def test_duplicate_key_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         write_fixture(f, [fixture_row(), fixture_row()])

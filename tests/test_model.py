@@ -357,6 +357,42 @@ class TestForwardOnlyTiles:
         assert tiled < full / 2
 
 
+class TestSharedWorkspace:
+    """Forward-only tiles run in the model's workspace, sized by the last
+    (largest) tile of a call; gradient calls reuse the same arrays."""
+
+    @pytest.mark.parametrize("T, d, H", [(10, 12, 16), (3, 5, 32)])
+    def test_alternating_calls_match_a_fresh_model(self, T, d, H):
+        rng = np.random.default_rng(T)
+        params = _random_params(d, H, rng, scale=0.5)
+        net = model.LstmModel(params)
+        for n in (5000, 7, 2047, 1):
+            X = rng.normal(size=(n, T, d))
+            want = model.LstmModel(params).predict_proba(X)
+            assert np.array_equal(net.predict_proba(X), want), n
+            G = rng.normal(size=(1600, T, d))
+            want = model.LstmModel(params).input_gradient_batch(G)
+            assert np.array_equal(net.input_gradient_batch(G), want), n
+
+    def test_repeated_call_allocates_less_than_one_tile_of_hidden_states(self):
+        T, d, H = 10, 12, 16
+        net = model.LstmModel(model.init_params(d, H, seed=0))
+        X = np.random.default_rng(0).normal(size=(4096, T, d))
+        net.predict_proba(X)
+        tracemalloc.start()
+        try:
+            net.predict_proba(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (T + 1) * model.TILE_ROWS * H * 8  # bytes of one tile's Hs
+
+    def test_single_tile_calls_keep_no_workspace(self):
+        net = model.LstmModel(model.init_params(4, 3, seed=0))
+        net.predict_proba(np.ones((2 * model.TILE_ROWS - 1, 2, 4)))
+        assert net.work == {}
+
+
 class TestGradientWorkspace:
     """input_gradient_batch reuses its arrays between calls; no call may
     read what an earlier one left in them."""
@@ -416,6 +452,17 @@ class TestTrain:
         assert h1 == h2
         for (_, a), (_, b) in zip(net1.params.items(), net2.params.items()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n, batch, T", [(40, 16, 4), (37, 64, 3), (203, 64, 10)])
+    def test_matches_per_parameter_adam_reference(self, n, batch, T):
+        # 40 = 2 x 16 + 8 and 203 = 3 x 64 + 11 end each epoch with a short batch
+        train_set = separable_windows(n=n, T=T, seed=n)
+        cfg = model.TrainConfig(hidden=5, epochs=3, batch=batch, learning_rate=1e-2, seed=3)
+        net, history = model.train(train_set, cfg)
+        want_params, want_history = lstm_reference.train(train_set, cfg)
+        assert history == want_history
+        for (name, got), (_, want) in zip(net.params.items(), want_params.items()):
+            assert np.array_equal(got, want), name
 
     def test_single_class_rejected(self):
         values = np.zeros((10, 3, 12))

@@ -2,10 +2,19 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import LinearWindowModel, random_lstm
 from stormlens import model, shapley
 from stormlens.errors import InputError, SingularSystemError
+
+
+def coalition_value(net, sample, background, subset) -> float:
+    """Value of one feature subset (columns kept from the sample): the
+    batched value function on a one-row mask."""
+    mask = np.zeros((1, np.asarray(sample).shape[1]), dtype=bool)
+    mask[0, list(subset)] = True
+    return float(shapley._coalition_values(net, sample, background, mask)[0])
 
 
 def permutation_shapley_oracle(net, sample, background):
@@ -18,7 +27,7 @@ def permutation_shapley_oracle(net, sample, background):
     def v(mask):
         if mask not in cache:
             subset = [j for j in range(d) if mask[j]]
-            cache[mask] = shapley.coalition_value(net, sample, background, subset)
+            cache[mask] = coalition_value(net, sample, background, subset)
         return cache[mask]
 
     phi = np.zeros(d)
@@ -40,7 +49,7 @@ class TestCoalitionValue:
         rng = np.random.default_rng(0)
         sample = rng.normal(size=(3, 4))
         bg = rng.normal(size=(5, 3, 4))
-        v = shapley.coalition_value(net, sample, bg, range(4))
+        v = coalition_value(net, sample, bg, range(4))
         assert v == pytest.approx(float(net.predict_proba(sample[None])[0]), abs=1e-12)
 
     def test_empty_coalition_is_background_mean(self):
@@ -48,7 +57,7 @@ class TestCoalitionValue:
         rng = np.random.default_rng(1)
         sample = rng.normal(size=(3, 4))
         bg = rng.normal(size=(5, 3, 4))
-        v = shapley.coalition_value(net, sample, bg, [])
+        v = coalition_value(net, sample, bg, [])
         assert v == pytest.approx(float(net.predict_proba(bg).mean()), abs=1e-12)
 
     def test_single_feature_hand_average(self):
@@ -59,7 +68,37 @@ class TestCoalitionValue:
         mixed = bg.copy()
         mixed[:, :, 1] = sample[:, 1]  # feature 1 taken from the sample
         want = float(net.predict_proba(mixed).mean())
-        assert shapley.coalition_value(net, sample, bg, [1]) == pytest.approx(want, abs=1e-12)
+        assert coalition_value(net, sample, bg, [1]) == pytest.approx(want, abs=1e-12)
+
+
+class TestCoalitionValues:
+    """The chunked value function fills one reused buffer per call; every
+    value keeps the bits of masking each chunk afresh with np.where."""
+
+    @staticmethod
+    def where_oracle(net, sample, background, masks):
+        B, (T, d) = background.shape[0], sample.shape
+        chunk = max(1, model.CHUNK_ROWS // B)
+        out = np.empty(masks.shape[0])
+        for lo in range(0, masks.shape[0], chunk):
+            mk = masks[lo : lo + chunk]
+            mixed = np.where(mk[:, None, None, :], sample[None, None], background[None])
+            probs = net.predict_proba(mixed.reshape(-1, T, d))
+            out[lo : lo + mk.shape[0]] = probs.reshape(mk.shape[0], B).mean(axis=1)
+        return out
+
+    @pytest.mark.parametrize("which", ["all", "few"])
+    def test_bits_match_where_oracle(self, which):
+        d, T, B = 10, 3, 7
+        net = random_lstm(d, 4, seed=30)
+        rng = np.random.default_rng(30)
+        sample = rng.normal(size=(T, d))
+        bg = rng.normal(size=(B, T, d))
+        _, masks = shapley._all_masks(d)  # empty first, full last: two chunks
+        if which == "few":  # less than one chunk, the full mask first
+            masks = np.concatenate([masks[::-1][:2], rng.random((3, d)) < 0.5])
+        got = shapley._coalition_values(net, sample, bg, masks)
+        assert np.array_equal(got, self.where_oracle(net, sample, bg, masks))
 
 
 class TestExactShapley:
@@ -112,6 +151,54 @@ class TestExactShapley:
             shapley.exact_shapley(net, np.ones((1, 21)), np.zeros((1, 1, 21)))
 
 
+def _random_lstm_case(d, T, H, B, seed):
+    """A random LSTM with unit-scale weights, a sample and a background."""
+    rng = np.random.default_rng(seed)
+    params = model.init_params(d, H, seed=0)
+    for _, arr in params.items():
+        arr[...] = rng.normal(size=arr.shape)
+    return params, rng.normal(size=(T, d)), rng.normal(size=(B, T, d)), rng
+
+
+SMALL_LSTMS = dict(d=st.integers(2, 6), T=st.integers(1, 4), H=st.integers(1, 5),
+                   B=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+
+
+class TestAxiomProperties:
+    """Criteria 1-3 as properties of random small LSTMs, at the criteria's
+    own bounds."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**SMALL_LSTMS)
+    def test_exact_efficiency_and_dummy(self, d, T, H, B, seed):
+        params, sample, bg, rng = _random_lstm_case(d, T, H, B, seed)
+        dummy = int(rng.integers(d))
+        params.w_x[:, dummy] = 0.0  # the feature never enters the network
+        e = shapley.exact_shapley(model.LstmModel(params), sample, bg)
+        assert abs(e.base + e.phi.sum() - e.fx) < 1e-6
+        assert abs(e.phi[dummy]) <= 1e-10
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**SMALL_LSTMS)
+    def test_exact_symmetry(self, d, T, H, B, seed):
+        params, sample, bg, rng = _random_lstm_case(d, T, H, B, seed)
+        a, b = (int(j) for j in rng.choice(d, size=2, replace=False))
+        params.w_x[:, b] = params.w_x[:, a]  # tied weights and identical columns
+        sample[:, b] = sample[:, a]
+        bg[:, :, b] = bg[:, :, a]
+        e = shapley.exact_shapley(model.LstmModel(params), sample, bg)
+        assert abs(e.phi[a] - e.phi[b]) <= 1e-10
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**SMALL_LSTMS)
+    def test_kernel_full_enumeration_is_exact(self, d, T, H, B, seed):
+        params, sample, bg, _ = _random_lstm_case(d, T, H, B, seed)
+        net = model.LstmModel(params)
+        exact = shapley.exact_shapley(net, sample, bg)
+        kernel = shapley.kernel_shap(net, sample, bg, n_coalitions=2**d, seed=seed)
+        assert np.abs(exact.phi - kernel.phi).max() < 1e-8
+
+
 class TestKernelShap:
     def test_full_enumeration_matches_exact(self):
         for i in range(5):
@@ -130,6 +217,16 @@ class TestKernelShap:
                                 n_coalitions=64, seed=1)
         assert np.abs(e.phi).max() < 1e-12
         assert e.base == pytest.approx(e.fx, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.integers(2, 40), n=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    def test_member_keys_draw_what_choice_draws(self, d, n, seed):
+        sizes = np.random.default_rng(seed).integers(1, d, size=n)
+        loop, batched = (np.random.default_rng([seed, d]) for _ in range(2))
+        want = [sum(1 << int(j) for j in loop.choice(d, size=int(s), replace=False))
+                for s in sizes]
+        assert shapley._member_keys(batched, d, sizes) == want
+        assert batched.bit_generator.state == loop.bit_generator.state
 
     def test_sampled_mode_deterministic(self):
         net = random_lstm(8, 3, seed=11)
@@ -154,6 +251,12 @@ class TestKernelShap:
         with pytest.raises(InputError, match="n_coalitions"):
             shapley.kernel_shap(net, np.ones((1, 6)), np.zeros((1, 1, 6)),
                                 n_coalitions=5, seed=0)
+
+    def test_sampled_mode_rejects_more_than_63_features(self):
+        net = LinearWindowModel(np.ones((1, 64)))
+        with pytest.raises(InputError, match="<= 63"):
+            shapley.kernel_shap(net, np.ones((1, 64)), np.zeros((1, 1, 64)),
+                                n_coalitions=100, seed=0)
 
     def test_singular_regression_suggests_more_coalitions(self, monkeypatch):
         net = LinearWindowModel(np.ones((1, 4)))
