@@ -25,11 +25,6 @@ class CorrMatrix:
     constant: np.ndarray  # (d,) bool
     names: tuple[str, ...] = FEATURE_NAMES
 
-    @property
-    def cell_flags(self) -> np.ndarray:
-        """(d, d) bool: True where either feature of the cell is constant."""
-        return self.constant[:, None] | self.constant[None, :]
-
     def to_csv(self) -> str:
         lines = ["," + ",".join(self.names)]
         for i, name in enumerate(self.names):
@@ -53,12 +48,12 @@ def correlation_matrix(rows: np.ndarray) -> CorrMatrix:
     if X.shape[0] < 2:
         raise InputError("need at least 2 samples for a correlation matrix")
     d = X.shape[1]
-    constant = np.array([X[:, j].std() == 0.0 for j in range(d)])
+    constant = numerics.constant_columns(X)
     M = np.zeros((d, d))
     for i in range(d):
         M[i, i] = 0.0 if constant[i] else 1.0
         for j in range(i + 1, d):
-            r, _ = numerics.pearson_flagged(X[:, i], X[:, j])
+            r = numerics.pearson(X[:, i], X[:, j])
             M[i, j] = r
             M[j, i] = r
     return CorrMatrix(values=M, constant=constant)

@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import re
 import sys
@@ -240,13 +239,8 @@ def _sanitize(identifier: str) -> str:
 
 
 def _check_extra(path, extra: dict) -> None:
-    """Reject a checkpoint ``extra`` field that later steps would misread,
-    with an InputError naming it; warn when ``norm_stats`` is absent, as
-    they are then refitted on the training split."""
-
-    def bad(field: str, problem: str) -> InputError:
-        return InputError(f"model checkpoint {path}: field 'extra.{field}' {problem}")
-
+    """Reject a scalar checkpoint ``extra`` field that later steps would
+    misread, with an InputError naming it."""
     rules = {
         "window_length": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
         "train_fraction": (lambda v: type(v) is float and 0.0 < v < 1.0, "a number in (0, 1)"),
@@ -258,56 +252,50 @@ def _check_extra(path, extra: dict) -> None:
     }
     for field, (ok, want) in rules.items():
         if field in extra and not ok(extra[field]):
-            raise bad(field, f"must be {want}, got {extra[field]!r}")
-
-    if "norm_stats" not in extra:
-        print(f"warning: model checkpoint {path} has no 'extra.norm_stats'; "
-              "refitting them on the training split", file=sys.stderr)
-        return
-    stats = extra["norm_stats"]
-    if type(stats) is not dict:
-        raise bad("norm_stats", "is not an object")
-    n = len(FEATURE_NAMES)
-    for key in ("mean", "std", "constant"):
-        value = stats.get(key)
-        if type(value) is not list or len(value) != n:
-            raise bad(f"norm_stats.{key}", f"must be a list of {n} values")
-        if key == "constant":
-            if not all(type(v) is bool for v in value):
-                raise bad("norm_stats.constant", "must hold only true/false")
-        elif not all(type(v) in (int, float) and math.isfinite(v) for v in value):
-            raise bad(f"norm_stats.{key}", "must hold only finite numbers")
-    if not all(v > 0 for v in stats["std"]):
-        raise bad("norm_stats.std", "must be positive")
+            raise InputError(f"model checkpoint {path}: field 'extra.{field}' "
+                             f"must be {want}, got {extra[field]!r}")
 
 
-def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, dict]:
+def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, dict, data.NormStats | None]:
+    """The checkpoint's model, its ``extra`` block and the norm stats stored
+    there, all checked before any data is read. The stats are None, with a
+    warning, when absent: they are then refitted on the training split."""
     _require(cfg, "model")
     net, extra = model_mod.load_checkpoint(cfg.model)
     if net.input_dim != len(FEATURE_NAMES):
         raise InputError(f"checkpoint input_dim {net.input_dim} does not match the "
                          f"{len(FEATURE_NAMES)} dataset features")
     _check_extra(cfg.model, extra)
+    if "norm_stats" in extra:
+        try:
+            stats = data.NormStats.from_dict(extra["norm_stats"])
+        except InputError as exc:
+            raise InputError(f"model checkpoint {cfg.model}: {exc}") from None
+    else:
+        stats = None
+        print(f"warning: model checkpoint {cfg.model} has no 'extra.norm_stats'; "
+              "refitting them on the training split", file=sys.stderr)
     stored = extra.get("feature_names")
     if stored is not None and tuple(stored) != FEATURE_NAMES:
         raise InputError(
             "checkpoint/dataset mismatch in feature order: checkpoint has "
             + ",".join(stored)
         )
-    return net, extra
+    return net, extra, stats
 
 
-def _prepare_windows(cfg: RunConfig, extra: dict):
+def _prepare_windows(cfg: RunConfig, extra: dict, stats: data.NormStats | None):
     """(train samples, norm stats, train windows, test windows) as set by
-    ``cfg``, or as a checkpoint's ``extra`` records them where it does."""
+    ``cfg``, or as a checkpoint's ``extra`` and ``stats`` record them where
+    they do; stats that are None are fitted on the training split."""
     _require(cfg, "data")
     samples = data.load_csv(cfg.data)
     window = extra.get("window_length", cfg.window)
     fraction = extra.get("train_fraction", cfg.train_fraction)
     split_seed = extra.get("split_seed", cfg.seed)
     train_s, test_s = data.split(samples, fraction, split_seed)
-    stats = data.NormStats.from_dict(extra["norm_stats"]) if "norm_stats" in extra \
-        else data.fit_norm_stats(train_s)
+    if stats is None:
+        stats = data.fit_norm_stats(train_s)
     train_w = data.windowize(data.normalize_samples(train_s, stats), window)
     test_w = data.windowize(data.normalize_samples(test_s, stats), window)
     if len(train_w) == 0 or len(test_w) == 0:
@@ -360,7 +348,7 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
 
 def cmd_train(cfg: RunConfig) -> list[str]:
     os.makedirs(cfg.out, exist_ok=True)
-    _, stats, train_w, test_w = _prepare_windows(cfg, {})
+    _, stats, train_w, test_w = _prepare_windows(cfg, {}, None)
 
     tc = model_mod.TrainConfig(
         hidden=cfg.hidden, epochs=cfg.epochs, batch=cfg.batch,
@@ -400,9 +388,9 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
-    net, extra = _load_model(cfg)
+    net, extra, stats = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    _, _, train_w, test_w = _prepare_windows(cfg, extra)
+    _, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
     result = model_mod.evaluate(net, test_w, cfg.threshold)
     metrics = {
         "evaluation": result.to_dict(),
@@ -419,9 +407,9 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
 
 
 def cmd_explain_global(cfg: RunConfig) -> list[str]:
-    net, extra = _load_model(cfg)
+    net, extra, stats = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    _, _, train_w, test_w = _prepare_windows(cfg, extra)
+    _, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
     explanations = _explain_test_set(cfg, net, train_w, test_w)
 
     _write_json(
@@ -450,9 +438,9 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
 
 def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _require(cfg, "sample_id")
-    net, extra = _load_model(cfg)
+    net, extra, stats = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    _, _, train_w, test_w = _prepare_windows(cfg, extra)
+    _, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
 
     ids = test_w.sample_ids
     if cfg.sample_id in ids:
@@ -493,9 +481,9 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
 
 
 def cmd_correlate(cfg: RunConfig) -> list[str]:
-    net, extra = _load_model(cfg)
+    net, extra, stats = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    train_s, _, train_w, test_w = _prepare_windows(cfg, extra)
+    train_s, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
 
     matrix = analysis.correlation_matrix(data.features_matrix(train_s))
     with open(os.path.join(cfg.out, "corr.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -531,10 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args)
         _COMMANDS[args.command](cfg)
         return 0
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StormlensError as exc:

@@ -1,5 +1,5 @@
-"""Dataset handling: CSV ingest, z-score normalization, windowing, splits,
-and a synthetic generator with planted ground truth.
+"""Dataset handling: CSV ingest, z-score normalization (``NormStats``),
+windowing, splits, and a synthetic generator with planted ground truth.
 
 CSV schema (header order-insensitive, catalog order recommended)::
 
@@ -41,11 +41,26 @@ class Sample:
 
 @dataclass
 class NormStats:
-    """Per-feature z-score statistics fitted on the training split."""
+    """Per-feature z-score statistics with population (1/n) variance."""
 
     mean: np.ndarray
     std: np.ndarray  # constant features stored with std 1
     constant: np.ndarray  # bool mask of constant features
+
+    @classmethod
+    def fit(cls, rows) -> "NormStats":
+        """Fit on rows (n, d), n >= 1. A constant column (all values equal,
+        see ``numerics.constant_columns``) is stored with its value as mean
+        and std 1, so that it maps to exactly 0."""
+        A = np.asarray(rows, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] == 0:
+            raise InputError(f"expected a nonempty (n, d) matrix, got shape {A.shape}")
+        mean = A.mean(axis=0)
+        var = ((A - mean) ** 2).mean(axis=0)
+        std = np.sqrt(var)
+        constant = numerics.constant_columns(A)
+        return cls(mean=np.where(constant, A[0], mean),
+                   std=np.where(constant, 1.0, std), constant=constant)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
@@ -58,7 +73,29 @@ class NormStats:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
+    def from_dict(cls, d) -> "NormStats":
+        """The inverse of :meth:`to_dict` for the 12 catalog features.
+
+        A malformed field raises an InputError that names it as a model
+        checkpoint stores it, under ``extra.norm_stats``.
+        """
+
+        def bad(field: str, problem: str) -> InputError:
+            return InputError(f"field 'extra.{field}' {problem}")
+
+        if type(d) is not dict:
+            raise bad("norm_stats", "is not an object")
+        for key in ("mean", "std", "constant"):
+            value = d.get(key)
+            if type(value) is not list or len(value) != N_FEATURES:
+                raise bad(f"norm_stats.{key}", f"must be a list of {N_FEATURES} values")
+            if key == "constant":
+                if not all(type(v) is bool for v in value):
+                    raise bad("norm_stats.constant", "must hold only true/false")
+            elif not all(type(v) in (int, float) and math.isfinite(v) for v in value):
+                raise bad(f"norm_stats.{key}", "must hold only finite numbers")
+        if not all(v > 0 for v in d["std"]):
+            raise bad("norm_stats.std", "must be positive")
         return cls(
             mean=np.asarray(d["mean"], dtype=np.float64),
             std=np.asarray(d["std"], dtype=np.float64),
@@ -284,13 +321,13 @@ def fit_norm_stats(samples: list[Sample]) -> NormStats:
     """Fit z-score statistics on the (training) samples; a feature whose
     mean or std overflows is an input error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = numerics.zscore_fit(features_matrix(samples))
+        stats = NormStats.fit(features_matrix(samples))
     finite = np.isfinite(stats.mean) & np.isfinite(stats.std)
     if not finite.all():
         name = FEATURE_NAMES[int(np.argmin(finite))]
         raise InputError(f"feature {name}: mean or standard deviation overflows; "
                          "values are too large to normalise")
-    return NormStats(mean=stats.mean, std=stats.std, constant=stats.constant)
+    return stats
 
 
 def normalize_samples(samples: list[Sample], stats: NormStats) -> list[Sample]:

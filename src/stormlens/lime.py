@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
+from .data import NormStats
 from .errors import InputError
 from .features import FEATURE_NAMES
 
@@ -90,7 +91,7 @@ def discretizer_fit(rows: np.ndarray) -> Discretizer:
                 lo[j, b] = edge
                 hi[j, b] = edge
 
-    fstats = numerics.zscore_fit(X)
+    fstats = NormStats.fit(X)
     return Discretizer(
         cuts=cuts,
         bin_freq=freq,

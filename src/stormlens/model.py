@@ -201,15 +201,6 @@ def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
     )
 
 
-@dataclass
-class Prediction:
-    """Model output for one sequence: positive-class probability and the
-    attention distribution over time steps (nonnegative, sums to 1)."""
-
-    probability: float
-    attention: np.ndarray  # (T,)
-
-
 def forward_batch(
     params: LstmParams, X: np.ndarray, keep_cache: bool = True, work: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, dict | None]:
@@ -306,18 +297,17 @@ def backward_batch(
     params: LstmParams,
     cache: dict,
     dz: np.ndarray,
-    want_param_grads: bool = True,
     want_input_grads: bool = False,
     work: dict | None = None,
     grads: dict | None = None,
 ) -> tuple[dict | None, np.ndarray | None]:
     """Reverse-mode pass from an upstream gradient on the logit z.
 
-    Returns ``(param_grads, input_grads)``; each is None unless requested.
-    Parameter gradients are summed over the batch, into the arrays of
-    ``grads`` when given (one per parameter, added to, so zero them first)
-    and into new zeroed arrays otherwise. With a ``work`` dict the input
-    gradients are one of its arrays, valid until its next use.
+    Returns ``(grads, input_grads)``. Parameter gradients are computed only
+    when ``grads`` is given, one array per parameter: they are summed over
+    the batch and added to its arrays, so zero them first. Input gradients
+    are None unless requested; with a ``work`` dict they are one of its
+    arrays, valid until its next use.
     """
     X = cache["X"]
     n, T, d = X.shape
@@ -325,15 +315,11 @@ def backward_batch(
     A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
     Hs_T = Hs[:T]
 
-    if not want_param_grads:
-        grads = None
-    elif grads is None:
-        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     # every step's (n, d) slice is written below
     dX = _buffer(work, "dX", X.shape) if want_input_grads else None
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
-    if want_param_grads:
+    if grads is not None:
         grads["w_out"] += cache["ctx"].T @ dz
         grads["b_out"] += np.array([dz.sum()])
     dctx = dz[:, None] * params.w_out[None, :]  # (n, H)
@@ -345,7 +331,7 @@ def backward_batch(
     dU = np.multiply(de.T[:, :, None], params.v_att, out=_buffer(work, "dU", (T, n, H)))
     sq = np.square(S, out=_buffer(work, "dH_ext", (T, n, H)))
     dU *= np.subtract(1.0, sq, out=sq)
-    if want_param_grads:
+    if grads is not None:
         grads["v_att"] += np.einsum("tnh,nt->h", S, de)
         grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
         grads["b_att"] += dU.sum(axis=(0, 1))
@@ -381,7 +367,7 @@ def backward_batch(
         np.multiply(dc, i, out=dG[3])
         dG[3] *= np.subtract(1.0, np.square(g, out=u), out=u)
         np.copyto(da.reshape(n, 4, H), dG.transpose(1, 0, 2))
-        if want_param_grads:
+        if grads is not None:
             grads["w_x"] += da.T @ X[:, t, :]
             grads["w_h"] += da.T @ Hs[t - 1]
             grads["b"] += da.sum(axis=0)
@@ -434,12 +420,6 @@ class LstmModel:
             p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=work)[0]
         return p
 
-    def forward(self, seq: np.ndarray) -> Prediction:
-        """Predict one (T, d) sequence."""
-        seq = np.asarray(seq, dtype=np.float64)
-        p, alpha, _ = forward_batch(self.params, seq[None, :, :], keep_cache=False)
-        return Prediction(probability=float(p[0]), attention=alpha[0])
-
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of the output probability w.r.t. every input cell."""
         X = np.asarray(X, dtype=np.float64)
@@ -448,10 +428,7 @@ class LstmModel:
             part = X[lo : lo + CHUNK_ROWS]
             p, _, cache = forward_batch(self.params, part, work=self.work)
             dz = p * (1.0 - p)  # d sigmoid(z) / dz
-            _, dX = backward_batch(
-                self.params, cache, dz, want_param_grads=False, want_input_grads=True,
-                work=self.work,
-            )
+            _, dX = backward_batch(self.params, cache, dz, want_input_grads=True, work=self.work)
             out[lo : lo + part.shape[0]] = dX
         return out
 
@@ -513,7 +490,7 @@ def train(
     # the parameters, their gradients and both Adam moments are flat vectors;
     # params and grads are per-parameter views into the first two
     init = init_params(sequences.values.shape[2], config.hidden, config.seed)
-    shapes = {name: arr.shape for name, arr in init.items()}
+    shapes = _param_shapes(init.input_dim, init.hidden)
     flat = np.concatenate([arr.ravel() for _, arr in init.items()])
     grad = np.zeros_like(flat)
     params = LstmParams(**_views(flat, shapes))
@@ -544,7 +521,7 @@ def train(
                 weight_sum += float(wb.sum())
                 dz = wb * (p - yb) / wb.sum()
                 grad.fill(0.0)
-                backward_batch(params, cache, dz, want_param_grads=True, work=work, grads=grads)
+                backward_batch(params, cache, dz, work=work, grads=grads)
                 step += 1
                 # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g**2,
                 # flat -= lr * (m / (1 - b1**step)) / (sqrt(v / (1 - b2**step)) + eps)
@@ -572,10 +549,6 @@ class ConfusionCounts:
     fp: int = 0
     tn: int = 0
     fn: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
 
     def to_dict(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}

@@ -1,13 +1,13 @@
 """Dense linear-algebra and statistics primitives used by the whole package.
 
-Everything here is pure, operates on float64 numpy arrays, and uses
-population (1/n) variance throughout so that z-scoring and Pearson
-correlation share one convention.
+Everything here is pure and operates on float64 numpy arrays: the
+Cholesky-based weighted least-squares and ridge solvers, Pearson
+correlation with population (1/n) moments, the test of constant columns and
+quantiles. Z-scoring is ``data.NormStats``, which uses the same population
+variance.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -135,12 +135,24 @@ def ridge_regression(X, y, w, lam: float) -> np.ndarray:
     return _solve_spd(A, b)
 
 
-def pearson_flagged(x, y) -> tuple[float, bool]:
-    """Pearson correlation plus a flag marking constant input.
+def constant_columns(a) -> np.ndarray:
+    """True for each column of ``a`` whose values are all equal; a 1-D array
+    is one column, giving a 0-d result.
 
-    Returns ``(r, constant)`` where ``constant`` is True when either
-    argument has zero variance; in that case r is defined as 0.0 so that
-    full correlation matrices stay renderable.
+    This is the one test of constancy in the package: a computed standard
+    deviation is no test, as it is rarely exactly 0 for equal values
+    (fourteen values of 7.3 give about 8.9e-16).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    return (a == a[:1]).all(axis=0)
+
+
+def pearson(x, y) -> float:
+    """Pearson product-moment correlation in [-1, 1] (population moments).
+
+    Defined as 0.0 when either argument is constant (see
+    :func:`constant_columns`), so that full correlation matrices stay
+    renderable.
     """
     x = _as_vector(x, "x")
     y = _as_vector(y, "y")
@@ -149,49 +161,16 @@ def pearson_flagged(x, y) -> tuple[float, bool]:
         raise ValueError("x and y must have equal length")
     if n < 2:
         raise ValueError("need at least 2 observations")
+    if constant_columns(x) or constant_columns(y):
+        return 0.0
     dx = x - x.mean()
     dy = y - y.mean()
     vx = float(dx @ dx) / n
     vy = float(dy @ dy) / n
-    if vx <= 0.0 or vy <= 0.0:
-        return 0.0, True
+    if vx <= 0.0 or vy <= 0.0:  # a spread so small that its square underflows
+        return 0.0
     r = (float(dx @ dy) / n) / np.sqrt(vx * vy)
-    return float(np.clip(r, -1.0, 1.0)), False
-
-
-def pearson(x, y) -> float:
-    """Pearson product-moment correlation in [-1, 1] (population moments)."""
-    r, _ = pearson_flagged(x, y)
-    return r
-
-
-class ZScoreStats(NamedTuple):
-    """Per-column mean/stddev fitted for z-score normalization."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    constant: np.ndarray  # bool mask; constant columns get std 1 and map to 0
-
-
-def zscore_fit(columns) -> ZScoreStats:
-    """Fit per-column z-score statistics with population (1/n) variance.
-
-    Constant columns are flagged and stored with stddev 1 so that applying
-    the transform yields 0 instead of NaN.
-    """
-    A = _as_matrix(columns, "columns")
-    mean = A.mean(axis=0)
-    var = ((A - mean) ** 2).mean(axis=0)
-    std = np.sqrt(var)
-    constant = std == 0.0
-    std = np.where(constant, 1.0, std)
-    return ZScoreStats(mean=mean, std=std, constant=constant)
-
-
-def zscore_apply(values, stats: ZScoreStats) -> np.ndarray:
-    """Apply fitted z-score statistics to rows (last axis = columns)."""
-    v = np.asarray(values, dtype=np.float64)
-    return (v - stats.mean) / stats.std
+    return float(np.clip(r, -1.0, 1.0))
 
 
 def quantiles(x, cuts) -> np.ndarray:

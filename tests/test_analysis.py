@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stormlens import analysis, data, shapley
+from stormlens import analysis, data, numerics, shapley
 from stormlens.errors import InputError
 from stormlens.features import FEATURE_NAMES, feature_index
 
@@ -38,8 +38,16 @@ class TestCorrelationMatrix:
         m = analysis.correlation_matrix(X)
         assert m.constant[5]
         assert np.all(m.values[5, :] == 0.0) and np.all(m.values[:, 5] == 0.0)
-        assert m.cell_flags[5, 0] and m.cell_flags[0, 5]
-        assert not m.cell_flags[0, 1]
+        assert not m.constant[0] and not m.constant[1]
+
+    def test_equal_values_flagged_constant_despite_rounding(self):
+        # fourteen 7.3s have a computed std of ~8.9e-16, not 0
+        X = rows_with_linked_pair(n=14, seed=8)
+        X[:, 11] = 7.3
+        assert X[:, 11].std() > 0.0
+        m = analysis.correlation_matrix(X)
+        assert m.constant[11] and not m.constant[:11].any()
+        assert np.all(m.values[11, :] == 0.0) and np.all(m.values[:, 11] == 0.0)
 
     def test_csv_export_round_trip(self):
         m = analysis.correlation_matrix(rows_with_linked_pair(seed=3))
@@ -158,7 +166,6 @@ class TestDependenceData:
             r = np.empty(len(v))
             r[np.argsort(v)] = np.arange(len(v))
             return r
-        from stormlens.numerics import pearson
-        rho = pearson(ranks(dep.x), ranks(dep.shap))
+        rho = numerics.pearson(ranks(dep.x), ranks(dep.shap))
         assert rho > 0.5
         assert dep.correlate == "SAVNCPP"

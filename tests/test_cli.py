@@ -468,6 +468,32 @@ class TestCorrelate:
         for stem in ("dependence_top", "dependence_bottom"):
             assert (trained / f"{stem}.svg").exists()
 
+    def test_equal_values_column_constant_in_checkpoint_and_matrix(self, tmp_path):
+        # fourteen or more 7.3s have a computed std of ~1e-15, not 0
+        out = tmp_path / "o"
+        assert run(synth_args(out, n_ars=40)) == 0
+        samples = data.load_csv(out / "data.csv")
+        j = FEATURE_NAMES.index("MEANGBZ")
+        frozen = []
+        for s in samples:
+            feats = s.features.copy()
+            feats[j] = 7.3
+            frozen.append(data.Sample(s.ar_id, s.timestamp, feats, s.label))
+        data.write_csv(out / "data.csv", frozen)
+        assert run(train_args(out)) == 0
+        stats = json.loads((out / "model.json").read_text())["extra"]["norm_stats"]
+        assert stats["constant"][j] is True
+        assert stats["mean"][j] == 7.3 and stats["std"][j] == 1.0
+        assert run([
+            "correlate", "--data", str(out / "data.csv"),
+            "--model", str(out / "model.json"), "--out", str(out),
+            "--method", "gradient", "--background", "4", "--n-steps", "2",
+            "--seed", "42",
+        ]) == 0
+        doc = json.loads((out / "corr.json").read_text())
+        assert doc["constant"][j] is True
+        assert all(v == 0.0 for v in doc["values"][j])
+
     def test_constant_column_flagged_no_crash(self, tmp_path):
         out = tmp_path / "o"
         assert run(synth_args(out)) == 0

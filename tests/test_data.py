@@ -1,11 +1,15 @@
+import json
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stormlens import data, numerics
 from stormlens.errors import InputError, SchemaError
 from stormlens.features import FEATURE_NAMES, feature_index
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def make_sample(ar, hour, label="N", value=1.0):
@@ -28,6 +32,30 @@ def fixture_row(ar="AR1", ts="2024-01-01T00:00:00+00:00", label="P", base=1.0):
 
 
 class TestLoadCsv:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(
+        st.tuples(
+            st.text("ABCXYZabc0189_-.:", min_size=1, max_size=8),
+            st.datetimes(datetime(1970, 1, 1), datetime(2100, 1, 1),
+                         timezones=st.just(timezone.utc)),
+            st.lists(FINITE, min_size=12, max_size=12),
+            st.sampled_from(data.LABELS),
+        ),
+        max_size=12, unique_by=lambda row: (row[0], row[1]),
+    ))
+    def test_write_then_load_round_trip(self, tmp_path, rows):
+        original = [data.Sample(ar, ts, np.array(feats), label)
+                    for ar, ts, feats, label in rows]
+        f = tmp_path / "round_trip.csv"
+        data.write_csv(f, original)
+        loaded = data.load_csv(f)
+        want = sorted(original, key=lambda s: (s.ar_id, s.timestamp))
+        assert len(loaded) == len(want)
+        for got, s in zip(loaded, want):
+            assert (got.ar_id, got.timestamp, got.label) == (s.ar_id, s.timestamp, s.label)
+            assert np.array_equal(got.features.view(np.uint64), s.features.view(np.uint64))
+
     def test_minimal_round_trip(self, tmp_path):
         f = tmp_path / "d.csv"
         write_fixture(
@@ -214,6 +242,47 @@ class TestNormStats:
         again = data.NormStats.from_dict(stats.to_dict())
         assert np.array_equal(stats.mean, again.mean)
         assert np.array_equal(stats.std, again.std)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        mean=st.lists(FINITE, min_size=12, max_size=12),
+        std=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                     min_size=12, max_size=12),
+        constant=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_dict_round_trip_is_bit_exact(self, mean, std, constant):
+        stats = data.NormStats(np.array(mean), np.array(std), np.array(constant))
+        for doc in (stats.to_dict(), json.loads(json.dumps(stats.to_dict()))):
+            again = data.NormStats.from_dict(doc)
+            assert np.array_equal(again.mean.view(np.uint64), stats.mean.view(np.uint64))
+            assert np.array_equal(again.std.view(np.uint64), stats.std.view(np.uint64))
+            assert again.constant.dtype == bool
+            assert np.array_equal(again.constant, stats.constant)
+
+    def test_fit_keeps_zscore_bits_on_varying_columns(self):
+        X = np.random.default_rng(9).normal(size=(30, 12)) * 1e3 + 7.0
+        stats = data.NormStats.fit(X)
+        mean = X.mean(axis=0)
+        assert np.array_equal(stats.mean, mean)
+        assert np.array_equal(stats.std, np.sqrt(((X - mean) ** 2).mean(axis=0)))
+        assert not stats.constant.any()
+
+    def test_fit_equal_values_constant_despite_rounding(self):
+        # fourteen 7.3s have a computed std of ~8.9e-16, not 0; a std that
+        # small would map 7.4 to ~1e14 and 7.3 itself to about -1
+        X = np.random.default_rng(10).normal(size=(14, 12))
+        X[:, 11] = 7.3
+        assert X[:, 11].std() > 0.0
+        stats = data.NormStats.fit(X)
+        assert stats.constant[11] and not stats.constant[:11].any()
+        assert stats.mean[11] == 7.3 and stats.std[11] == 1.0
+        assert np.all(stats.apply(X)[:, 11] == 0.0)
+        assert stats.apply(np.full(12, 7.4))[11] == pytest.approx(0.1)
+
+    def test_fit_rejects_empty_or_flat_input(self):
+        for rows in (np.zeros((0, 12)), np.zeros(12)):
+            with pytest.raises(InputError, match="nonempty"):
+                data.NormStats.fit(rows)
 
 
 class TestSynth:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stormlens import numerics
+from stormlens.data import NormStats
 from stormlens.errors import SingularSystemError
 
 
@@ -116,8 +117,15 @@ class TestPearson:
         assert numerics.pearson(x, y) == pytest.approx(direct_pearson_oracle(x, y), abs=1e-14)
 
     def test_constant_input_flag(self):
-        r, flag = numerics.pearson_flagged([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        assert r == 0.0 and flag
+        assert numerics.pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
+        assert numerics.constant_columns([1.0, 1.0, 1.0])
+
+    def test_equal_values_are_constant_despite_rounding(self):
+        # fourteen 7.3s have a computed std of ~8.9e-16, not 0
+        x = np.full(14, 7.3)
+        assert x.std() > 0.0 and numerics.constant_columns(x)
+        assert numerics.pearson(x, np.arange(14.0)) == 0.0
+        assert numerics.pearson(np.arange(14.0), x) == 0.0
 
     def test_symmetry_bounds_and_affine_invariance(self):
         rng = np.random.default_rng(3)
@@ -132,30 +140,32 @@ class TestPearson:
 
 
 class TestZScore:
+    """Z-scoring is data.NormStats; it shares Pearson's population moments."""
+
     def test_hand_zscore_population_sigma(self):
-        stats = numerics.zscore_fit([[2.0], [4.0], [6.0]])
-        out = numerics.zscore_apply([[2.0], [4.0], [6.0]], stats).ravel()
+        stats = NormStats.fit([[2.0], [4.0], [6.0]])
+        out = stats.apply([[2.0], [4.0], [6.0]]).ravel()
         # oracle: sigma = sqrt(8/3), (2 - 4) / sigma = -1.2247448713915890
         assert np.allclose(out, [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
-        stats = numerics.zscore_fit([[5.0], [5.0], [5.0]])
+        stats = NormStats.fit([[5.0], [5.0], [5.0]])
         assert stats.constant[0]
-        assert np.all(numerics.zscore_apply([[5.0], [5.0]], stats) == 0.0)
+        assert np.all(stats.apply([[5.0], [5.0]]) == 0.0)
 
     def test_idempotent_on_standardized_data(self):
         rng = np.random.default_rng(4)
         col = rng.normal(size=100)
         col = (col - col.mean()) / col.std()
-        stats = numerics.zscore_fit(col[:, None])
-        again = numerics.zscore_apply(col[:, None], stats).ravel()
+        stats = NormStats.fit(col[:, None])
+        again = stats.apply(col[:, None]).ravel()
         assert np.abs(again - col).max() < 1e-10
 
     def test_transformed_moments(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(200, 4)) * [1, 10, 0.1, 5] + [3, -7, 0, 100]
-        stats = numerics.zscore_fit(X)
-        Z = numerics.zscore_apply(X, stats)
+        stats = NormStats.fit(X)
+        Z = stats.apply(X)
         assert np.abs(Z.mean(axis=0)).max() < 1e-10
         assert np.abs(Z.std(axis=0) - 1.0).max() < 1e-10
 
