@@ -23,18 +23,17 @@ class CorrMatrix:
 
     values: np.ndarray  # (d, d), symmetric, unit diagonal for non-constant
     constant: np.ndarray  # (d,) bool
-    names: tuple[str, ...] = FEATURE_NAMES
 
     def to_csv(self) -> str:
-        lines = ["," + ",".join(self.names)]
-        for i, name in enumerate(self.names):
+        lines = ["," + ",".join(FEATURE_NAMES)]
+        for i, name in enumerate(FEATURE_NAMES):
             cells = [repr(float(v)) for v in self.values[i]]
             lines.append(name + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
         return {
-            "names": list(self.names),
+            "names": list(FEATURE_NAMES),
             "values": [[float(v) for v in row] for row in self.values],
             "constant": [bool(v) for v in self.constant],
         }
@@ -70,18 +69,18 @@ def strongest_correlate(feature: str, matrix: CorrMatrix) -> CorrelateChoice:
     Ties break toward the earlier catalog feature. If every off-diagonal
     entry is <= 0 the least negative one is returned with positive=False.
     """
-    if feature not in matrix.names:
+    if feature not in FEATURE_NAMES:
         raise InputError(f"unknown feature {feature!r}")
-    i = matrix.names.index(feature)
+    i = FEATURE_NAMES.index(feature)
     best_j = -1
     best_v = -np.inf
-    for j in range(len(matrix.names)):
+    for j in range(len(FEATURE_NAMES)):
         if j == i:
             continue
         if matrix.values[i, j] > best_v:
             best_v = matrix.values[i, j]
             best_j = j
-    return CorrelateChoice(name=matrix.names[best_j], positive=bool(best_v > 0.0))
+    return CorrelateChoice(name=FEATURE_NAMES[best_j], positive=bool(best_v > 0.0))
 
 
 @dataclass

@@ -262,8 +262,8 @@ def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, dict, data.NormSta
     warning, when absent: they are then refitted on the training split."""
     _require(cfg, "model")
     net, extra = model_mod.load_checkpoint(cfg.model)
-    if net.input_dim != len(FEATURE_NAMES):
-        raise InputError(f"checkpoint input_dim {net.input_dim} does not match the "
+    if net.params.input_dim != len(FEATURE_NAMES):
+        raise InputError(f"checkpoint input_dim {net.params.input_dim} does not match the "
                          f"{len(FEATURE_NAMES)} dataset features")
     _check_extra(cfg.model, extra)
     if "norm_stats" in extra:
@@ -296,14 +296,28 @@ def _prepare_windows(cfg: RunConfig, extra: dict, stats: data.NormStats | None):
     train_s, test_s = data.split(samples, fraction, split_seed)
     if stats is None:
         stats = data.fit_norm_stats(train_s)
-    train_w = data.windowize(data.normalize_samples(train_s, stats), window)
-    test_w = data.windowize(data.normalize_samples(test_s, stats), window)
+    train_w, test_w = data.windowize(train_s, window), data.windowize(test_s, window)
+    for windows in (train_w, test_w):
+        windows.values = stats.apply(windows.values)
     if len(train_w) == 0 or len(test_w) == 0:
         raise InputError(
             f"windowing with T={window} left an empty split "
             f"({len(train_w)} train / {len(test_w)} test windows)"
         )
     return train_s, stats, train_w, test_w
+
+
+def _evaluation_metrics(cfg: RunConfig, net, extra: dict, train_w, test_w) -> dict:
+    """The metrics.json keys that train and evaluate share; ``extra`` is the
+    checkpoint's ``extra`` block."""
+    return {
+        "evaluation": model_mod.evaluate(net, test_w, cfg.threshold).to_dict(),
+        "threshold": cfg.threshold,
+        "n_test_windows": len(test_w),
+        "train_base_value": shapley.base_value(net, train_w.values),
+        "horizon_hours": extra.get("horizon_hours", cfg.horizon_hours),
+        "untrained": extra.get("untrained", False),
+    }
 
 
 def _explain_test_set(cfg: RunConfig, net, train_w, test_w):
@@ -355,7 +369,6 @@ def cmd_train(cfg: RunConfig) -> list[str]:
         learning_rate=cfg.lr, seed=cfg.seed,
     )
     net, history = model_mod.train(train_w, tc)
-    result = model_mod.evaluate(net, test_w, cfg.threshold)
 
     extra = {
         "window_length": cfg.window,
@@ -370,16 +383,11 @@ def cmd_train(cfg: RunConfig) -> list[str]:
     model_mod.save_checkpoint(model_path, net, extra)
 
     metrics = {
+        **_evaluation_metrics(cfg, net, extra, train_w, test_w),
         "loss_history": history,
-        "evaluation": result.to_dict(),
-        "threshold": cfg.threshold,
         "n_train_windows": len(train_w),
-        "n_test_windows": len(test_w),
         "n_dropped_train": train_w.n_dropped,
         "n_dropped_test": test_w.n_dropped,
-        "train_base_value": shapley.base_value(net, train_w.values),
-        "horizon_hours": cfg.horizon_hours,
-        "untrained": cfg.epochs == 0,
     }
     _write_json(os.path.join(cfg.out, "metrics.json"), metrics)
     artifacts = ["model.json", "metrics.json"]
@@ -391,16 +399,8 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
     net, extra, stats = _load_model(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     _, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
-    result = model_mod.evaluate(net, test_w, cfg.threshold)
-    metrics = {
-        "evaluation": result.to_dict(),
-        "threshold": cfg.threshold,
-        "n_test_windows": len(test_w),
-        "train_base_value": shapley.base_value(net, train_w.values),
-        "horizon_hours": extra.get("horizon_hours", cfg.horizon_hours),
-        "untrained": extra.get("untrained", False),
-    }
-    _write_json(os.path.join(cfg.out, "metrics.json"), metrics)
+    _write_json(os.path.join(cfg.out, "metrics.json"),
+                _evaluation_metrics(cfg, net, extra, train_w, test_w))
     artifacts = ["metrics.json"]
     _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts, extra)
     return artifacts

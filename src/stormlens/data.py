@@ -105,17 +105,18 @@ class NormStats:
 
 @dataclass
 class SequenceSet:
-    """Windowed per-AR time series ready for the model.
+    """Windowed per-AR time series.
 
     ``values[i]`` is a (T, 12) window whose label is the final sample's
-    label (1 for P, 0 for N). Windows never span AR boundaries.
+    label (1 for P, 0 for N). Windows never span AR boundaries. ``windowize``
+    copies the samples' values; the model reads them after
+    ``NormStats.apply`` has z-scored the whole array.
     """
 
     values: np.ndarray  # (n, T, 12)
     labels: np.ndarray  # (n,) int8, 1 = positive class
     ar_ids: tuple[str, ...]
     end_times: tuple[datetime, ...]
-    window_length: int
     n_dropped: int = 0
 
     def __len__(self) -> int:
@@ -239,14 +240,14 @@ def load_csv(path) -> list[Sample]:
 
 
 def write_csv(path, samples: list[Sample]) -> None:
-    """Write samples to CSV in catalog column order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(("ar_id", "timestamp") + FEATURE_NAMES + ("label",)) + "\n")
-        for s in samples:
-            cells = [s.ar_id, s.timestamp.isoformat()]
-            cells.extend(repr(float(v)) for v in s.features)
-            cells.append(s.label)
-            fh.write(",".join(cells) + "\n")
+    """Write samples to CSV in catalog column order, quoting a cell only
+    where ``load_csv`` needs it to read the cell back. The writer prints a
+    float with ``str``, which is its shortest round-trip form."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("ar_id", "timestamp") + FEATURE_NAMES + ("label",))
+        writer.writerows([s.ar_id, s.timestamp.isoformat(), *s.features.tolist(), s.label]
+                         for s in samples)
 
 
 def windowize(samples: list[Sample], window_length: int) -> SequenceSet:
@@ -292,7 +293,6 @@ def windowize(samples: list[Sample], window_length: int) -> SequenceSet:
         labels=np.asarray(labels, dtype=np.int8),
         ar_ids=tuple(ar_ids),
         end_times=tuple(end_times),
-        window_length=T,
         n_dropped=dropped,
     )
 
@@ -328,19 +328,6 @@ def fit_norm_stats(samples: list[Sample]) -> NormStats:
         raise InputError(f"feature {name}: mean or standard deviation overflows; "
                          "values are too large to normalise")
     return stats
-
-
-def normalize_samples(samples: list[Sample], stats: NormStats) -> list[Sample]:
-    """Return new samples with z-scored feature vectors."""
-    return [
-        Sample(
-            ar_id=s.ar_id,
-            timestamp=s.timestamp,
-            features=stats.apply(s.features),
-            label=s.label,
-        )
-        for s in samples
-    ]
 
 
 @dataclass(frozen=True)

@@ -122,19 +122,32 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
     return np.divide(out, e, out=out)
 
 
+def _param_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The one table of LstmParams arrays: each name with its shape for
+    input size d and hidden size H, in the order that checkpoints, the flat
+    training vector and ``init_params``'s draws follow. Names starting with
+    ``b`` are biases."""
+    d, H = input_dim, hidden
+    return {
+        "w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,), "w_att": (H, H),
+        "b_att": (H,), "v_att": (H,), "w_out": (H,), "b_out": (1,),
+    }
+
+
 @dataclass
 class LstmParams:
-    """All trainable arrays. Gate rows of w_x / w_h / b are stacked in the
-    order i, f, o, g; each block has ``hidden`` rows."""
+    """All trainable arrays, shaped and ordered as ``_param_shapes`` gives.
+    Gate rows of w_x / w_h / b are stacked in the order i, f, o, g; each
+    block has ``hidden`` rows."""
 
-    w_x: np.ndarray  # (4H, d)
-    w_h: np.ndarray  # (4H, H)
-    b: np.ndarray  # (4H,)
-    w_att: np.ndarray  # (H, H)
-    b_att: np.ndarray  # (H,)
-    v_att: np.ndarray  # (H,)
-    w_out: np.ndarray  # (H,)
-    b_out: np.ndarray  # (1,)
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
+    w_att: np.ndarray
+    b_att: np.ndarray
+    v_att: np.ndarray
+    w_out: np.ndarray
+    b_out: np.ndarray
 
     @property
     def hidden(self) -> int:
@@ -145,7 +158,7 @@ class LstmParams:
         return self.w_x.shape[1]
 
     def items(self):
-        for name in ("w_x", "w_h", "b", "w_att", "b_att", "v_att", "w_out", "b_out"):
+        for name in _param_shapes(self.input_dim, self.hidden):
             yield name, getattr(self, name)
 
     def check_finite(self, where: str = "") -> None:
@@ -156,15 +169,6 @@ class LstmParams:
 
     def to_dict(self) -> dict:
         return {name: arr.tolist() for name, arr in self.items()}
-
-
-def _param_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every LstmParams array for input size d and hidden size H."""
-    d, H = input_dim, hidden
-    return {
-        "w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,), "w_att": (H, H),
-        "b_att": (H,), "v_att": (H,), "w_out": (H,), "b_out": (1,),
-    }
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -178,27 +182,17 @@ def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
 
 
 def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
-    """Uniform(-1/sqrt(H), 1/sqrt(H)) weights, zero biases, forget bias +1."""
+    """Uniform(-1/sqrt(H), 1/sqrt(H)) weights, drawn in table order, zero
+    biases, forget bias +1."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
     H = int(hidden)
-    d = int(input_dim)
     lim = 1.0 / np.sqrt(H)
-
-    def u(*shape):
-        return rng.uniform(-lim, lim, size=shape)
-
-    b = np.zeros(4 * H)
-    b[H : 2 * H] = 1.0
-    return LstmParams(
-        w_x=u(4 * H, d),
-        w_h=u(4 * H, H),
-        b=b,
-        w_att=u(H, H),
-        b_att=np.zeros(H),
-        v_att=u(H),
-        w_out=u(H),
-        b_out=np.zeros(1),
-    )
+    arrays = {
+        name: np.zeros(shape) if name.startswith("b") else rng.uniform(-lim, lim, size=shape)
+        for name, shape in _param_shapes(int(input_dim), H).items()
+    }
+    arrays["b"][H : 2 * H] = 1.0
+    return LstmParams(**arrays)
 
 
 def forward_batch(
@@ -393,14 +387,6 @@ class LstmModel:
         self.params = params
         self.work: dict[str, np.ndarray] = {}
 
-    @property
-    def hidden(self) -> int:
-        return self.params.hidden
-
-    @property
-    def input_dim(self) -> int:
-        return self.params.input_dim
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed
         forward-only in tiles of TILE_ROWS rows (see ``_tile_bounds``).
@@ -543,54 +529,39 @@ def train(
     return LstmModel(params), history
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
+@dataclass(frozen=True)
+class Evaluation:
+    """Confusion counts on a held-out set and their True Skill Statistic."""
 
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
+    tp: int
+    fp: int
+    tn: int
+    fn: int
 
+    @property
+    def tss(self) -> float:
+        """Sensitivity minus false-alarm rate; a class with zero denominator
+        contributes 0 to its term (see ``degenerate``)."""
+        pos = self.tp + self.fn
+        neg = self.fp + self.tn
+        sens = self.tp / pos if pos > 0 else 0.0
+        far = self.fp / neg if neg > 0 else 0.0
+        return sens - far
 
-def tss_from_counts(counts: ConfusionCounts) -> tuple[float, bool]:
-    """True Skill Statistic: sensitivity minus false-alarm rate.
-
-    A class with zero denominator contributes 0 to its term; the returned
-    flag marks that degeneracy.
-    """
-    degenerate = False
-    pos = counts.tp + counts.fn
-    neg = counts.fp + counts.tn
-    if pos > 0:
-        sens = counts.tp / pos
-    else:
-        sens = 0.0
-        degenerate = True
-    if neg > 0:
-        far = counts.fp / neg
-    else:
-        far = 0.0
-        degenerate = True
-    return sens - far, degenerate
-
-
-@dataclass
-class EvalResult:
-    counts: ConfusionCounts
-    tss: float
-    degenerate: bool
+    @property
+    def degenerate(self) -> bool:
+        """True when either class is absent from the set."""
+        return self.tp + self.fn == 0 or self.fp + self.tn == 0
 
     def to_dict(self) -> dict:
         return {
-            "confusion": self.counts.to_dict(),
+            "confusion": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},
             "tss": self.tss,
             "degenerate": self.degenerate,
         }
 
 
-def evaluate(model: LstmModel, test: SequenceSet, threshold: float = 0.5) -> EvalResult:
+def evaluate(model: LstmModel, test: SequenceSet, threshold: float = 0.5) -> Evaluation:
     """Confusion counts and TSS at the given probability threshold.
 
     Predictions with probability >= threshold count as positive.
@@ -600,21 +571,19 @@ def evaluate(model: LstmModel, test: SequenceSet, threshold: float = 0.5) -> Eva
     p = model.predict_proba(test.values)
     pred = p >= threshold
     actual = test.labels == 1
-    counts = ConfusionCounts(
+    return Evaluation(
         tp=int(np.sum(pred & actual)),
         fp=int(np.sum(pred & ~actual)),
         tn=int(np.sum(~pred & ~actual)),
         fn=int(np.sum(~pred & actual)),
     )
-    tss, degenerate = tss_from_counts(counts)
-    return EvalResult(counts=counts, tss=tss, degenerate=degenerate)
 
 
 def save_checkpoint(path, model: LstmModel, extra: dict | None = None) -> None:
     """Write the model as a single JSON file; floats round-trip exactly."""
     doc = {
         "schema": CHECKPOINT_SCHEMA,
-        "config": {"input_dim": model.input_dim, "hidden": model.hidden},
+        "config": {"input_dim": model.params.input_dim, "hidden": model.params.hidden},
         "params": model.params.to_dict(),
         "extra": extra or {},
     }

@@ -73,6 +73,20 @@ def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _normal_equations(X, y, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X'WX, X'Wy, w) for finite X (n, p), y (n,) and nonnegative weights
+    w (n,), checked, with w as a float vector."""
+    X = _as_matrix(X)
+    y = _as_vector(y, "y")
+    w = _as_vector(w, "w")
+    if y.shape[0] != X.shape[0] or w.shape[0] != X.shape[0]:
+        raise ValueError("X, y, w must agree on the number of rows")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    Xw = X * w[:, None]
+    return Xw.T @ X, Xw.T @ y, w
+
+
 def weighted_least_squares(X, y, w) -> np.ndarray:
     """Solve min_beta sum_i w_i (y_i - X_i . beta)^2.
 
@@ -92,21 +106,12 @@ def weighted_least_squares(X, y, w) -> np.ndarray:
         If the weighted normal matrix X'WX is singular (callers may retry
         with :func:`ridge_regression`).
     """
-    X = _as_matrix(X)
-    y = _as_vector(y, "y")
-    w = _as_vector(w, "w")
-    n, p = X.shape
-    if y.shape[0] != n or w.shape[0] != n:
-        raise ValueError("X, y, w must agree on the number of rows")
+    A, b, w = _normal_equations(X, y, w)
+    n, p = w.shape[0], A.shape[0]
     if n < p:
         raise ValueError(f"underdetermined system: n={n} < p={p}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
     if int(np.count_nonzero(w > 0)) < p:
         raise ValueError(f"need at least p={p} strictly positive weights")
-    Xw = X * w[:, None]
-    A = Xw.T @ X
-    b = Xw.T @ y
     return _solve_spd(A, b)
 
 
@@ -116,22 +121,13 @@ def ridge_regression(X, y, w, lam: float) -> np.ndarray:
     ``lam = 0`` reduces to :func:`weighted_least_squares` whenever that
     system is nonsingular.
     """
-    X = _as_matrix(X)
-    y = _as_vector(y, "y")
-    w = _as_vector(w, "w")
     lam = float(lam)
     if not np.isfinite(lam) or lam < 0:
         raise ValueError("lambda must be a finite nonnegative real")
     if lam == 0.0:
         return weighted_least_squares(X, y, w)
-    n, p = X.shape
-    if y.shape[0] != n or w.shape[0] != n:
-        raise ValueError("X, y, w must agree on the number of rows")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    Xw = X * w[:, None]
-    A = Xw.T @ X + lam * np.eye(p)
-    b = Xw.T @ y
+    A, b, _ = _normal_equations(X, y, w)
+    A += lam * np.eye(A.shape[0])
     return _solve_spd(A, b)
 
 

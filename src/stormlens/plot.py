@@ -115,6 +115,11 @@ class _Axis:
     def to_px(self, v: float) -> float:
         return self.px0 + (float(v) - self.lo) / (self.hi - self.lo) * (self.px1 - self.px0)
 
+    def cal(self, name: str) -> dict[str, float]:
+        """The calibration attributes of an axis called ``name`` ("x", "y")."""
+        return {f"{name}0": self.lo, f"{name}1": self.hi,
+                f"p{name}0": self.px0, f"p{name}1": self.px1}
+
 
 def _padded(values: np.ndarray, frac: float = 0.05) -> tuple[float, float]:
     lo = float(np.min(values))
@@ -123,25 +128,29 @@ def _padded(values: np.ndarray, frac: float = 0.05) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _svg_open(width: int, height: int, cal: dict[str, float] | None = None) -> list[str]:
-    attrs = ""
-    if cal:
-        attrs = "".join(
-            f' data-{k}="{repr(float(v))}"' for k, v in sorted(cal.items())
-        )
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}"{attrs}>',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-
-
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "start") -> str:
     return (
         f'<text x="{_px(x)}" y="{_px(y)}" font-family="monospace" '
         f'font-size="{size}" text-anchor="{anchor}">{escape(s)}</text>'
     )
+
+
+def _svg(spec: PlotSpec, title_x: float, body: list[str],
+         cal: dict[str, float] | None = None) -> str:
+    """The whole document: ``body`` framed by the header with the axis
+    calibration ``cal`` as data attributes, the background, the title at
+    ``title_x`` and the closing tag."""
+    width, height = spec.width, spec.height
+    attrs = "".join(f' data-{k}="{repr(float(v))}"' for k, v in sorted((cal or {}).items()))
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}"{attrs}>',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        _text(title_x, 28, spec.title, size=14),
+        *body,
+        "</svg>",
+    ]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +196,12 @@ def _render_beeswarm(spec: PlotSpec) -> str:
     all_phi = np.array([p for r in rows for p in r["phi"]] or [0.0])
     lo, hi = _padded(np.append(all_phi, 0.0))
     ax = _Axis(lo, hi, left, right)
-    out = _svg_open(
-        spec.width,
-        spec.height,
-        cal={"x0": ax.lo, "x1": ax.hi, "px0": ax.px0, "px1": ax.px1},
-    )
-    out.append(_text(left, 28, spec.title, size=14))
     zero_x = ax.to_px(0.0)
     bottom = top + row_h * len(rows)
-    out.append(
+    out = [
         f'<line x1="{_px(zero_x)}" y1="{_px(top - 8)}" x2="{_px(zero_x)}" '
         f'y2="{_px(bottom)}" stroke="#999999" stroke-width="1"/>'
-    )
+    ]
     n = len(rows[0]["phi"]) if rows else 0
     for r_i, row in enumerate(rows):
         yc = top + row_h * (r_i + 0.5)
@@ -216,8 +219,7 @@ def _render_beeswarm(spec: PlotSpec) -> str:
                 f'data-x="{repr(float(phi))}"/>'
             )
     out.append(_text(left, bottom + 26, "attribution (probability units)"))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(spec, left, out, cal=ax.cal("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +247,7 @@ def _render_bar(spec: PlotSpec) -> str:
     left, right, top = 150, spec.width - 90, 60
     bar_h, gap = 20.0, 10.0
     vmax = max((b["value"] for b in bars), default=0.0)
-    out = _svg_open(spec.width, spec.height)
-    out.append(_text(left, 28, spec.title, size=14))
+    out = []
     for i, b in enumerate(bars):
         y = top + i * (bar_h + gap)
         w = 0.0 if vmax <= 0 else b["value"] / vmax * (right - left)
@@ -256,8 +257,7 @@ def _render_bar(spec: PlotSpec) -> str:
             f'fill="{COLOR_POSITIVE}" data-value="{repr(float(b["value"]))}"/>'
         )
         out.append(_text(left + w + 6, y + bar_h - 5, _num(b["value"])))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(spec, left, out)
 
 
 # ---------------------------------------------------------------------------
@@ -300,18 +300,12 @@ def _render_decision(spec: PlotSpec) -> str:
     flat = np.array([v for row in paths for v in row] or [base])
     lo, hi = _padded(np.append(flat, base))
     ax = _Axis(lo, hi, left, right)
-    out = _svg_open(
-        spec.width,
-        spec.height,
-        cal={"x0": ax.lo, "x1": ax.hi, "px0": ax.px0, "px1": ax.px1},
-    )
-    out.append(_text(left, 28, spec.title, size=14))
     base_x = ax.to_px(base)
-    out.append(
+    out = [
         f'<line x1="{_px(base_x)}" y1="{_px(top - 8)}" x2="{_px(base_x)}" '
-        f'y2="{_px(bottom + 8)}" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>'
-    )
-    out.append(_text(base_x + 4, top - 12, f"base {_num(base)}"))
+        f'y2="{_px(bottom + 8)}" stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>',
+        _text(base_x + 4, top - 12, f"base {_num(base)}"),
+    ]
     for k, name in enumerate(feats):
         y = bottom - row_h * (k + 1)
         out.append(_text(left - 8, y + 4, name, anchor="end"))
@@ -330,8 +324,7 @@ def _render_decision(spec: PlotSpec) -> str:
             f'stroke-width="1.2" stroke-opacity="0.8"/>'
         )
     out.append(_text(left, bottom + 30, "cumulative model output"))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(spec, left, out, cal=ax.cal("x"))
 
 
 # ---------------------------------------------------------------------------
@@ -356,20 +349,11 @@ def _render_dependence(spec: PlotSpec) -> str:
     cs = np.array([p["color"] for p in pts] or [0.0])
     ax = _Axis(*_padded(xs), left, right)
     ay = _Axis(*_padded(np.append(ys, 0.0)), bottom, top)  # y grows upward
-    out = _svg_open(
-        spec.width,
-        spec.height,
-        cal={
-            "x0": ax.lo, "x1": ax.hi, "px0": ax.px0, "px1": ax.px1,
-            "y0": ay.lo, "y1": ay.hi, "py0": ay.px0, "py1": ay.px1,
-        },
-    )
-    out.append(_text(left, 28, spec.title, size=14))
     zero_y = ay.to_px(0.0)
-    out.append(
+    out = [
         f'<line x1="{left}" y1="{_px(zero_y)}" x2="{right}" y2="{_px(zero_y)}" '
         f'stroke="#999999" stroke-width="1"/>'
-    )
+    ]
     cmin, cmed, cmax = float(cs.min()), float(np.median(cs)), float(cs.max())
     for p in pts:
         t = anchored_t(p["color"], cmin, cmed, cmax)
@@ -393,8 +377,7 @@ def _render_dependence(spec: PlotSpec) -> str:
     out.append(_text(bar_x + bar_w + 4, bottom, f"{cmin:.2f}", size=10))
     out.append(_text(left, bottom + 32, f"{spec.data['feature']} (normalized)"))
     out.append(_text(18, top - 12, "attribution"))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(spec, left, out, cal={**ax.cal("x"), **ay.cal("y")})
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +401,11 @@ def _render_lime(spec: PlotSpec) -> str:
     wmax = max((abs(e["weight"]) for e in entries), default=0.0) or 1.0
     mid = (left + right) / 2.0
     half = (right - left) / 2.0
-    out = _svg_open(spec.width, spec.height)
-    out.append(_text(left, 28, spec.title, size=14))
     bottom = top + len(entries) * (bar_h + gap)
-    out.append(
+    out = [
         f'<line x1="{_px(mid)}" y1="{_px(top - 8)}" x2="{_px(mid)}" '
         f'y2="{_px(bottom)}" stroke="#999999" stroke-width="1"/>'
-    )
+    ]
     for i, e in enumerate(entries):
         y = top + i * (bar_h + gap)
         w = abs(e["weight"]) / wmax * half
@@ -438,8 +419,7 @@ def _render_lime(spec: PlotSpec) -> str:
         lx = mid + w + 6 if e["weight"] >= 0 else mid - w - 6
         anchor = "start" if e["weight"] >= 0 else "end"
         out.append(_text(lx, y + bar_h - 5, _num(e["weight"]), anchor=anchor, size=10))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return _svg(spec, left, out)
 
 
 # ---------------------------------------------------------------------------

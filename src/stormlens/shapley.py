@@ -49,14 +49,6 @@ class GlobalImportance:
 
     values: np.ndarray  # (d,)
     order: list[int]  # feature indices, most important first
-    method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "values": [float(v) for v in self.values],
-            "order": [int(i) for i in self.order],
-            "method": self.method,
-        }
 
 
 def subseed(seed: int, index: int) -> int:
@@ -348,7 +340,7 @@ def global_importance(explanations: list[ShapExplanation]) -> GlobalImportance:
     phis = np.stack([e.phi for e in explanations])
     values = np.abs(phis).mean(axis=0)
     order = sorted(range(values.size), key=lambda j: (-values[j], j))
-    return GlobalImportance(values=values, order=order, method=explanations[0].method)
+    return GlobalImportance(values=values, order=order)
 
 
 def decision_path(

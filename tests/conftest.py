@@ -47,6 +47,13 @@ def small_planted_dataset(seed: int = 42, n_ars: int = 60, samples_per_ar: int =
     return data.synth_generate(n_ars, samples_per_ar, seed, plant), plant
 
 
+def normalized_windows(samples, stats, window_length: int):
+    """Windows of raw samples, z-scored as arrays, as the CLI builds them."""
+    windows = data.windowize(samples, window_length)
+    windows.values = stats.apply(windows.values)
+    return windows
+
+
 @pytest.fixture
 def planted_samples():
     samples, _ = small_planted_dataset()
@@ -62,8 +69,8 @@ def desk_pipeline():
     samples, _ = small_planted_dataset(seed=42, n_ars=120, samples_per_ar=14)
     train_s, test_s = data.split(samples, 0.8, 42)
     stats = data.fit_norm_stats(train_s)
-    train_w = data.windowize(data.normalize_samples(train_s, stats), 10)
-    test_w = data.windowize(data.normalize_samples(test_s, stats), 10)
+    train_w = normalized_windows(train_s, stats, 10)
+    test_w = normalized_windows(test_s, stats, 10)
     net, _ = model.train(
         train_w,
         model.TrainConfig(hidden=16, epochs=25, batch=64, learning_rate=3e-3, seed=42),

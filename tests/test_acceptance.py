@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import LinearWindowModel, random_lstm
+from conftest import LinearWindowModel, normalized_windows, random_lstm
 from stormlens import analysis, cli, data, lime, model, numerics, shapley
 from stormlens.features import FEATURE_NAMES, feature_index
 
@@ -161,8 +161,8 @@ def desk_training():
     samples = data.synth_generate(500, 14, 42, plant)
     train_s, test_s = data.split(samples, 0.8, 42)
     stats = data.fit_norm_stats(train_s)
-    train_w = data.windowize(data.normalize_samples(train_s, stats), 10)
-    test_w = data.windowize(data.normalize_samples(test_s, stats), 10)
+    train_w = normalized_windows(train_s, stats, 10)
+    test_w = normalized_windows(test_s, stats, 10)
     net, history = model.train(
         train_w,
         model.TrainConfig(hidden=16, epochs=40, batch=64, learning_rate=3e-3, seed=42),
@@ -179,7 +179,7 @@ def test_criterion_6_desk_scale_training(desk_training):
         "criterion 6 (desk-scale training, 2000/500 windows, T=10)",
         result.tss >= 0.9 and elapsed < 300.0,
         f"held-out TSS {result.tss:.3f} (>= 0.9), {elapsed:.0f}s (< 300s), "
-        f"counts {result.counts.to_dict()}",
+        f"counts {result.to_dict()['confusion']}",
     )
 
 
@@ -192,8 +192,8 @@ def test_criterion_7_planted_importance_recovery():
         samples = data.synth_generate(120, 12, seed, plant)
         train_s, test_s = data.split(samples, 0.8, seed)
         stats = data.fit_norm_stats(train_s)
-        train_w = data.windowize(data.normalize_samples(train_s, stats), 8)
-        test_w = data.windowize(data.normalize_samples(test_s, stats), 8)
+        train_w = normalized_windows(train_s, stats, 8)
+        test_w = normalized_windows(test_s, stats, 8)
         net, _ = model.train(
             train_w,
             model.TrainConfig(hidden=8, epochs=12, batch=64, learning_rate=3e-3,

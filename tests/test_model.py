@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -12,7 +13,7 @@ from stormlens.data import SequenceSet
 from stormlens.errors import InputError, ModelOverflowError
 
 
-def make_sequence_set(values, labels, T=None):
+def make_sequence_set(values, labels):
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -21,7 +22,6 @@ def make_sequence_set(values, labels, T=None):
         labels=np.asarray(labels, dtype=np.int8),
         ar_ids=tuple(f"AR{i}" for i in range(n)),
         end_times=tuple(t0 + timedelta(hours=i) for i in range(n)),
-        window_length=T or values.shape[1],
     )
 
 
@@ -505,21 +505,20 @@ class TestEvaluate:
         assert result.tss == 0.0
 
     def test_arithmetic_from_definition(self):
-        counts = model.ConfusionCounts(tp=40, fn=10, fp=20, tn=30)
-        tss, degenerate = model.tss_from_counts(counts)
-        assert tss == pytest.approx(0.8 - 0.4, abs=1e-15)
-        assert not degenerate
+        result = model.Evaluation(tp=40, fn=10, fp=20, tn=30)
+        assert result.tss == pytest.approx(0.8 - 0.4, abs=1e-15)
+        assert not result.degenerate
 
     def test_degenerate_class_flagged(self):
-        tss, degenerate = model.tss_from_counts(model.ConfusionCounts(tp=0, fn=0, fp=1, tn=1))
-        assert degenerate and tss == -0.5
+        result = model.Evaluation(tp=0, fn=0, fp=1, tn=1)
+        assert result.degenerate and result.tss == -0.5
 
     def test_swap_invariance_on_symmetric_counts(self):
         # swapping the P/N roles together with threshold complementation
         # maps tp<->tn and fp<->fn; TSS is invariant on symmetric counts
-        sym = model.ConfusionCounts(tp=30, fp=10, tn=30, fn=10)
-        swapped = model.ConfusionCounts(tp=sym.tn, fp=sym.fn, tn=sym.tp, fn=sym.fp)
-        assert model.tss_from_counts(sym)[0] == model.tss_from_counts(swapped)[0]
+        sym = model.Evaluation(tp=30, fp=10, tn=30, fn=10)
+        swapped = model.Evaluation(tp=sym.tn, fp=sym.fn, tn=sym.tp, fn=sym.fp)
+        assert sym.tss == swapped.tss
 
     def test_swap_invariance_is_an_identity(self):
         # sens' = 1 - far and far' = 1 - sens, so the invariance actually
@@ -527,9 +526,51 @@ class TestEvaluate:
         rng = np.random.default_rng(8)
         for _ in range(20):
             tp, fp, tn, fn = (int(v) for v in rng.integers(1, 50, size=4))
-            a = model.tss_from_counts(model.ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn))[0]
-            b = model.tss_from_counts(model.ConfusionCounts(tp=tn, fp=fn, tn=tp, fn=fp))[0]
+            a = model.Evaluation(tp=tp, fp=fp, tn=tn, fn=fn).tss
+            b = model.Evaluation(tp=tn, fp=fn, tn=tp, fn=fp).tss
             assert a == pytest.approx(b, abs=1e-12)
+
+    def test_to_dict_is_the_metrics_block(self):
+        result = model.Evaluation(tp=3, fp=1, tn=2, fn=0)
+        assert result.to_dict() == {
+            "confusion": {"tp": 3, "fp": 1, "tn": 2, "fn": 0},
+            "tss": 1.0 - 1.0 / 3.0,
+            "degenerate": False,
+        }
+
+
+def explicit_init_params(d, H, seed):
+    """init_params written out field by field: uniform draws for w_x, w_h,
+    w_att, v_att and w_out in that order, zero biases, forget bias +1."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    lim = 1.0 / np.sqrt(H)
+
+    def u(*shape):
+        return rng.uniform(-lim, lim, size=shape)
+
+    b = np.zeros(4 * H)
+    b[H : 2 * H] = 1.0
+    return model.LstmParams(
+        w_x=u(4 * H, d), w_h=u(4 * H, H), b=b, w_att=u(H, H), b_att=np.zeros(H),
+        v_att=u(H), w_out=u(H), b_out=np.zeros(1),
+    )
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("d,H,seed", [(12, 16, 42), (3, 1, 0), (12, 32, 7), (1, 5, 3)])
+    def test_init_params_matches_explicit_construction(self, d, H, seed):
+        got = model.init_params(d, H, seed)
+        want = explicit_init_params(d, H, seed)
+        for name, shape in model._param_shapes(d, H).items():
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape == shape, name
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+
+    def test_items_and_fields_follow_the_table(self):
+        params = model.init_params(4, 3, seed=0)
+        table = list(model._param_shapes(4, 3))
+        assert [name for name, _ in params.items()] == table
+        assert [f.name for f in dataclasses.fields(model.LstmParams)] == table
 
 
 class TestCheckpoint:

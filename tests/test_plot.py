@@ -18,7 +18,7 @@ def _exp(phi, sid="s", base=0.4):
 def make_importance(values):
     values = np.asarray(values, dtype=np.float64)
     order = sorted(range(values.size), key=lambda j: (-values[j], j))
-    return shapley.GlobalImportance(values=values, order=order, method="exact")
+    return shapley.GlobalImportance(values=values, order=order)
 
 
 def beeswarm_inputs(n=5, seed=0):

@@ -347,7 +347,7 @@ class TestDecisionPath:
         # base 0.48 with ordered contributions (0.1, -0.2):
         # series must be (0.48, 0.58, 0.38)
         e = _exp([0.1, -0.2])
-        imp = shapley.GlobalImportance(values=np.array([1.0, 2.0]), order=[1, 0], method="exact")
+        imp = shapley.GlobalImportance(values=np.array([1.0, 2.0]), order=[1, 0])
         paths, bottom_up = shapley.decision_path([e], imp, base=0.48)
         assert bottom_up == [0, 1]
         assert np.allclose(paths[0], [0.48, 0.58, 0.38], atol=1e-12)
