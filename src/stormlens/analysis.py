@@ -72,15 +72,10 @@ def strongest_correlate(feature: str, matrix: CorrMatrix) -> CorrelateChoice:
     if feature not in FEATURE_NAMES:
         raise InputError(f"unknown feature {feature!r}")
     i = FEATURE_NAMES.index(feature)
-    best_j = -1
-    best_v = -np.inf
-    for j in range(len(FEATURE_NAMES)):
-        if j == i:
-            continue
-        if matrix.values[i, j] > best_v:
-            best_v = matrix.values[i, j]
-            best_j = j
-    return CorrelateChoice(name=FEATURE_NAMES[best_j], positive=bool(best_v > 0.0))
+    row = matrix.values[i].copy()
+    row[i] = -np.inf
+    best_j = int(np.argmax(row))  # the first of tied maxima
+    return CorrelateChoice(name=FEATURE_NAMES[best_j], positive=bool(row[best_j] > 0.0))
 
 
 @dataclass

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -84,10 +85,12 @@ class RunConfig:
             raise InputError(f"lime_k must be in 1..{len(FEATURE_NAMES)}")
         if self.lime_width is not None:
             lime.kernel_scale(self.lime_width)
-        if self.lime_lambda < 0:
-            raise InputError("lime_lambda must be nonnegative")
+        if not (math.isfinite(self.lime_lambda) and self.lime_lambda >= 0):
+            raise InputError("lime_lambda must be finite and nonnegative")
         if not 0.0 < self.threshold < 1.0:
             raise InputError("threshold must be in (0, 1)")
+        if self.horizon_hours < 1:
+            raise InputError("horizon_hours must be >= 1")
 
     def plant(self) -> data.PlantSpec:
         spec = data.PlantSpec(
@@ -99,9 +102,6 @@ class RunConfig:
         )
         spec.validate()
         return spec
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _optional(parse, none_words: tuple[str, ...]):
@@ -144,7 +144,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -214,16 +214,16 @@ def _write_json(path, obj) -> None:
 
 def _write_manifest(
     cfg: RunConfig, command: str, inputs: list[str], artifacts: list[str],
-    extra: dict | None = None,
+    record: model_mod.TrainingRecord | None = None,
 ) -> None:
-    """``extra`` is the ``extra`` block of the checkpoint the command read."""
+    """``record`` is the training record of the checkpoint the command read."""
     doc = {
         "command": command,
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": sorted(artifacts),
     }
-    if extra is not None and "norm_stats" not in extra:
+    if record is not None and record.norm_stats is None:
         doc["norm_stats_refit"] = True  # refitted on the training split
     _write_json(os.path.join(cfg.out, f"run_manifest_{command.replace('-', '_')}.json"), doc)
 
@@ -238,85 +238,59 @@ def _sanitize(identifier: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "-", identifier)
 
 
-def _check_extra(path, extra: dict) -> None:
-    """Reject a scalar checkpoint ``extra`` field that later steps would
-    misread, with an InputError naming it."""
-    rules = {
-        "window_length": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-        "train_fraction": (lambda v: type(v) is float and 0.0 < v < 1.0, "a number in (0, 1)"),
-        "split_seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-        "feature_names": (
-            lambda v: type(v) is list and all(type(name) is str for name in v),
-            "a list of strings",
-        ),
-    }
-    for field, (ok, want) in rules.items():
-        if field in extra and not ok(extra[field]):
-            raise InputError(f"model checkpoint {path}: field 'extra.{field}' "
-                             f"must be {want}, got {extra[field]!r}")
+def _run_record(cfg: RunConfig) -> model_mod.TrainingRecord:
+    """The record of ``cfg``'s settings, without norm stats or feature names;
+    a checkpoint's record takes each field it lacks from here."""
+    return model_mod.TrainingRecord(
+        window_length=cfg.window, train_fraction=cfg.train_fraction,
+        split_seed=cfg.seed, horizon_hours=cfg.horizon_hours,
+    )
 
 
-def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, dict, data.NormStats | None]:
-    """The checkpoint's model, its ``extra`` block and the norm stats stored
-    there, all checked before any data is read. The stats are None, with a
-    warning, when absent: they are then refitted on the training split."""
+def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, model_mod.TrainingRecord]:
+    """The checkpoint's model and training record, both checked before any
+    data is read. Stats absent from the record are refitted on the training
+    split, with a warning."""
     _require(cfg, "model")
-    net, extra = model_mod.load_checkpoint(cfg.model)
+    net, record = model_mod.load_checkpoint(cfg.model, _run_record(cfg))
     if net.params.input_dim != len(FEATURE_NAMES):
         raise InputError(f"checkpoint input_dim {net.params.input_dim} does not match the "
                          f"{len(FEATURE_NAMES)} dataset features")
-    _check_extra(cfg.model, extra)
-    if "norm_stats" in extra:
-        try:
-            stats = data.NormStats.from_dict(extra["norm_stats"])
-        except InputError as exc:
-            raise InputError(f"model checkpoint {cfg.model}: {exc}") from None
-    else:
-        stats = None
+    if record.norm_stats is None:
         print(f"warning: model checkpoint {cfg.model} has no 'extra.norm_stats'; "
               "refitting them on the training split", file=sys.stderr)
-    stored = extra.get("feature_names")
-    if stored is not None and tuple(stored) != FEATURE_NAMES:
-        raise InputError(
-            "checkpoint/dataset mismatch in feature order: checkpoint has "
-            + ",".join(stored)
-        )
-    return net, extra, stats
+    if record.feature_names not in (None, FEATURE_NAMES):
+        raise InputError("checkpoint/dataset mismatch in feature order: checkpoint has "
+                         + ",".join(record.feature_names))
+    return net, record
 
 
-def _prepare_windows(cfg: RunConfig, extra: dict, stats: data.NormStats | None):
-    """(train samples, norm stats, train windows, test windows) as set by
-    ``cfg``, or as a checkpoint's ``extra`` and ``stats`` record them where
-    they do; stats that are None are fitted on the training split."""
+def _prepare_windows(cfg: RunConfig, record: model_mod.TrainingRecord):
+    """Make the out directory, then return (train samples, norm stats, train
+    windows, test windows) of ``cfg``'s data, windowed and split as
+    ``record`` says; stats that the record lacks are fitted on the training
+    split."""
+    os.makedirs(cfg.out, exist_ok=True)
     _require(cfg, "data")
     samples = data.load_csv(cfg.data)
-    window = extra.get("window_length", cfg.window)
-    fraction = extra.get("train_fraction", cfg.train_fraction)
-    split_seed = extra.get("split_seed", cfg.seed)
-    train_s, test_s = data.split(samples, fraction, split_seed)
-    if stats is None:
-        stats = data.fit_norm_stats(train_s)
+    train_s, test_s = data.split(samples, record.train_fraction, record.split_seed)
+    stats = record.norm_stats or data.fit_norm_stats(train_s)
+    window = record.window_length
     train_w, test_w = data.windowize(train_s, window), data.windowize(test_s, window)
     for windows in (train_w, test_w):
         windows.values = stats.apply(windows.values)
-    if len(train_w) == 0 or len(test_w) == 0:
-        raise InputError(
-            f"windowing with T={window} left an empty split "
-            f"({len(train_w)} train / {len(test_w)} test windows)"
-        )
     return train_s, stats, train_w, test_w
 
 
-def _evaluation_metrics(cfg: RunConfig, net, extra: dict, train_w, test_w) -> dict:
-    """The metrics.json keys that train and evaluate share; ``extra`` is the
-    checkpoint's ``extra`` block."""
+def _evaluation_metrics(cfg: RunConfig, net, record, train_w, test_w) -> dict:
+    """The metrics.json keys that train and evaluate share."""
     return {
         "evaluation": model_mod.evaluate(net, test_w, cfg.threshold).to_dict(),
         "threshold": cfg.threshold,
         "n_test_windows": len(test_w),
         "train_base_value": shapley.base_value(net, train_w.values),
-        "horizon_hours": extra.get("horizon_hours", cfg.horizon_hours),
-        "untrained": extra.get("untrained", False),
+        "horizon_hours": record.horizon_hours,
+        "untrained": record.untrained,
     }
 
 
@@ -347,7 +321,7 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
     n_pos = sum(1 for s in samples if s.label == "P")
     manifest = {
         "seed": cfg.seed,
-        "plant": plant.to_dict(),
+        "plant": dataclasses.asdict(plant),
         "n_ars": cfg.n_ars,
         "samples_per_ar": cfg.samples_per_ar,
         "n_samples": len(samples),
@@ -361,8 +335,8 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:
-    os.makedirs(cfg.out, exist_ok=True)
-    _, stats, train_w, test_w = _prepare_windows(cfg, {}, None)
+    record = _run_record(cfg)
+    _, stats, train_w, test_w = _prepare_windows(cfg, record)
 
     tc = model_mod.TrainConfig(
         hidden=cfg.hidden, epochs=cfg.epochs, batch=cfg.batch,
@@ -370,20 +344,13 @@ def cmd_train(cfg: RunConfig) -> list[str]:
     )
     net, history = model_mod.train(train_w, tc)
 
-    extra = {
-        "window_length": cfg.window,
-        "train_fraction": cfg.train_fraction,
-        "split_seed": cfg.seed,
-        "norm_stats": stats.to_dict(),
-        "feature_names": list(FEATURE_NAMES),
-        "horizon_hours": cfg.horizon_hours,
-        "untrained": cfg.epochs == 0,
-    }
-    model_path = os.path.join(cfg.out, "model.json")
-    model_mod.save_checkpoint(model_path, net, extra)
+    record = dataclasses.replace(
+        record, norm_stats=stats, feature_names=FEATURE_NAMES, untrained=cfg.epochs == 0
+    )
+    model_mod.save_checkpoint(os.path.join(cfg.out, "model.json"), net, record)
 
     metrics = {
-        **_evaluation_metrics(cfg, net, extra, train_w, test_w),
+        **_evaluation_metrics(cfg, net, record, train_w, test_w),
         "loss_history": history,
         "n_train_windows": len(train_w),
         "n_dropped_train": train_w.n_dropped,
@@ -396,20 +363,18 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
-    net, extra, stats = _load_model(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    _, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
+    net, record = _load_model(cfg)
+    _, _, train_w, test_w = _prepare_windows(cfg, record)
     _write_json(os.path.join(cfg.out, "metrics.json"),
-                _evaluation_metrics(cfg, net, extra, train_w, test_w))
+                _evaluation_metrics(cfg, net, record, train_w, test_w))
     artifacts = ["metrics.json"]
-    _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts, extra)
+    _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts, record)
     return artifacts
 
 
 def cmd_explain_global(cfg: RunConfig) -> list[str]:
-    net, extra, stats = _load_model(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    _, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
+    net, record = _load_model(cfg)
+    _, _, train_w, test_w = _prepare_windows(cfg, record)
     explanations = _explain_test_set(cfg, net, train_w, test_w)
 
     _write_json(
@@ -432,15 +397,14 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
         "decision",
         plot.spec_decision(paths, bottom_up, base, [e.fx for e in explanations], FEATURE_NAMES),
     )
-    _write_manifest(cfg, "explain-global", [cfg.data, cfg.model], artifacts, extra)
+    _write_manifest(cfg, "explain-global", [cfg.data, cfg.model], artifacts, record)
     return artifacts
 
 
 def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _require(cfg, "sample_id")
-    net, extra, stats = _load_model(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    _, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
+    net, record = _load_model(cfg)
+    _, _, train_w, test_w = _prepare_windows(cfg, record)
 
     ids = test_w.sample_ids
     if cfg.sample_id in ids:
@@ -476,14 +440,13 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _write_json(os.path.join(cfg.out, f"{stem}.json"), explanation.to_dict())
     artifacts = [f"{stem}.json"]
     artifacts += plot.write_pair(cfg.out, f"{stem}_plot", plot.spec_lime(explanation))
-    _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts, extra)
+    _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts, record)
     return artifacts
 
 
 def cmd_correlate(cfg: RunConfig) -> list[str]:
-    net, extra, stats = _load_model(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
-    train_s, _, train_w, test_w = _prepare_windows(cfg, extra, stats)
+    net, record = _load_model(cfg)
+    train_s, _, train_w, test_w = _prepare_windows(cfg, record)
 
     matrix = analysis.correlation_matrix(data.features_matrix(train_s))
     with open(os.path.join(cfg.out, "corr.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -498,7 +461,7 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     for stem, feature in (("dependence_top", top), ("dependence_bottom", bottom)):
         dep = analysis.dependence_data(feature, explanations, test_w.values, matrix)
         artifacts += plot.write_pair(cfg.out, stem, plot.spec_dependence(dep))
-    _write_manifest(cfg, "correlate", [cfg.data, cfg.model], artifacts, extra)
+    _write_manifest(cfg, "correlate", [cfg.data, cfg.model], artifacts, record)
     return artifacts
 
 

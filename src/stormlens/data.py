@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -63,7 +64,13 @@ class NormStats:
                    std=np.where(constant, 1.0, std), constant=constant)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
+        """Z-score ``values`` (last axis: features); overflow is an input error."""
+        with np.errstate(over="ignore"):
+            z = (np.asarray(values, dtype=np.float64) - self.mean) / self.std
+        if not np.isfinite(z).all():
+            raise InputError("z-scored feature values overflow; they are too large "
+                             "for the normalisation statistics")
+        return z
 
     def to_dict(self) -> dict:
         return {
@@ -92,7 +99,9 @@ class NormStats:
             if key == "constant":
                 if not all(type(v) is bool for v in value):
                     raise bad("norm_stats.constant", "must hold only true/false")
-            elif not all(type(v) in (int, float) and math.isfinite(v) for v in value):
+            # a float64 holds it (math.isfinite raises on a larger int)
+            elif not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                         for v in value):
                 raise bad(f"norm_stats.{key}", "must hold only finite numbers")
         if not all(v > 0 for v in d["std"]):
             raise bad("norm_stats.std", "must be positive")
@@ -124,12 +133,8 @@ class SequenceSet:
 
     @property
     def sample_ids(self) -> list[str]:
-        return [sample_id(a, t) for a, t in zip(self.ar_ids, self.end_times)]
-
-
-def sample_id(ar_id: str, end_time: datetime) -> str:
-    """Stable identifier for a window: ``<ar_id>:<end timestamp ISO>``."""
-    return f"{ar_id}:{end_time.isoformat()}"
+        """Stable window identifiers, ``<ar_id>:<end timestamp ISO>``."""
+        return [f"{a}:{t.isoformat()}" for a, t in zip(self.ar_ids, self.end_times)]
 
 
 def features_matrix(samples: list[Sample]) -> np.ndarray:
@@ -165,6 +170,62 @@ def _parse_cells(row: list[str], feature_cols: list[int], line: int) -> list[flo
     return values
 
 
+def _read_samples(reader, path) -> list[Sample]:
+    """The samples of a CSV file's rows, in file order (see ``load_csv``)."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    expected = set(_META_COLUMNS) | set(FEATURE_NAMES)
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise SchemaError(f"duplicate column(s): {', '.join(dupes)}")
+    for name in _META_COLUMNS + FEATURE_NAMES:
+        if name not in header:
+            raise SchemaError(f"missing column: {name}")
+    unknown = [h for h in header if h not in expected]
+    if unknown:
+        raise SchemaError(f"unknown column(s): {', '.join(unknown)}")
+    col = {name: header.index(name) for name in header}
+    feature_cols = [col[name] for name in FEATURE_NAMES]
+
+    samples: list[Sample] = []
+    seen: set[tuple[str, datetime]] = set()
+    for line, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise SchemaError(
+                f"line {line}: expected {len(header)} fields, got {len(row)}"
+            )
+        ar = row[col["ar_id"]].strip()
+        if not ar:
+            raise SchemaError(f"line {line}: empty ar_id")
+        ts = _parse_timestamp(row[col["timestamp"]], line)
+        label = row[col["label"]].strip()
+        if label not in LABELS:
+            raise InputError(
+                f"line {line}: invalid label {label!r}; allowed labels are "
+                + ", ".join(LABELS)
+            )
+        try:
+            values = [float(row[j]) for j in feature_cols]
+        except ValueError:
+            values = _parse_cells(row, feature_cols, line)
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"line {line}: non-finite feature value")
+        feats = np.array(values)
+        key = (ar, ts)
+        if key in seen:
+            raise InputError(
+                f"line {line}: duplicate (ar_id, timestamp) = ({ar}, {ts.isoformat()})"
+            )
+        seen.add(key)
+        samples.append(Sample(ar_id=ar, timestamp=ts, features=feats, label=label))
+    return samples
+
+
 def load_csv(path) -> list[Sample]:
     """Load samples from a CSV file, sorted by (ar_id, timestamp).
 
@@ -174,66 +235,14 @@ def load_csv(path) -> list[Sample]:
         Missing/unknown/duplicate columns, or malformed cells (reported
         with their line number).
     InputError
-        Missing file, bad labels, duplicated (ar_id, timestamp).
+        Missing, unreadable or non-UTF-8 file (a byte-order mark is
+        skipped), bad labels, duplicated (ar_id, timestamp).
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            samples = _read_samples(csv.reader(fh), path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        expected = set(_META_COLUMNS) | set(FEATURE_NAMES)
-        if len(set(header)) != len(header):
-            dupes = sorted({h for h in header if header.count(h) > 1})
-            raise SchemaError(f"duplicate column(s): {', '.join(dupes)}")
-        for name in _META_COLUMNS + FEATURE_NAMES:
-            if name not in header:
-                raise SchemaError(f"missing column: {name}")
-        unknown = [h for h in header if h not in expected]
-        if unknown:
-            raise SchemaError(f"unknown column(s): {', '.join(unknown)}")
-        col = {name: header.index(name) for name in header}
-        feature_cols = [col[name] for name in FEATURE_NAMES]
-
-        samples: list[Sample] = []
-        seen: set[tuple[str, datetime]] = set()
-        for line, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"line {line}: expected {len(header)} fields, got {len(row)}"
-                )
-            ar = row[col["ar_id"]].strip()
-            if not ar:
-                raise SchemaError(f"line {line}: empty ar_id")
-            ts = _parse_timestamp(row[col["timestamp"]], line)
-            label = row[col["label"]].strip()
-            if label not in LABELS:
-                raise InputError(
-                    f"line {line}: invalid label {label!r}; allowed labels are "
-                    + ", ".join(LABELS)
-                )
-            try:
-                values = [float(row[j]) for j in feature_cols]
-            except ValueError:
-                values = _parse_cells(row, feature_cols, line)
-            if not all(map(math.isfinite, values)):
-                raise SchemaError(f"line {line}: non-finite feature value")
-            feats = np.array(values)
-            key = (ar, ts)
-            if key in seen:
-                raise InputError(
-                    f"line {line}: duplicate (ar_id, timestamp) = ({ar}, {ts.isoformat()})"
-                )
-            seen.add(key)
-            samples.append(Sample(ar_id=ar, timestamp=ts, features=feats, label=label))
-
     samples.sort(key=lambda s: (s.ar_id, s.timestamp))
     log.info("loaded %d samples from %s", len(samples), path)
     return samples
@@ -254,7 +263,8 @@ def windowize(samples: list[Sample], window_length: int) -> SequenceSet:
     """Build one window per sample that has >= T-1 predecessors in its AR.
 
     Samples whose AR history is too short are dropped; the count is
-    recorded on the returned set.
+    recorded on the returned set. A set that yields no window at all is an
+    input error.
     """
     T = int(window_length)
     if T < 1:
@@ -283,10 +293,10 @@ def windowize(samples: list[Sample], window_length: int) -> SequenceSet:
             ar_ids.append(ar)
             end_times.append(group[end].timestamp)
 
-    if values:
-        arr = np.stack(values).astype(np.float64)
-    else:
-        arr = np.zeros((0, T, N_FEATURES))
+    if not values:
+        raise InputError(f"windowing with T={T} left no windows: each of the "
+                         f"{len(groups)} ARs has fewer than {T} samples")
+    arr = np.stack(values).astype(np.float64)
     log.info("windowize: %d windows (T=%d), %d samples dropped", len(values), T, dropped)
     return SequenceSet(
         values=arr,
@@ -358,15 +368,6 @@ class PlantSpec:
             )
         if self.trend_window < 2:
             raise InputError("trend window must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "dominant": self.dominant,
-            "correlate": self.correlate,
-            "rho": self.rho,
-            "label_noise": self.label_noise,
-            "trend_window": self.trend_window,
-        }
 
 
 # Affine maps from the unit-scale latent processes to plausible physical

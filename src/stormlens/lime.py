@@ -21,11 +21,6 @@ from .data import NormStats
 from .errors import InputError
 from .features import FEATURE_NAMES
 
-#: Exponential kernel width default, 0.75 * sqrt(d).
-def default_kernel_width(d: int) -> float:
-    return 0.75 * np.sqrt(d)
-
-
 @dataclass
 class Discretizer:
     """Per-feature quartile bins with empirical per-bin statistics."""
@@ -180,10 +175,11 @@ def kernel_scale(width: float) -> float:
 
 
 def proximity(design: np.ndarray, width: float | None = None) -> np.ndarray:
-    """Exponential kernel weights exp(-D^2 / width^2) from row 0."""
+    """Exponential kernel weights exp(-D^2 / width^2) from row 0; the width
+    defaults to 0.75 * sqrt(d)."""
     X = np.asarray(design, dtype=np.float64)
     if width is None:
-        width = default_kernel_width(X.shape[1])
+        width = 0.75 * np.sqrt(X.shape[1])
     scale = kernel_scale(width)
     d2 = ((X - X[0]) ** 2).sum(axis=1)
     return np.exp(-d2 / scale)

@@ -60,6 +60,7 @@ of a step into one contiguous (4, n, H) buffer and copies them once into the
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ModelOverflowError, NonFiniteParameterError
-from .data import SequenceSet
+from .data import NormStats, SequenceSet
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
@@ -166,9 +167,6 @@ class LstmParams:
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteParameterError(
                     f"parameter {name} contains non-finite values{where}")
-
-    def to_dict(self) -> dict:
-        return {name: arr.tolist() for name, arr in self.items()}
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
@@ -440,8 +438,8 @@ class TrainConfig:
             raise InputError("epochs must be >= 0")
         if self.batch < 1:
             raise InputError("batch size must be >= 1")
-        if not self.learning_rate > 0:
-            raise InputError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InputError("learning rate must be positive and finite")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
 
@@ -579,31 +577,85 @@ def evaluate(model: LstmModel, test: SequenceSet, threshold: float = 0.5) -> Eva
     )
 
 
-def save_checkpoint(path, model: LstmModel, extra: dict | None = None) -> None:
-    """Write the model as a single JSON file; floats round-trip exactly."""
+# Each checkpoint ``extra`` field but norm_stats: a test of its JSON value
+# and what the error message asks for.
+_RECORD_RULES = {
+    "window_length": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "train_fraction": (lambda v: type(v) is float and 0.0 < v < 1.0, "a number in (0, 1)"),
+    "split_seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "feature_names": (lambda v: type(v) is list and all(type(s) is str for s in v),
+                      "a list of strings"),
+    "horizon_hours": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "untrained": (lambda v: type(v) is bool, "true or false"),
+}
+
+
+@dataclass(frozen=True)
+class TrainingRecord:
+    """A checkpoint's ``extra`` block: the windowing, split and z-scores that
+    later commands rebuild, and what reports say of the training. Without
+    ``norm_stats`` they are refitted; without ``feature_names`` the feature
+    order goes unchecked."""
+
+    window_length: int
+    train_fraction: float
+    split_seed: int
+    horizon_hours: int
+    norm_stats: NormStats | None = None
+    feature_names: tuple[str, ...] | None = None
+    untrained: bool = False
+
+    def to_dict(self) -> dict:
+        """The JSON form; a field that is None is left out."""
+        doc = {name: value for name, value in vars(self).items() if value is not None}
+        if self.norm_stats is not None:
+            doc["norm_stats"] = self.norm_stats.to_dict()
+        if self.feature_names is not None:
+            doc["feature_names"] = list(self.feature_names)
+        return doc
+
+    @classmethod
+    def from_dict(cls, d: dict, fallback: "TrainingRecord") -> "TrainingRecord":
+        """The inverse of :meth:`to_dict`: absent fields keep ``fallback``'s
+        values and other keys are ignored. A bad field raises an InputError
+        naming it as ``extra.<field>``."""
+        values = {name: d[name] for name in _RECORD_RULES if name in d}
+        for name, value in values.items():
+            ok, want = _RECORD_RULES[name]
+            if not ok(value):
+                raise InputError(f"field 'extra.{name}' must be {want}, got {value!r}")
+        if "feature_names" in values:
+            values["feature_names"] = tuple(values["feature_names"])
+        if "norm_stats" in d:
+            values["norm_stats"] = NormStats.from_dict(d["norm_stats"])
+        return dataclasses.replace(fallback, **values)
+
+
+def save_checkpoint(path, model: LstmModel, record: TrainingRecord) -> None:
+    """Write the model and its training record as a single JSON file;
+    floats round-trip exactly."""
     doc = {
         "schema": CHECKPOINT_SCHEMA,
         "config": {"input_dim": model.params.input_dim, "hidden": model.params.hidden},
-        "params": model.params.to_dict(),
-        "extra": extra or {},
+        "params": {name: arr.tolist() for name, arr in model.params.items()},
+        "extra": record.to_dict(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def load_checkpoint(path) -> tuple[LstmModel, dict]:
-    """Load a checkpoint written by :func:`save_checkpoint`.
-
-    The parameter names, their shapes against the stored ``config`` and
-    their finiteness are checked; a bad field raises an InputError naming it.
-    """
+def load_checkpoint(path, fallback: TrainingRecord) -> tuple[LstmModel, TrainingRecord]:
+    """Load a checkpoint written by :func:`save_checkpoint`. The parameters'
+    names, shapes and finiteness are checked, and ``extra`` is read as a
+    TrainingRecord whose absent fields keep ``fallback``'s values. A bad
+    field raises an InputError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read model checkpoint {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise InputError(f"model checkpoint {path} is not valid JSON: {exc}") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != CHECKPOINT_SCHEMA:
@@ -635,4 +687,8 @@ def load_checkpoint(path) -> tuple[LstmModel, dict]:
         if not np.all(np.isfinite(arr)):
             raise bad(field, "contains non-finite values")
         arrays[name] = arr
-    return LstmModel(LstmParams(**arrays)), extra
+    try:
+        record = TrainingRecord.from_dict(extra, fallback)
+    except InputError as exc:
+        raise InputError(f"model checkpoint {path}: {exc}") from None
+    return LstmModel(LstmParams(**arrays)), record

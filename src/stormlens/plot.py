@@ -7,6 +7,7 @@ randomness-free layout (jitter included) is hash-based.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
@@ -54,14 +55,7 @@ class PlotSpec:
         _assert_finite_payload(self.data)
 
     def to_json(self) -> str:
-        doc = {
-            "schema": PLOTSPEC_SCHEMA,
-            "kind": self.kind,
-            "title": self.title,
-            "width": self.width,
-            "height": self.height,
-            "data": self.data,
-        }
+        doc = {"schema": PLOTSPEC_SCHEMA, **dataclasses.asdict(self)}
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 

@@ -34,13 +34,7 @@ class ShapExplanation:
     phi: np.ndarray  # (d,)
 
     def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "method": self.method,
-            "base": self.base,
-            "fx": self.fx,
-            "phi": [float(v) for v in self.phi],
-        }
+        return {**vars(self), "phi": [float(v) for v in self.phi]}
 
 
 @dataclass

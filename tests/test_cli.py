@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
+import io
 import json
 import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stormlens import cli, data
 from stormlens.errors import InputError
@@ -93,6 +96,27 @@ class TestTrain:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("offset", [0, 3000])
+    def test_non_utf8_data_file_exit_2(self, tmp_path, capsys, offset):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        text = (out / "data.csv").read_bytes()
+        (out / "data.csv").write_bytes(text[:offset] + b"\xff\xfe" + text[offset:])
+        assert run(train_args(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read data file {out / 'data.csv'}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "inf"], "learning rate must be positive and finite"),
+        (["--lr", "nan"], "learning rate must be positive and finite"),
+        (["--horizon-hours", "-5"], "horizon_hours must be >= 1"),
+        (["--horizon-hours", "0"], "horizon_hours must be >= 1"),
+    ], ids=["lr-inf", "lr-nan", "horizon-negative", "horizon-zero"])
+    def test_bad_setting_exit_2(self, trained, capsys, flags, message):
+        assert run(train_args(trained) + flags) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cells", [1, 2])
     def test_overflowing_feature_rejected(self, tmp_path, capsys, cells):
         out = tmp_path / "o"
@@ -167,6 +191,14 @@ class TestConfigFile:
                 run(["train", flag, "2"])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_bytes(b"epochs=3\n# caf\xe9\n")
+        with pytest.raises(InputError, match="cannot read config file"):
+            cli.load_config_file(cfgfile)
+        assert run(["train", "--config", str(cfgfile)]) == 2
+        assert f"error: cannot read config file {cfgfile}" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -307,6 +339,26 @@ class TestCheckpoint:
                 "feature_names", "TOTPOT", "'extra.feature_names' must be a list of strings",
                 id="feature_names-string",
             ),
+            pytest.param(
+                "horizon_hours", "x", "'extra.horizon_hours' must be an integer >= 1, got 'x'",
+                id="horizon_hours-string",
+            ),
+            pytest.param(
+                "horizon_hours", -5, "'extra.horizon_hours' must be an integer >= 1, got -5",
+                id="horizon_hours-negative",
+            ),
+            pytest.param(
+                "horizon_hours", True, "'extra.horizon_hours' must be an integer >= 1, got True",
+                id="horizon_hours-bool",
+            ),
+            pytest.param(
+                "untrained", "yes", "'extra.untrained' must be true or false, got 'yes'",
+                id="untrained-string",
+            ),
+            pytest.param(
+                "untrained", None, "'extra.untrained' must be true or false, got None",
+                id="untrained-null",
+            ),
         ],
     )
     def test_bad_extra_field_exit_2(self, trained, capsys, field, value, message):
@@ -358,6 +410,102 @@ class TestCheckpoint:
         assert "has no 'extra.norm_stats'; refitting" in capsys.readouterr().err
         manifest = json.loads((trained / "eval" / "run_manifest_evaluate.json").read_text())
         assert manifest["norm_stats_refit"] is True
+
+    def test_non_utf8_checkpoint_exit_2(self, trained, capsys):
+        text = (trained / "model.json").read_bytes()
+        (trained / "bad.json").write_bytes(text[:3000] + b"\xff" + text[3000:])
+        assert run([
+            "evaluate", "--data", str(trained / "data.csv"),
+            "--model", str(trained / "bad.json"), "--out", str(trained / "eval"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read model checkpoint {trained / 'bad.json'}" in err
+        assert "Traceback" not in err
+
+
+# The seven fields of a checkpoint's extra block, and the norm_stats lists
+# whose elements an edit may replace.
+EXTRA_FIELDS = ("window_length", "train_fraction", "split_seed", "norm_stats",
+                "feature_names", "horizon_hours", "untrained")
+STAT_LISTS = ("norm_stats.mean", "norm_stats.std", "norm_stats.constant")
+DELETE = object()  # an edit that deletes the key
+
+# Deleted keys and JSON values of every type: huge ints (10**400 has no
+# float64), bools where an int is expected, nan, +-inf, the smallest and
+# largest floats, null, strings, lists and objects
+EDGE_VALUES = [DELETE, None, True, False, 0, -1, 2**63, 10**30, 10**400, -10**400,
+               float("nan"), float("inf"), float("-inf"), 5e-324, 1.7e308, -1.7e308,
+               "", "x", [], {}]
+VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES), st.integers(-3, 30), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(), st.text(max_size=3)), max_size=13),
+    st.dictionaries(st.sampled_from(["mean", "std", "constant", "x"]),
+                    st.integers(-2, 2), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A 10-AR data set and a hidden-2 model trained on it for one epoch."""
+    out = tmp_path_factory.mktemp("tiny")
+    assert run(synth_args(out)) == 0
+    assert run(train_args(out, epochs=1, hidden=2)) == 0
+    return out
+
+
+def evaluate_edited_extra(checkpoint, edits) -> None:
+    """Evaluate the checkpoint with its extra block edited, each edit a
+    (target, index, value) triple: a field or a norm_stats list is deleted or
+    replaced, or one element of the list at ``index`` is replaced. The run must
+    exit 0 with well-typed metrics, or 2 with one error line."""
+    doc = json.loads((checkpoint / "model.json").read_text(encoding="utf-8"))
+    extra = doc["extra"]
+    # list elements first, then whole keys, so no edit meets a removed key
+    for target, index, value in sorted(
+        edits, key=lambda edit: (edit[0] in EXTRA_FIELDS, edit[2] is DELETE)
+    ):
+        if target in EXTRA_FIELDS:
+            holder, key = extra, target
+        else:
+            holder, key = extra["norm_stats"], target.split(".")[1]
+            if value is not DELETE:
+                holder, key = holder[key], index
+        if value is DELETE:
+            holder.pop(key, None)
+        else:
+            holder[key] = value
+    bad = checkpoint / "mutated.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = checkpoint / "eval"
+    (out / "metrics.json").unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["evaluate", "--data", str(checkpoint / "data.csv"),
+                    "--model", str(bad), "--out", str(out)])
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if code == 0:
+        assert errors == []
+        metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+        assert type(metrics["horizon_hours"]) is int and metrics["horizon_hours"] >= 1
+        assert type(metrics["untrained"]) is bool
+    else:
+        assert code == 2
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
+class TestCheckpointBoundary:
+    @pytest.mark.parametrize("target", EXTRA_FIELDS + STAT_LISTS)
+    def test_every_edge_value_exits_0_or_2(self, tiny_checkpoint, target):
+        for value in EDGE_VALUES:
+            evaluate_edited_extra(tiny_checkpoint, [(target, 0, value)])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(edits=st.lists(
+        st.tuples(st.sampled_from(EXTRA_FIELDS + STAT_LISTS), st.integers(0, 11), VALUES),
+        min_size=1, max_size=3,
+    ))
+    def test_mutated_extra_exits_0_or_2(self, tiny_checkpoint, edits):
+        evaluate_edited_extra(tiny_checkpoint, edits)
 
 
 class TestExplainGlobal:
@@ -439,6 +587,8 @@ class TestExplainLocal:
         (["--lime-width", "1e-200"], "lime_width"),  # the square underflows to 0
         (["--lime-width", "1e200"], "lime_width"),  # the square overflows
         (["--lime-lambda", "0", "--lime-n", "10"], "lime_lambda"),  # 10 rows, 12 features
+        (["--lime-lambda", "nan"], "lime_lambda"),
+        (["--lime-lambda", "inf"], "lime_lambda"),
     ])
     def test_unusable_surrogate_settings_exit_2(self, trained, capsys, flags, field):
         code = run([

@@ -91,6 +91,16 @@ class TestLoadCsv:
             assert a.label == b.label
             assert np.array_equal(a.features, b.features)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        data.write_csv(plain, data.synth_generate(3, 4, 7, data.PlantSpec()))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = data.load_csv(plain), data.load_csv(marked)
+        assert len(got) == len(want) == 12
+        for a, b in zip(got, want):
+            assert (a.ar_id, a.timestamp, a.label) == (b.ar_id, b.timestamp, b.label)
+            assert np.array_equal(a.features, b.features)
+
     def test_missing_column_named(self, tmp_path):
         f = tmp_path / "d.csv"
         cols = [c for c in ("ar_id", "timestamp") + FEATURE_NAMES + ("label",) if c != "MEANALP"]
@@ -247,8 +257,8 @@ class TestNormStats:
         # reference z-scores every sample's 12 values first, then windows
         path = tmp_path / "data.csv"
         data.write_csv(path, data.synth_generate(16, 9, seed, data.PlantSpec(trend_window=4)))
-        cfg = cli.RunConfig(data=str(path), window=4, seed=seed)
-        _, stats, train_w, test_w = cli._prepare_windows(cfg, {}, None)
+        cfg = cli.RunConfig(data=str(path), out=str(tmp_path), window=4, seed=seed)
+        _, stats, train_w, test_w = cli._prepare_windows(cfg, cli._run_record(cfg))
         train_s, test_s = data.split(data.load_csv(path), cfg.train_fraction, seed)
         for got, part in ((train_w, train_s), (test_w, test_s)):
             normalised = [dataclasses.replace(s, features=stats.apply(s.features)) for s in part]

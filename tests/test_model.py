@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import lstm_reference
 from stormlens import model
-from stormlens.data import SequenceSet
+from stormlens.data import NormStats, SequenceSet
 from stormlens.errors import InputError, ModelOverflowError
+from stormlens.features import FEATURE_NAMES
 
 
 def make_sequence_set(values, labels):
@@ -573,18 +575,61 @@ class TestParamTable:
         assert [f.name for f in dataclasses.fields(model.LstmParams)] == table
 
 
+# The run settings that a checkpoint's absent extra fields fall back to.
+FALLBACK = model.TrainingRecord(window_length=5, train_fraction=0.7, split_seed=3,
+                                horizon_hours=12)
+
+
+def full_record() -> model.TrainingRecord:
+    rng = np.random.default_rng(4)
+    stats = NormStats(mean=rng.normal(size=12), std=rng.uniform(0.5, 2.0, size=12),
+                      constant=np.arange(12) % 5 == 0)
+    return model.TrainingRecord(window_length=10, train_fraction=0.8, split_seed=42,
+                                horizon_hours=24, norm_stats=stats,
+                                feature_names=FEATURE_NAMES, untrained=True)
+
+
+def assert_same_record(got: model.TrainingRecord, want: model.TrainingRecord) -> None:
+    """Equal fields of equal types, the norm stats array by array."""
+    fields = [f.name for f in dataclasses.fields(model.TrainingRecord)]
+    assert [type(getattr(got, f)) for f in fields] == [type(getattr(want, f)) for f in fields]
+    assert dataclasses.replace(got, norm_stats=None) == dataclasses.replace(want, norm_stats=None)
+    if want.norm_stats is not None:
+        for name in ("mean", "std", "constant"):
+            a, b = getattr(got.norm_stats, name), getattr(want.norm_stats, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 class TestCheckpoint:
     def test_round_trip_reproduces_predictions_bit_identically(self, tmp_path):
         net = model.LstmModel(model.init_params(12, 6, seed=21))
         path = tmp_path / "model.json"
-        model.save_checkpoint(path, net, extra={"note": 1})
-        loaded, extra = model.load_checkpoint(path)
-        assert extra == {"note": 1}
+        model.save_checkpoint(path, net, full_record())
+        loaded, record = model.load_checkpoint(path, FALLBACK)
+        assert_same_record(record, full_record())
         X = np.random.default_rng(2).normal(size=(7, 4, 12))
         assert np.array_equal(net.predict_proba(X), loaded.predict_proba(X))
+
+    def test_absent_fields_round_trip_or_take_the_fallback(self, tmp_path):
+        net = model.LstmModel(model.init_params(12, 2, seed=0))
+        path = tmp_path / "model.json"
+        sparse = dataclasses.replace(full_record(), norm_stats=None, feature_names=None)
+        model.save_checkpoint(path, net, sparse)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(doc["extra"]) == [
+            "horizon_hours", "split_seed", "train_fraction", "untrained", "window_length"]
+        assert_same_record(model.load_checkpoint(path, FALLBACK)[1], sparse)
+        # keys that are not fields are ignored
+        doc["extra"] = {"split_seed": 9, "note": 1}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert_same_record(model.load_checkpoint(path, FALLBACK)[1],
+                           dataclasses.replace(FALLBACK, split_seed=9))
+        del doc["extra"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert_same_record(model.load_checkpoint(path, FALLBACK)[1], FALLBACK)
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"schema": "nope"}', encoding="utf-8")
         with pytest.raises(InputError, match="schema"):
-            model.load_checkpoint(path)
+            model.load_checkpoint(path, FALLBACK)

@@ -6,6 +6,11 @@ definition: called, subclassed, named in an annotation, or read as an
 attribute. The scan goes by name, so a reference to any attribute of that
 name counts. ``console_main`` is exempt: ``pyproject.toml`` names it as the
 console entry point.
+
+A public annotated class field (a dataclass field) must be read as an
+attribute somewhere in the package; writing it or passing it by keyword
+does not count. ``Feature.description`` and ``Feature.units`` are exempt:
+they document the feature catalog for a reader of ``features.py``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "stormlens"
 
 EXEMPT = {"console_main"}
+FIELD_EXEMPT = {"features.Feature.description", "features.Feature.units"}
 
 
 def _definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
@@ -30,6 +36,23 @@ def _definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     found.append((item.name, f"{module}.{node.name}.{item.name}"))
     return found
+
+
+def _fields(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+    """(name, qualified name) of the public annotated fields of the
+    module-level classes."""
+    return [
+        (item.target.id, f"{module}.{node.name}.{item.target.id}")
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and not item.target.id.startswith("_")
+    ]
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -53,3 +76,14 @@ def test_every_public_name_is_used_in_the_package():
     unused = sorted(qual for name, qual in definitions
                     if name not in referenced and name not in EXEMPT)
     assert unused == []
+
+
+def test_every_public_field_is_read_in_the_package():
+    fields, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fields += _fields(tree, path.stem)
+        read |= _attribute_reads(tree)
+    unread = sorted(qual for name, qual in fields
+                    if name not in read and qual not in FIELD_EXEMPT)
+    assert unread == []
