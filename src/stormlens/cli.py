@@ -30,6 +30,11 @@ from .features import FEATURE_NAMES
 
 METHODS = ("exact", "kernel", "gradient")
 
+# The largest value an integer setting may take. Every size, count and seed
+# of a run is far below it; a larger one would reach numpy as an integer it
+# cannot convert or an array it cannot shape.
+MAX_INT_SETTING = 2**31 - 1
+
 
 @dataclass
 class RunConfig:
@@ -67,6 +72,10 @@ class RunConfig:
     label_noise: float = 0.01
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is int and value > MAX_INT_SETTING:
+                raise InputError(f"--{name.replace('_', '-')} must be at most "
+                                 f"{MAX_INT_SETTING}, got {value}")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
         if self.window < 1:
@@ -294,7 +303,7 @@ def _evaluation_metrics(cfg: RunConfig, net, record, train_w, test_w) -> dict:
     }
 
 
-def _explain_test_set(cfg: RunConfig, net, train_w, test_w):
+def _explain_test_set(cfg: RunConfig, net, train_w, test_w) -> list[shapley.ShapExplanation]:
     background = shapley.sample_background(train_w.values, cfg.background, cfg.seed)
     return shapley.explain_set(
         net,
@@ -335,13 +344,13 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:
-    record = _run_record(cfg)
-    _, stats, train_w, test_w = _prepare_windows(cfg, record)
-
     tc = model_mod.TrainConfig(
         hidden=cfg.hidden, epochs=cfg.epochs, batch=cfg.batch,
         learning_rate=cfg.lr, seed=cfg.seed,
     )
+    tc.validate()  # before the data is read
+    record = _run_record(cfg)
+    _, stats, train_w, test_w = _prepare_windows(cfg, record)
     net, history = model_mod.train(train_w, tc)
 
     record = dataclasses.replace(
@@ -487,6 +496,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except StormlensError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a size setting below the cap but beyond this machine
+        print(f"internal error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -28,20 +28,39 @@ With ``keep_cache=False`` (every forward-only call) ``A`` holds one step's
 gates, reused by every step, ``C`` is two rows used in turn (the zeroed
 last row again serves as the initial state), both inside the step scratch,
 and no cache is returned. ``LstmModel.predict_proba`` walks its rows in
-forward-only tiles of ``TILE_ROWS`` rows.
+forward-only tiles of ``TILE_ROWS`` rows, and ``LstmModel.input_gradient_batch``
+in forward+backward tiles of ``GRAD_TILE_ROWS`` rows; ``_tile_bounds`` cuts
+both, so every tile starts at a multiple of 8 and none has one row unless
+the batch has.
 
 Output bits depend on the numpy/BLAS build and on the batch a row is
 computed in, not on the layout of ``A`` or on the mode: the tests compare
 both passes bit for bit with a reference cell that keeps ``A`` as
-(T, n, 4H), and ``predict_proba`` with the reference's whole-batch output.
+(T, n, 4H), and both tiled methods with the whole batch in one call. In the
+builds tested, once a call has a few hundred rows, a row's bits depend only
+on its offset mod 4 in the call, for every forward product and for the
+backward pass's three weight products as it computes them for input
+gradients: da W_x (the input gradients), da W_h and dU W_att then each
+multiply by the weight zero-padded to a multiple of 8 columns and keep the
+first columns. Unpadded, these products change BLAS kernel with the row
+count (in OpenBLAS 0.3.31, (n, 4H) @ (4H, 12) below about 1,310 rows;
+da W_h and dU W_att at some H between 9 and 28 at every size), so a tile's
+rows would not match the whole batch. A backward pass without input
+gradients (training) multiplies by the weights as they are. The padded
+product has the unpadded bits where the width is a multiple of 8 already
+(H = 16 or 32 for da W_h and dU W_att), and at d = 12 in calls of about
+1,310 rows or more, such as the 1,600 path points of an explained window
+at B = 100 and K = 16. Smaller calls (B = 10 gives 160 rows) and other
+widths get other last bits than the unpadded product would give.
 
 Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew. A
 cache built with a ``work`` dict, and the input gradients read from it, are
 valid only until the next call with that dict. ``LstmModel`` keeps one such
-dict, shared by ``input_gradient_batch`` and the ``predict_proba`` calls of
-more than one tile, so one model must not run them from two threads at once;
-``train`` keeps another for its batches.
+dict, shared by ``input_gradient_batch`` (which also returns its result in
+it), the ``predict_proba`` calls of more than one tile and the path points
+that ``shapley.gradient_shap`` builds, so one model must not run them from
+two threads at once; ``train`` keeps another for its batches.
 
 Additive attention over the hidden states:
 
@@ -72,9 +91,9 @@ from .data import NormStats, SequenceSet
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The most rows one batched explainer pass hands to a forward call. Part of
-# the artifact contract: a row's output bits depend on the batch it is
-# computed in, so another value changes the bytes of shap.json.
+# The most rows one batched coalition pass (exact, kernel) hands to a forward
+# call. Part of the artifact contract: a row's output bits depend on the batch
+# it is computed in, so another value changes the bytes of shap.json.
 CHUNK_ROWS = 4096
 
 # The rows of one forward call in LstmModel.predict_proba. Not part of the
@@ -84,8 +103,16 @@ CHUNK_ROWS = 4096
 # every row the bits of one whole-batch call (tests/test_model.py holds this).
 TILE_ROWS = 1024
 
+# The rows of one forward+backward tile in LstmModel.input_gradient_batch.
+# Not part of the artifact contract either: the tiles start at multiples of
+# 8 and the backward products are padded (see the module docstring), so every
+# row keeps the bits of one whole-batch call. At n = 1,600, T = 10, H = 16,
+# d = 12 on one core, tiles of 384-512 rows took ~15 ms per call, 256-320
+# rows ~16 ms and the untiled call ~17 ms.
+GRAD_TILE_ROWS = 400
 
-def _buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
+
+def work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float array of ``shape``: a new one when ``work`` is
     None, else a view of ``work[key]``, which grows to the largest size
     asked for."""
@@ -98,12 +125,24 @@ def _buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _tile_bounds(n: int) -> list[int]:
-    """Row bounds of predict_proba's tiles: every tile starts at a multiple
-    of TILE_ROWS and the last one takes the remainder, so no tile is shorter
-    than TILE_ROWS unless the whole batch is."""
-    starts = range(0, max(1, n // TILE_ROWS) * TILE_ROWS, TILE_ROWS)
+def _tile_bounds(n: int, tile: int) -> list[int]:
+    """Row bounds of the tiles of an n-row batch: every tile starts at a
+    multiple of ``tile`` and the last one takes the remainder, so no tile is
+    shorter than ``tile`` rows unless the whole batch is."""
+    starts = range(0, max(1, n // tile) * tile, tile)
     return [*starts, n]
+
+
+def _padded(work: dict | None, key: str, w: np.ndarray) -> np.ndarray:
+    """``w`` (k, m) zero-padded on the right to a multiple of 8 columns:
+    ``w`` itself when m is one already, else a ``work`` array."""
+    k, m = w.shape
+    if m % 8 == 0:
+        return w
+    padded = work_buffer(work, key, (k, -(-m // 8) * 8))
+    padded[:, m:] = 0.0
+    padded[:, :m] = w
+    return padded
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
@@ -228,15 +267,15 @@ def forward_batch(
     # step of gates and the two rows of cell state, which die with the loop.
     kept = T if keep_cache else 1  # steps of gates and cell state kept
     if keep_cache:
-        step = _buffer(work, "step", (max(8, T) * n * H,))
-        A = _buffer(work, "A", (T, 4, n, H))
-        C = _buffer(work, "C", (T + 1, n, H))
+        step = work_buffer(work, "step", (max(8, T) * n * H,))
+        A = work_buffer(work, "A", (T, 4, n, H))
+        C = work_buffer(work, "C", (T + 1, n, H))
     else:
-        step = _buffer(work, "step", (max(14, T) * n * H,))
+        step = work_buffer(work, "step", (max(14, T) * n * H,))
         A = step[8 * n * H : 12 * n * H].reshape(1, 4, n, H)
         C = step[12 * n * H : 14 * n * H].reshape(2, n, H)
     xw, hw = step[: 8 * n * H].reshape(2, n, 4 * H)
-    Hs = _buffer(work, "Hs", (T + 1, n, H))
+    Hs = work_buffer(work, "Hs", (T + 1, n, H))
     # the initial state; every other row is written before it is read
     C[-1] = Hs[T] = 0.0
     for t in range(T):
@@ -292,14 +331,15 @@ def backward_batch(
     want_input_grads: bool = False,
     work: dict | None = None,
     grads: dict | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[dict | None, np.ndarray | None]:
     """Reverse-mode pass from an upstream gradient on the logit z.
 
     Returns ``(grads, input_grads)``. Parameter gradients are computed only
     when ``grads`` is given, one array per parameter: they are summed over
     the batch and added to its arrays, so zero them first. Input gradients
-    are None unless requested; with a ``work`` dict they are one of its
-    arrays, valid until its next use.
+    are None unless requested; they are written into ``out``, an (n, T, d)
+    array, when it is given, and else into a new array.
     """
     X = cache["X"]
     n, T, d = X.shape
@@ -307,8 +347,16 @@ def backward_batch(
     A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
     Hs_T = Hs[:T]
 
-    # every step's (n, d) slice is written below
-    dX = _buffer(work, "dX", X.shape) if want_input_grads else None
+    w_x, w_h, w_att = params.w_x, params.w_h, params.w_att
+    dX = None
+    if want_input_grads:
+        # every weight product runs against the weight zero-padded to a
+        # multiple of 8 columns and keeps the first ones, so that no row's bits
+        # depend on how many rows the call has (see the module docstring)
+        w_x, w_h, w_att = (_padded(work, key + "8", w) for key, w in
+                           (("w_x", w_x), ("w_h", w_h), ("w_att", w_att)))
+        dX = np.empty(X.shape) if out is None else out  # written step by step
+        dx = work_buffer(work, "dx", (n, w_x.shape[1]))
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
     if grads is not None:
@@ -320,21 +368,25 @@ def backward_batch(
     dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     # dS, then dS * (1 - S**2); (T, n, H)
-    dU = np.multiply(de.T[:, :, None], params.v_att, out=_buffer(work, "dU", (T, n, H)))
-    sq = np.square(S, out=_buffer(work, "dH_ext", (T, n, H)))
+    dU = np.multiply(de.T[:, :, None], params.v_att, out=work_buffer(work, "dU", (T, n, H)))
+    # sq is dead once dU has it, so dH_ext may overwrite it
+    dH_ext = work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
+    sq = np.square(S, out=work_buffer(work, "dH_ext", (T, n, H)))
     dU *= np.subtract(1.0, sq, out=sq)
     if grads is not None:
         grads["v_att"] += np.einsum("tnh,nt->h", S, de)
         grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
         grads["b_att"] += dU.sum(axis=(0, 1))
-    dH_ext = np.matmul(dU, params.w_att, out=sq)  # (T, n, H)
+    dH_ext = np.matmul(dU, w_att, out=dH_ext)[:, :, :H]  # (T, n, H)
     dH_ext += np.multiply(alpha.T[:, :, None], dctx, out=dU)
 
     # backprop through time; dG holds the gate gradients [i, f, o, g] gate-major,
     # da the same values in the (n, 4H) layout that w_x and w_h multiply
-    dG = _buffer(work, "dG", (4, n, H))
-    da = _buffer(work, "da", (n, 4 * H))
-    tc, u, dh, dc, dh_next, dc_next = _buffer(work, "bptt", (6, n, H))
+    dG = work_buffer(work, "dG", (4, n, H))
+    da = work_buffer(work, "da", (n, 4 * H))
+    tc, u, dh, dc, dc_next = work_buffer(work, "bptt", (5, n, H))
+    dh_w = work_buffer(work, "dh_next", (n, w_h.shape[1]))
+    dh_next = dh_w[:, :H]
     dh_next.fill(0.0)  # the others are written before they are read
     dc_next.fill(0.0)
     for t in range(T - 1, -1, -1):
@@ -364,8 +416,9 @@ def backward_batch(
             grads["w_h"] += da.T @ Hs[t - 1]
             grads["b"] += da.sum(axis=0)
         if want_input_grads:
-            dX[:, t, :] = da @ params.w_x
-        np.matmul(da, params.w_h, out=dh_next)
+            np.matmul(da, w_x, out=dx)
+            dX[:, t, :] = dx[:, :d]
+        np.matmul(da, w_h, out=dh_w)
         np.multiply(dc, f, out=dc_next)
 
     return grads, dX
@@ -397,7 +450,7 @@ class LstmModel:
         if X.ndim != 3:
             raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
         p = np.empty(X.shape[0])
-        bounds = _tile_bounds(X.shape[0])
+        bounds = _tile_bounds(X.shape[0], TILE_ROWS)
         tiles = list(zip(bounds, bounds[1:]))
         work = self.work if len(tiles) > 1 else None
         for lo, hi in tiles[-1:] + tiles[:-1]:
@@ -405,15 +458,22 @@ class LstmModel:
         return p
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
-        """Exact gradient of the output probability w.r.t. every input cell."""
+        """Exact gradient of the output probability w.r.t. every input cell,
+        computed forward and backward in tiles of GRAD_TILE_ROWS rows (see
+        ``_tile_bounds``), last (largest) tile first, all in ``work``. The
+        result is one of ``work``'s arrays, valid until the next call that
+        uses it."""
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty_like(X)
-        for lo in range(0, X.shape[0], CHUNK_ROWS):
-            part = X[lo : lo + CHUNK_ROWS]
-            p, _, cache = forward_batch(self.params, part, work=self.work)
+        if X.ndim != 3:
+            raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+        out = work_buffer(self.work, "grad", X.shape)
+        bounds = _tile_bounds(X.shape[0], GRAD_TILE_ROWS)
+        tiles = list(zip(bounds, bounds[1:]))
+        for lo, hi in tiles[-1:] + tiles[:-1]:
+            p, _, cache = forward_batch(self.params, X[lo:hi], work=self.work)
             dz = p * (1.0 - p)  # d sigmoid(z) / dz
-            _, dX = backward_batch(self.params, cache, dz, want_input_grads=True, work=self.work)
-            out[lo : lo + part.shape[0]] = dX
+            backward_batch(self.params, cache, dz, want_input_grads=True, work=self.work,
+                           out=out[lo:hi])
         return out
 
 

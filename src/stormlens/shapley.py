@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .errors import InputError, SingularSystemError
-from .model import CHUNK_ROWS
+from .model import CHUNK_ROWS, work_buffer
 
 MAX_EXACT_FEATURES = 20
 
@@ -247,7 +247,10 @@ def gradient_shap(
     points are drawn (one uniform jitter per stratum); the input gradient
     at each point is weighted by (sample - background) and averaged. The
     per-cell attribution is then summed over time steps to give one value
-    per feature. ``base`` is as for :func:`kernel_shap`.
+    per feature. ``base`` is as for :func:`kernel_shap`. The points are
+    built in the model's ``work`` dict when it has one, as are the gradients
+    of :meth:`LstmModel.input_gradient_batch`, so a warm model allocates no
+    (B, n_steps, T, d) array.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -260,7 +263,8 @@ def gradient_shap(
     alphas = (np.arange(n_steps)[None, :] + jitter) / n_steps  # (B, K) in (0, 1)
 
     diff = sample[None, :, :] - background  # (B, T, d)
-    points = alphas[:, :, None, None] * diff[:, None, :, :]
+    points = work_buffer(getattr(model, "work", None), "points", (B, n_steps, T, d))
+    np.multiply(alphas[:, :, None, None], diff[:, None, :, :], out=points)
     points += background[:, None, :, :]  # background + alpha * diff
     contrib = model.input_gradient_batch(points.reshape(B * n_steps, T, d))
     contrib = contrib.reshape(B, n_steps, T, d)

@@ -5,7 +5,10 @@ reproduce every output, cache entry and gradient of these, bit for bit, and
 one Adam state array per parameter.
 
 Here the gate array ``A`` is (T, n, 4H), with the gates [i, f, o, g] side by
-side in the last axis; ``stormlens.model`` keeps it as (T, 4, n, H).
+side in the last axis; ``stormlens.model`` keeps it as (T, 4, n, H). When
+input gradients are wanted, both compute the backward pass's three weight
+products against the weights zero-padded to a multiple of 8 columns (see
+:func:`_times_padded`).
 """
 
 from __future__ import annotations
@@ -21,6 +24,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows
     d = 1.0 + e
     return np.where(z >= 0, 1.0 / d, e / d)
+
+
+def _times_padded(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``a @ w``, computed against ``w`` zero-padded on the right to a
+    multiple of 8 columns, of which the first ``w.shape[1]`` are kept."""
+    m = w.shape[1]
+    return (a @ np.pad(w, ((0, 0), (0, -m % 8))))[..., :m]
 
 
 def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -122,7 +132,8 @@ def backward_batch(
         grads["v_att"] += np.einsum("tnh,nt->h", S, de)
         grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
         grads["b_att"] += dU.sum(axis=(0, 1))
-    dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + dU @ params.w_att  # (T, n, H)
+    times = _times_padded if want_input_grads else np.matmul
+    dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + times(dU, params.w_att)  # (T, n, H)
 
     # backprop through time; da holds the gate gradients [i, f, o, g]
     da = np.empty((n, 4 * H))
@@ -142,8 +153,8 @@ def backward_batch(
             grads["w_h"] += da.T @ Hs[t - 1]
             grads["b"] += da.sum(axis=0)
         if want_input_grads:
-            dX[:, t, :] = da @ params.w_x
-        dh_next = da @ params.w_h
+            dX[:, t, :] = _times_padded(da, params.w_x)
+        dh_next = times(da, params.w_h)
         dc_next = dc * f
 
     return grads, dX

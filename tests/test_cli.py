@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stormlens import cli, data
+from stormlens import cli, data, model as model_mod
 from stormlens.errors import InputError
 from stormlens.features import FEATURE_NAMES
 
@@ -116,6 +116,16 @@ class TestTrain:
     def test_bad_setting_exit_2(self, trained, capsys, flags, message):
         assert run(train_args(trained) + flags) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    def test_bad_training_setting_reported_before_the_data_is_read(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(synth_args(out, spa=8)) == 0
+        capsys.readouterr()
+        # a 10-step window leaves no window of an 8-sample AR
+        assert run(train_args(out, window=10)) == 2
+        assert "no window" in capsys.readouterr().err
+        assert run(train_args(out, window=10) + ["--lr", "inf"]) == 2
+        assert capsys.readouterr().err == "error: learning rate must be positive and finite\n"
 
     @pytest.mark.parametrize("cells", [1, 2])
     def test_overflowing_feature_rejected(self, tmp_path, capsys, cells):
@@ -259,6 +269,63 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             parser.parse_args(["train", "--method", "lime"])
         assert "invalid choice" in capsys.readouterr().err
+
+
+# The command each integer setting matters to. Every other argument of the
+# command is valid, so a value that got past validation would reach it.
+INT_SETTING_COMMANDS = {
+    "seed": "synth", "window": "synth", "n_ars": "synth", "samples_per_ar": "synth",
+    "hidden": "train", "epochs": "train", "batch": "train", "horizon_hours": "train",
+    "background": "explain-global", "n_coalitions": "explain-global",
+    "n_steps": "explain-global", "lime_n": "explain-local", "lime_k": "explain-local",
+}
+
+
+class TestIntegerSettings:
+    HUGE = 10**20
+
+    def test_every_integer_setting_has_a_case(self):
+        hints = typing.get_type_hints(cli.RunConfig)
+        assert set(INT_SETTING_COMMANDS) == {name for name, hint in hints.items() if hint is int}
+
+    @pytest.mark.parametrize("field", sorted(INT_SETTING_COMMANDS))
+    def test_huge_value_exit_2_names_the_flag(self, trained, capsys, field):
+        command = INT_SETTING_COMMANDS[field]
+        inputs = ["--data", str(trained / "data.csv"), "--model", str(trained / "model.json"),
+                  "--out", str(trained / "x")]
+        args = {
+            "synth": synth_args(trained / "s"),
+            "train": train_args(trained),
+            "explain-global": ["explain-global", *inputs, "--method",
+                               "kernel" if field == "n_coalitions" else "gradient"],
+            "explain-local": ["explain-local", *inputs, "--sample-id", "0"],
+        }[command]
+        flag = "--" + field.replace("_", "-")
+        capsys.readouterr()
+        assert run(args + [flag, str(self.HUGE)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be at most {cli.MAX_INT_SETTING}, got {self.HUGE}\n"
+
+    def test_allocation_failure_exit_1(self, trained, capsys, monkeypatch):
+        # what a hidden size at the cap meets: numpy cannot allocate w_x
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 768. GiB for an array with shape "
+                              "(8589934588, 12) and data type float64")
+
+        monkeypatch.setattr(model_mod, "init_params", refuse)
+        capsys.readouterr()
+        assert run(train_args(trained)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: out of memory: Unable to allocate 768. GiB")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", sorted(INT_SETTING_COMMANDS))
+    def test_largest_value_passes_the_cap(self, field):
+        cfg = cli.RunConfig(**{field: cli.MAX_INT_SETTING})
+        try:
+            cfg.validate()
+        except InputError as exc:  # lime_k has a bound of its own
+            assert "at most" not in str(exc)
 
 
 class TestCheckpoint:

@@ -352,7 +352,7 @@ class TestForwardOnlyTiles:
         (2 * TILE, [0, TILE, 2 * TILE]), (3 * TILE + 5, [0, TILE, 2 * TILE, 3 * TILE + 5]),
     ])
     def test_no_tile_shorter_than_tile_rows(self, n, bounds):
-        assert model._tile_bounds(n) == bounds
+        assert model._tile_bounds(n, self.TILE) == bounds
 
     def test_peak_memory_below_half_of_full_forward(self):
         params = model.init_params(12, 16, seed=0)
@@ -423,6 +423,59 @@ class TestGradientWorkspace:
             X = rng.normal(size=(n, T, d))
             want = model.LstmModel(params).input_gradient_batch(X)
             assert np.array_equal(net.input_gradient_batch(X), want), n
+
+
+class TestGradientTiles:
+    """input_gradient_batch runs forward and backward in tiles of
+    GRAD_TILE_ROWS rows; every row keeps the bits of one untiled call."""
+
+    TILE = model.GRAD_TILE_ROWS
+    SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE + 7, 1600, 4100]
+
+    def test_tile_rows_keep_row_offsets_mod_8(self):
+        assert self.TILE % 8 == 0 and 256 <= self.TILE <= 512
+
+    @staticmethod
+    def _untiled(params, X):
+        p, _, cache = model.forward_batch(params, X)
+        return model.backward_batch(params, cache, p * (1.0 - p), want_input_grads=True)[1]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(T=st.integers(1, 10), d=st.integers(1, 12), H=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1))
+    @example(T=10, d=12, H=16, seed=1)
+    @example(T=5, d=7, H=9, seed=2)
+    @example(T=3, d=12, H=27, seed=3)
+    def test_bits_match_one_untiled_call(self, n, T, d, H, seed):
+        rng = np.random.default_rng(seed)
+        params = _random_params(d, H, rng, scale=1.0)
+        X = rng.normal(scale=2.0, size=(n, T, d))
+        got = model.LstmModel(params).input_gradient_batch(X)
+        assert np.array_equal(got, self._untiled(params, X))
+
+    @pytest.mark.parametrize("T, d, H", [(10, 12, 16), (1, 1, 1), (4, 5, 11)])
+    def test_one_row_batch_matches_one_untiled_call(self, T, d, H):
+        rng = np.random.default_rng(H)
+        params = _random_params(d, H, rng, scale=1.0)
+        X = rng.normal(size=(1, T, d))
+        got = model.LstmModel(params).input_gradient_batch(X)
+        assert np.array_equal(got, self._untiled(params, X))
+
+    def test_repeated_call_allocates_less_than_one_untiled_gate_array(self):
+        T, d, H, n = 10, 12, 16, 1600
+        untiled_A = T * 4 * n * H * 8  # bytes
+        net = model.LstmModel(model.init_params(d, H, seed=0))
+        X = np.random.default_rng(0).normal(size=(n, T, d))
+        net.input_gradient_batch(X)
+        tracemalloc.start()
+        try:
+            net.input_gradient_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < untiled_A
+        assert max(arr.nbytes for arr in net.work.values()) < untiled_A
 
 
 class TestSigmoid:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -304,6 +305,23 @@ class TestGradientShap:
         a = shapley.gradient_shap(net, x, bg, n_steps=8, seed=77)
         b = shapley.gradient_shap(net, x, bg, n_steps=8, seed=77)
         assert np.array_equal(a.phi, b.phi)
+
+    def test_warm_model_allocates_no_path_point_array(self):
+        B, K, T, d = 100, 16, 10, 12
+        rng = np.random.default_rng(17)
+        net = random_lstm(d, 16, seed=17)
+        bg = rng.normal(size=(B, T, d))
+        x = rng.normal(size=(T, d))
+        base = shapley.base_value(net, bg)
+        first = shapley.gradient_shap(net, x, bg, n_steps=K, seed=5, base=base)
+        tracemalloc.start()
+        try:
+            again = shapley.gradient_shap(net, x, bg, n_steps=K, seed=5, base=base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < B * K * T * d * 8  # bytes of one (B, K, T, d) array
+        assert np.array_equal(again.phi, first.phi)
 
 
 class TestBaseValue:

@@ -14,9 +14,16 @@ paths relative to it.
 
 A change meant to keep every artifact's bytes is checked by running this at
 the parent commit and at the change with the same ``--out`` (the run
-manifests record input paths) and diffing the two listings. ``--src``
+manifests record input paths) and comparing the two listings. ``--src``
 imports the package from another source tree, e.g. the ``src`` of a second
-checkout at the parent commit.
+checkout at the parent commit. ``--against FILE`` does the comparison: it
+prints, in place of the listing, the paths whose digests differ from those
+in FILE, a saved listing, or that only one of the two has, and exits 1 if
+there are any:
+
+    python3 tools/pipeline_digests.py --out /tmp/d --src ../parent/src > before.txt
+    rm -r /tmp/d
+    python3 tools/pipeline_digests.py --out /tmp/d --against before.txt
 """
 
 from __future__ import annotations
@@ -71,12 +78,32 @@ def digests(out: str) -> list[str]:
     return [f"{digest}  {path}" for path, digest in sorted(lines)]
 
 
+def differing(listing: list[str], saved: list[str]) -> list[str]:
+    """The paths whose digests differ between two listings, or that only one
+    of them has, sorted."""
+    def by_path(lines: list[str]) -> dict[str, str]:
+        return {path: digest for digest, path in (line.split("  ", 1) for line in lines if line)}
+
+    new, old = by_path(listing), by_path(saved)
+    return sorted(path for path in new.keys() | old.keys() if new.get(path) != old.get(path))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="empty or absent output directory")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="source tree to import stormlens from (default: this checkout's)")
+    parser.add_argument("--against", metavar="FILE",
+                        help="a saved listing: print the paths that differ from it instead")
     args = parser.parse_args(argv)
+    saved = None
+    if args.against is not None:
+        try:
+            with open(args.against, encoding="utf-8") as fh:
+                saved = fh.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {args.against}: {exc}", file=sys.stderr)
+            return 2
     out = os.path.abspath(args.out)
     if os.path.exists(out) and os.listdir(out):
         print(f"error: {out} is not empty", file=sys.stderr)
@@ -91,8 +118,15 @@ def main(argv: list[str] | None = None) -> int:
         if rc != 0:
             print(f"error: `stormlens {' '.join(argv_)}` exited {rc}", file=sys.stderr)
             return 1
-    print("\n".join(digests(out)))
-    return 0
+    listing = digests(out)
+    if saved is None:
+        print("\n".join(listing))
+        return 0
+    changed = differing(listing, saved)
+    for path in changed:
+        print(path)
+    print(f"{len(changed)} of {len(listing)} paths differ from {args.against}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
