@@ -418,7 +418,8 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
     ids = test_w.sample_ids
     if cfg.sample_id in ids:
         index = ids.index(cfg.sample_id)
-    elif cfg.sample_id.isdigit() and int(cfg.sample_id) < len(ids):
+    # isdecimal, not isdigit: "²" is a digit that int() rejects
+    elif cfg.sample_id.isdecimal() and int(cfg.sample_id) < len(ids):
         index = int(cfg.sample_id)
     else:
         raise InputError(

@@ -152,7 +152,10 @@ def _parse_timestamp(text: str, line: int) -> datetime:
         raise SchemaError(f"line {line}: invalid timestamp {text!r}") from None
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # e.g. 0001-01-01T00:00:00+01:00
+        raise SchemaError(f"line {line}: timestamp {text!r} is out of range in UTC") from None
 
 
 def _parse_cells(row: list[str], feature_cols: list[int], line: int) -> list[float]:

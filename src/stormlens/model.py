@@ -27,11 +27,10 @@ for every step and returns them in the cache for :func:`backward_batch`.
 With ``keep_cache=False`` (every forward-only call) ``A`` holds one step's
 gates, reused by every step, ``C`` is two rows used in turn (the zeroed
 last row again serves as the initial state), both inside the step scratch,
-and no cache is returned. ``LstmModel.predict_proba`` walks its rows in
-forward-only tiles of ``TILE_ROWS`` rows, and ``LstmModel.input_gradient_batch``
-in forward+backward tiles of ``GRAD_TILE_ROWS`` rows; ``_tile_bounds`` cuts
-both, so every tile starts at a multiple of 8 and none has one row unless
-the batch has.
+and no cache is returned. ``LstmModel.predict_proba`` (forward-only) and
+``LstmModel.input_gradient_batch`` (forward and backward) walk their rows in
+the same tiles of ``TILE_ROWS`` rows (``_tiles``): every tile starts at a
+multiple of 8 and none has one row unless the batch has.
 
 Output bits depend on the numpy/BLAS build and on the batch a row is
 computed in, not on the layout of ``A`` or on the mode: the tests compare
@@ -57,10 +56,10 @@ Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew. A
 cache built with a ``work`` dict, and the input gradients read from it, are
 valid only until the next call with that dict. ``LstmModel`` keeps one such
-dict, shared by ``input_gradient_batch`` (which also returns its result in
-it), the ``predict_proba`` calls of more than one tile and the path points
-that ``shapley.gradient_shap`` builds, so one model must not run them from
-two threads at once; ``train`` keeps another for its batches.
+dict, in which every tile of ``predict_proba`` and ``input_gradient_batch``
+runs (the latter also returns its result in it), as do the path points that
+``shapley.gradient_shap`` builds, so one model must not run them from two
+threads at once; ``train`` keeps another for its batches.
 
 Additive attention over the hidden states:
 
@@ -96,20 +95,18 @@ CHECKPOINT_SCHEMA = "stormlens-model/1"
 # it is computed in, so another value changes the bytes of shap.json.
 CHUNK_ROWS = 4096
 
-# The rows of one forward call in LstmModel.predict_proba. Not part of the
-# artifact contract: in the numpy/BLAS builds tested, a row's bits depend on
-# its offset mod 4 in its call and on whether the call has exactly one row,
-# so tiles that start at multiples of 8 and hold at least TILE_ROWS rows give
-# every row the bits of one whole-batch call (tests/test_model.py holds this).
-TILE_ROWS = 1024
-
-# The rows of one forward+backward tile in LstmModel.input_gradient_batch.
-# Not part of the artifact contract either: the tiles start at multiples of
-# 8 and the backward products are padded (see the module docstring), so every
-# row keeps the bits of one whole-batch call. At n = 1,600, T = 10, H = 16,
-# d = 12 on one core, tiles of 384-512 rows took ~15 ms per call, 256-320
-# rows ~16 ms and the untiled call ~17 ms.
-GRAD_TILE_ROWS = 400
+# The rows of one tile of LstmModel.predict_proba and input_gradient_batch.
+# Not part of the artifact contract: in the numpy/BLAS builds tested, a row's
+# bits depend on its offset mod 4 in its call and on whether the call has
+# exactly one row, so tiles that start at multiples of 8 and hold at least
+# TILE_ROWS rows give every row the bits of one whole-batch call (the backward
+# products are padded for this, see the module docstring; tests/test_model.py
+# holds both passes to it). At T = 10, H = 16, d = 12 on one core, 1,600 rows
+# forward and backward took ~15 ms per call in tiles of 384-512 rows, ~16 ms
+# in tiles of 256-320 rows and ~17 ms untiled; 4,090 rows forward-only took
+# ~37 ms in 400-row tiles against ~38.5 ms in 1,024-row tiles, in a quarter of
+# the workspace (1.6 MB against 6.5 MB).
+TILE_ROWS = 400
 
 
 def work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -125,12 +122,23 @@ def work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarr
     return buf[:size].reshape(shape)
 
 
-def _tile_bounds(n: int, tile: int) -> list[int]:
+def _tile_bounds(n: int) -> list[int]:
     """Row bounds of the tiles of an n-row batch: every tile starts at a
-    multiple of ``tile`` and the last one takes the remainder, so no tile is
-    shorter than ``tile`` rows unless the whole batch is."""
-    starts = range(0, max(1, n // tile) * tile, tile)
+    multiple of ``TILE_ROWS`` and the last one takes the remainder, so no
+    tile is shorter than ``TILE_ROWS`` rows unless the whole batch is."""
+    starts = range(0, max(1, n // TILE_ROWS) * TILE_ROWS, TILE_ROWS)
     return [*starts, n]
+
+
+def _tiles(X: np.ndarray) -> list[tuple[int, int]]:
+    """The (lo, hi) row bounds of the tiles of an (n, T, d) batch, last
+    (largest) tile first, so that a ``work`` dict's arrays are sized once,
+    before the other tiles run."""
+    if X.ndim != 3:
+        raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+    bounds = _tile_bounds(X.shape[0])
+    tiles = list(zip(bounds, bounds[1:]))
+    return tiles[-1:] + tiles[:-1]
 
 
 def _padded(work: dict | None, key: str, w: np.ndarray) -> np.ndarray:
@@ -328,7 +336,6 @@ def backward_batch(
     params: LstmParams,
     cache: dict,
     dz: np.ndarray,
-    want_input_grads: bool = False,
     work: dict | None = None,
     grads: dict | None = None,
     out: np.ndarray | None = None,
@@ -338,8 +345,8 @@ def backward_batch(
     Returns ``(grads, input_grads)``. Parameter gradients are computed only
     when ``grads`` is given, one array per parameter: they are summed over
     the batch and added to its arrays, so zero them first. Input gradients
-    are None unless requested; they are written into ``out``, an (n, T, d)
-    array, when it is given, and else into a new array.
+    are computed only when ``out``, an (n, T, d) array, is given: they are
+    written into it and returned, else None is.
     """
     X = cache["X"]
     n, T, d = X.shape
@@ -348,14 +355,12 @@ def backward_batch(
     Hs_T = Hs[:T]
 
     w_x, w_h, w_att = params.w_x, params.w_h, params.w_att
-    dX = None
-    if want_input_grads:
+    if out is not None:
         # every weight product runs against the weight zero-padded to a
         # multiple of 8 columns and keeps the first ones, so that no row's bits
         # depend on how many rows the call has (see the module docstring)
         w_x, w_h, w_att = (_padded(work, key + "8", w) for key, w in
                            (("w_x", w_x), ("w_h", w_h), ("w_att", w_att)))
-        dX = np.empty(X.shape) if out is None else out  # written step by step
         dx = work_buffer(work, "dx", (n, w_x.shape[1]))
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
@@ -415,22 +420,21 @@ def backward_batch(
             grads["w_x"] += da.T @ X[:, t, :]
             grads["w_h"] += da.T @ Hs[t - 1]
             grads["b"] += da.sum(axis=0)
-        if want_input_grads:
+        if out is not None:
             np.matmul(da, w_x, out=dx)
-            dX[:, t, :] = dx[:, :d]
+            out[:, t, :] = dx[:, :d]
         np.matmul(da, w_h, out=dh_w)
         np.multiply(dc, f, out=dc_next)
 
-    return grads, dX
+    return grads, out
 
 
 class LstmModel:
     """Trained classifier exposing prediction and gradient access.
 
     The parameters are never changed. ``work`` holds the scratch arrays that
-    ``input_gradient_batch`` and the calls of ``predict_proba`` with more
-    than one tile reuse from call to call, so one model must not run either
-    from two threads at once.
+    every call of ``predict_proba`` and ``input_gradient_batch`` reuses from
+    call to call, so one model must not run either from two threads at once.
     """
 
     def __init__(self, params: LstmParams):
@@ -440,40 +444,28 @@ class LstmModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed
-        forward-only in tiles of TILE_ROWS rows (see ``_tile_bounds``).
-
-        A call of several tiles runs them in ``work``, last tile first: it
-        is the largest, so the arrays are sized once, before the others
-        run. A call of one tile allocates its own. A ModelOverflowError
-        names the step of the first tile to overflow in that order."""
+        forward-only tile by tile (see ``_tiles``) in ``work``. A
+        ModelOverflowError names the step of the first tile to overflow in
+        that order."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3:
-            raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+        tiles = _tiles(X)
         p = np.empty(X.shape[0])
-        bounds = _tile_bounds(X.shape[0], TILE_ROWS)
-        tiles = list(zip(bounds, bounds[1:]))
-        work = self.work if len(tiles) > 1 else None
-        for lo, hi in tiles[-1:] + tiles[:-1]:
-            p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=work)[0]
+        for lo, hi in tiles:
+            p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=self.work)[0]
         return p
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of the output probability w.r.t. every input cell,
-        computed forward and backward in tiles of GRAD_TILE_ROWS rows (see
-        ``_tile_bounds``), last (largest) tile first, all in ``work``. The
-        result is one of ``work``'s arrays, valid until the next call that
-        uses it."""
+        computed forward and backward tile by tile (see ``_tiles``) in
+        ``work``. The result is one of ``work``'s arrays, valid until the
+        next call that uses it."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3:
-            raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+        tiles = _tiles(X)
         out = work_buffer(self.work, "grad", X.shape)
-        bounds = _tile_bounds(X.shape[0], GRAD_TILE_ROWS)
-        tiles = list(zip(bounds, bounds[1:]))
-        for lo, hi in tiles[-1:] + tiles[:-1]:
+        for lo, hi in tiles:
             p, _, cache = forward_batch(self.params, X[lo:hi], work=self.work)
             dz = p * (1.0 - p)  # d sigmoid(z) / dz
-            backward_batch(self.params, cache, dz, want_input_grads=True, work=self.work,
-                           out=out[lo:hi])
+            backward_batch(self.params, cache, dz, work=self.work, out=out[lo:hi])
         return out
 
 

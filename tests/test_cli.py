@@ -3,10 +3,11 @@ import dataclasses
 import io
 import json
 import typing
+from datetime import timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stormlens import cli, data, model as model_mod
 from stormlens.errors import InputError
@@ -144,6 +145,18 @@ class TestTrain:
         assert run(train_args(out)) == 2
         assert "TOTPOT" in capsys.readouterr().err
         assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("ts", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_timestamp_out_of_range_in_utc_exit_2(self, tmp_path, capsys, ts):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        lines = (out / "data.csv").read_text(encoding="utf-8").split("\n")
+        lines[1] = lines[1].replace("2024-01-01T00:00:00+00:00", ts)
+        (out / "data.csv").write_text("\n".join(lines), encoding="utf-8")
+        assert run(train_args(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: line 2: timestamp '{ts}' is out of range in UTC" in err
+        assert "Traceback" not in err
 
     def test_diverged_training_exit_1(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -575,6 +588,92 @@ class TestCheckpointBoundary:
         evaluate_edited_extra(tiny_checkpoint, edits)
 
 
+# Cells and timestamps at the edges of what load_csv parses: non-finite and
+# huge numbers, Python literals float() takes, and times whose UTC value, or
+# offset, is out of datetime's range
+EDGE_CELLS = ["nan", "inf", "-inf", "1e308", "-1.7e308", "1e400", "5e-324", "", " ", "x",
+              "1_0", "0x10", "\ufeff1"]
+EDGE_TIMESTAMPS = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00",
+                   "0001-01-01T00:00:00", "9999-12-31T23:59:59.999999Z",
+                   "2024-01-01T00:00:00+24:00", "2024-02-30T00:00:00Z", "2024-01-01", ""]
+OFFSET_TIMESTAMPS = st.builds(
+    lambda dt, minutes: dt.replace(tzinfo=timezone(timedelta(minutes=minutes))).isoformat(),
+    st.datetimes(), st.integers(-1439, 1439))
+# (kind, line, argument): line 0 is the header, and the index wraps around
+CSV_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(1, 90), st.integers(0, 300)),
+    st.tuples(st.just("cell"), st.integers(1, 90), st.tuples(
+        st.integers(2, 13), st.one_of(st.sampled_from(EDGE_CELLS), st.floats().map(repr)))),
+    st.tuples(st.just("timestamp"), st.integers(1, 90),
+              st.one_of(st.sampled_from(EDGE_TIMESTAMPS), OFFSET_TIMESTAMPS)),
+    st.tuples(st.sampled_from(["add field", "drop field"]), st.integers(1, 90),
+              st.integers(0, 15)),
+    st.tuples(st.sampled_from(["delete line", "repeat line", "byte-order mark"]),
+              st.integers(1, 90), st.none()),
+)
+
+
+def mutate_csv(text: str, edits) -> str:
+    """``text`` with each (kind, line, argument) edit of CSV_EDITS applied
+    in turn; cells are split at every comma."""
+    lines = text.split("\n")
+    for kind, line, arg in edits:
+        i = line % len(lines)
+        cells = lines[i].split(",")
+        if kind == "cell":
+            cells[arg[0] % len(cells)] = arg[1]
+        elif kind == "timestamp":
+            cells[1 % len(cells)] = arg
+        elif kind == "add field":
+            cells.insert(arg % (len(cells) + 1), "1.0")
+        elif kind == "drop field":
+            del cells[arg % len(cells)]
+        lines[i] = ",".join(cells)
+        if kind == "truncate":
+            lines[i] = lines[i][:arg]
+        elif kind == "delete line":
+            del lines[i]
+        elif kind == "repeat line":
+            lines.insert(i, lines[i])
+        elif kind == "byte-order mark":
+            lines[0] = "\ufeff" + lines[0]
+    return "\n".join(lines)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} in a JSON artifact")
+
+
+class TestCsvBoundary:
+    """``train`` on mutated CSV text exits 0, 1 or 2 and lets no exception
+    escape; a failed run prints exactly one error line, and a run that
+    succeeds writes every artifact its manifest lists, with finite numbers."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(edits=st.lists(CSV_EDITS, min_size=1, max_size=4))
+    @example(edits=[("timestamp", 1, "0001-01-01T00:00:00+01:00")])
+    @example(edits=[("timestamp", 80, "9999-12-31T23:59:59-01:00")])
+    def test_mutated_csv_exits_0_1_or_2(self, tiny_checkpoint, edits):
+        text = (tiny_checkpoint / "data.csv").read_text(encoding="utf-8")
+        csv_path = tiny_checkpoint / "mutated.csv"
+        csv_path.write_text(mutate_csv(text, edits), encoding="utf-8")
+        out = tiny_checkpoint / "csv"
+        (out / "run_manifest_train.json").unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["train", "--data", str(csv_path), "--out", str(out),
+                        "--window", "4", "--epochs", "1", "--hidden", "2", "--seed", "42"])
+        assert code in (0, 1, 2)
+        if code != 0:
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith(("error: ", "internal error: "))]
+            assert len(errors) == 1, err.getvalue()
+            return
+        manifest = json.loads((out / "run_manifest_train.json").read_text(encoding="utf-8"))
+        for name in manifest["artifacts"]:
+            json.loads((out / name).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
 class TestExplainGlobal:
     def test_artifacts_and_efficiency(self, trained):
         code = run([
@@ -649,6 +748,16 @@ class TestExplainLocal:
         ])
         assert code == 2
         assert "sample-id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample_id", ["²", "1²"])
+    def test_digit_that_is_no_index_exit_2(self, trained, capsys, sample_id):
+        code = run([
+            "explain-local", "--data", str(trained / "data.csv"),
+            "--model", str(trained / "model.json"), "--out", str(trained),
+            "--sample-id", sample_id,
+        ])
+        assert code == 2
+        assert f"error: unknown sample-id {sample_id!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, field", [
         (["--lime-width", "1e-200"], "lime_width"),  # the square underflows to 0

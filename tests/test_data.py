@@ -162,6 +162,14 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="no_such"):
             data.load_csv(tmp_path / "no_such.csv")
 
+    @pytest.mark.parametrize("ts", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_timestamp_out_of_range_in_utc_rejected(self, tmp_path, ts):
+        f = tmp_path / "d.csv"
+        write_fixture(f, [fixture_row(), fixture_row(ts=ts)])
+        with pytest.raises(SchemaError) as err:
+            data.load_csv(f)
+        assert str(err.value) == f"line 3: timestamp '{ts}' is out of range in UTC"
+
     def test_zulu_timestamps_accepted(self, tmp_path):
         f = tmp_path / "d.csv"
         write_fixture(f, [fixture_row(ts="2024-01-01T00:00:00Z")])

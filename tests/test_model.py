@@ -265,7 +265,7 @@ class TestBackwardProperties:
 
         p, _, cache = model.forward_batch(params, X)
         grads, dX = model.backward_batch(
-            params, cache, p * (1.0 - p) / n, want_input_grads=True, grads=zero_grads(params)
+            params, cache, p * (1.0 - p) / n, grads=zero_grads(params), out=np.empty(X.shape)
         )
         for name, grad, arr in [("X", dX, X)] + [(k, grads[k], a) for k, a in params.items()]:
             fd = _central_differences(loss, arr, h=1e-5)
@@ -304,8 +304,8 @@ class TestBitsAgainstReference:
         gates = cache["A"].transpose(0, 2, 1, 3).reshape(T, n, 4 * H)
         assert np.array_equal(gates, want["A"])
 
-        grads, dX = model.backward_batch(params, cache, dz, want_input_grads=True,
-                                         grads=zero_grads(params))
+        grads, dX = model.backward_batch(params, cache, dz, grads=zero_grads(params),
+                                         out=np.empty(X.shape))
         want_grads, want_dX = lstm_reference.backward_batch(params, want, dz, True, True)
         assert np.array_equal(dX, want_dX)
         for name, grad in want_grads.items():
@@ -324,8 +324,9 @@ class TestForwardOnlyTiles:
     the bits of the reference cell run on the whole batch at once."""
 
     TILE = model.TILE_ROWS
+    # either side of one and two tiles, then row counts around powers of two
     SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE + 1, 2 * TILE + 7,
-             4090, 4097, 5000]
+             1023, 1024, 1025, 2047, 2049, 2055, 4090, 4097, 5000]
 
     def test_tile_rows_keep_row_offsets_mod_8(self):
         assert self.TILE % 8 == 0
@@ -348,11 +349,14 @@ class TestForwardOnlyTiles:
         assert np.array_equal(p, want_p) and np.array_equal(alpha, want_alpha)
 
     @pytest.mark.parametrize("n, bounds", [
-        (0, [0, 0]), (1, [0, 1]), (TILE, [0, TILE]), (2 * TILE - 1, [0, 2 * TILE - 1]),
-        (2 * TILE, [0, TILE, 2 * TILE]), (3 * TILE + 5, [0, TILE, 2 * TILE, 3 * TILE + 5]),
+        (0, [0, 0]), (1, [0, 1]), (1024, [0, 400, 1024]),
+        (2047, [0, 400, 800, 1200, 1600, 2047]), (2048, [0, 400, 800, 1200, 1600, 2048]),
+        (3077, [0, 400, 800, 1200, 1600, 2000, 2400, 3077]),
+        (400, [0, 400]), (799, [0, 799]), (800, [0, 400, 800]),
     ])
     def test_no_tile_shorter_than_tile_rows(self, n, bounds):
-        assert model._tile_bounds(n, self.TILE) == bounds
+        assert self.TILE == 400  # the bounds above are written out for it
+        assert model._tile_bounds(n) == bounds
 
     def test_peak_memory_below_half_of_full_forward(self):
         params = model.init_params(12, 16, seed=0)
@@ -401,11 +405,6 @@ class TestSharedWorkspace:
             tracemalloc.stop()
         assert peak < (T + 1) * model.TILE_ROWS * H * 8  # bytes of one tile's Hs
 
-    def test_single_tile_calls_keep_no_workspace(self):
-        net = model.LstmModel(model.init_params(4, 3, seed=0))
-        net.predict_proba(np.ones((2 * model.TILE_ROWS - 1, 2, 4)))
-        assert net.work == {}
-
 
 class TestGradientWorkspace:
     """input_gradient_batch reuses its arrays between calls; no call may
@@ -427,9 +426,9 @@ class TestGradientWorkspace:
 
 class TestGradientTiles:
     """input_gradient_batch runs forward and backward in tiles of
-    GRAD_TILE_ROWS rows; every row keeps the bits of one untiled call."""
+    TILE_ROWS rows; every row keeps the bits of one untiled call."""
 
-    TILE = model.GRAD_TILE_ROWS
+    TILE = model.TILE_ROWS
     SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE + 7, 1600, 4100]
 
     def test_tile_rows_keep_row_offsets_mod_8(self):
@@ -438,7 +437,7 @@ class TestGradientTiles:
     @staticmethod
     def _untiled(params, X):
         p, _, cache = model.forward_batch(params, X)
-        return model.backward_batch(params, cache, p * (1.0 - p), want_input_grads=True)[1]
+        return model.backward_batch(params, cache, p * (1.0 - p), out=np.empty(X.shape))[1]
 
     @pytest.mark.parametrize("n", SIZES)
     @settings(max_examples=3, deadline=None, derandomize=True)

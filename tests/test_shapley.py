@@ -166,8 +166,8 @@ SMALL_LSTMS = dict(d=st.integers(2, 6), T=st.integers(1, 4), H=st.integers(1, 5)
 
 
 class TestAxiomProperties:
-    """Criteria 1-3 as properties of random small LSTMs, at the criteria's
-    own bounds."""
+    """Criteria 1-3 as properties of random small LSTMs, and criterion 4 of
+    random linear models, at the criteria's own bounds."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(**SMALL_LSTMS)
@@ -198,6 +198,18 @@ class TestAxiomProperties:
         exact = shapley.exact_shapley(net, sample, bg)
         kernel = shapley.kernel_shap(net, sample, bg, n_coalitions=2**d, seed=seed)
         assert np.abs(exact.phi - kernel.phi).max() < 1e-8
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(T=st.integers(1, 4), d=st.integers(1, 12), B=st.integers(1, 6),
+           K=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_closed_form_on_linear_models(self, T, d, B, K, seed):
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=(T, d))
+        net = LinearWindowModel(W, b=float(rng.normal()))
+        x, bg = rng.normal(size=(T, d)), rng.normal(size=(B, T, d))
+        e = shapley.gradient_shap(net, x, bg, n_steps=K, seed=seed)
+        closed = (W * (x - bg.mean(axis=0))).sum(axis=0)  # sum_t W[t] (x[t] - mean(bg[:, t]))
+        assert np.abs(e.phi - closed).max() < 1e-10
 
 
 class TestKernelShap:

@@ -15,6 +15,10 @@ A public annotated class field (a dataclass field) must be read as an
 attribute somewhere in the package; writing it or passing it by keyword
 does not count. ``Feature.description`` and ``Feature.units`` are exempt:
 they document the feature catalog for a reader of ``features.py``.
+
+A public module-level constant (a name that a module-level assignment
+binds) must be read somewhere in the package, as a name or as a module
+attribute, matched by name; assigning or importing it does not count.
 """
 
 from __future__ import annotations
@@ -231,3 +235,50 @@ def test_every_public_field_is_read_in_the_package():
     unread = sorted(qual for name, qual in fields
                     if name not in read and qual not in FIELD_EXEMPT)
     assert unread == []
+
+
+def _constants(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+    """(name, qualified name) of the public names that the module-level
+    assignments bind."""
+    targets = [target for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets]
+    targets += [node.target for node in tree.body if isinstance(node, ast.AnnAssign)]
+    return [(node.id, f"{module}.{node.id}") for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("_")]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names and attributes that ``tree`` reads."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return names | _attribute_reads(tree)
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Qualified names of the public module-level constants in ``sources``
+    (module name -> source text) that nothing in them reads."""
+    constants, read = [], set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        constants += _constants(tree, module)
+        read |= _reads(tree)
+    return sorted(qual for name, qual in constants if name not in read)
+
+
+def test_every_public_constant_is_read_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []
+
+
+def test_an_unread_constant_is_found():
+    source = """
+from other import IMPORTED
+READ = 1
+UNREAD, ATTRIBUTE_READ = 2, 3
+ANNOTATED: int = 4
+_PRIVATE = 5
+
+def f(module):
+    return READ, module.ATTRIBUTE_READ
+"""
+    assert unread_constants({"m": source}) == ["m.ANNOTATED", "m.UNREAD"]
