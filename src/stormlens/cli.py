@@ -286,8 +286,8 @@ def _prepare_windows(cfg: RunConfig, record: model_mod.TrainingRecord):
     stats = record.norm_stats or data.fit_norm_stats(train_s)
     window = record.window_length
     train_w, test_w = data.windowize(train_s, window), data.windowize(test_s, window)
-    for windows in (train_w, test_w):
-        windows.values = stats.apply(windows.values)
+    stats.apply(train_w.values)
+    stats.apply(test_w.values)
     return train_s, stats, train_w, test_w
 
 
@@ -315,6 +315,21 @@ def _explain_test_set(cfg: RunConfig, net, train_w, test_w) -> list[shapley.Shap
         n_coalitions=cfg.n_coalitions,
         n_steps=cfg.n_steps,
     )
+
+
+def _predict_last_step(net, window: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The model's output for ``window`` with its last time step replaced
+    by each of the (n, d) ``rows`` in turn, built and run one tile at a
+    time."""
+    p = np.empty(rows.shape[0])
+
+    def fill(X, lo, hi):
+        X[:, :-1] = window[:-1]
+        X[:, -1] = rows[lo:hi]
+
+    for lo, hi, probs in model_mod.walk_tiles(net, rows.shape[0], window.shape, fill):
+        p[lo:hi] = probs
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +444,8 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
 
     window = test_w.values[index]
     disc = lime.discretizer_fit(train_w.values[:, -1, :])
-
-    def predict_rows(rows: np.ndarray) -> np.ndarray:
-        batch = np.repeat(window[None, :, :], rows.shape[0], axis=0)
-        batch[:, -1, :] = rows
-        return net.predict_proba(batch)
-
     explanation = lime.explain_local(
-        predict_rows,
+        lambda rows: _predict_last_step(net, window, rows),
         window[-1],
         disc,
         n=cfg.lime_n,

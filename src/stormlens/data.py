@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -28,6 +29,10 @@ log = logging.getLogger(__name__)
 LABELS = ("P", "N")
 
 _META_COLUMNS = ("ar_id", "timestamp", "label")
+
+# A character outside XML 1.0's Char production, which no SVG plot can hold,
+# even escaped.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,16 @@ class NormStats:
                    std=np.where(constant, 1.0, std), constant=constant)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Z-score ``values`` (last axis: features); overflow is an input error."""
+        """Z-score ``values`` (last axis: features) in place and return them:
+        a float64 array is overwritten, anything else is z-scored in a float64
+        copy. Overflow is an input error, raised after the values are
+        overwritten."""
+        z = np.asarray(values, dtype=np.float64)
         with np.errstate(over="ignore"):
-            z = (np.asarray(values, dtype=np.float64) - self.mean) / self.std
-        if not np.isfinite(z).all():
+            np.subtract(z, self.mean, out=z)
+            np.divide(z, self.std, out=z)
+        # both extremes are finite only when every value is (NaN reaches both)
+        if not (math.isfinite(z.max(initial=0.0)) and math.isfinite(z.min(initial=0.0))):
             raise InputError("z-scored feature values overflow; they are too large "
                              "for the normalisation statistics")
         return z
@@ -118,8 +129,8 @@ class SequenceSet:
 
     ``values[i]`` is a (T, 12) window whose label is the final sample's
     label (1 for P, 0 for N). Windows never span AR boundaries. ``windowize``
-    copies the samples' values; the model reads them after
-    ``NormStats.apply`` has z-scored the whole array.
+    copies the samples' values once; the model reads them after
+    ``NormStats.apply`` has z-scored the whole array in place.
     """
 
     values: np.ndarray  # (n, T, 12)
@@ -139,7 +150,7 @@ class SequenceSet:
 
 def features_matrix(samples: list[Sample]) -> np.ndarray:
     """Stack sample feature vectors into an (n, 12) matrix."""
-    return np.stack([s.features for s in samples]).astype(np.float64)
+    return np.stack([s.features for s in samples], dtype=np.float64)
 
 
 def _parse_timestamp(text: str, line: int) -> datetime:
@@ -205,6 +216,10 @@ def _read_samples(reader, path) -> list[Sample]:
         ar = row[col["ar_id"]].strip()
         if not ar:
             raise SchemaError(f"line {line}: empty ar_id")
+        bad = _NOT_XML_CHAR.search(ar)
+        if bad:
+            raise SchemaError(f"line {line}: ar_id {ar!r} holds the character "
+                              f"U+{ord(bad.group()):04X}, which XML cannot hold")
         ts = _parse_timestamp(row[col["timestamp"]], line)
         label = row[col["label"]].strip()
         if label not in LABELS:
@@ -236,7 +251,8 @@ def load_csv(path) -> list[Sample]:
     ------
     SchemaError
         Missing/unknown/duplicate columns, or malformed cells (reported
-        with their line number).
+        with their line number), such as an ``ar_id`` with a character that
+        XML 1.0 cannot hold (the plots write ids into SVG).
     InputError
         Missing, unreadable or non-UTF-8 file (a byte-order mark is
         skipped), bad labels, duplicated (ar_id, timestamp).
@@ -299,7 +315,7 @@ def windowize(samples: list[Sample], window_length: int) -> SequenceSet:
     if not values:
         raise InputError(f"windowing with T={T} left no windows: each of the "
                          f"{len(groups)} ARs has fewer than {T} samples")
-    arr = np.stack(values).astype(np.float64)
+    arr = np.stack(values, dtype=np.float64)
     log.info("windowize: %d windows (T=%d), %d samples dropped", len(values), T, dropped)
     return SequenceSet(
         values=arr,

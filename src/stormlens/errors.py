@@ -26,9 +26,9 @@ class SingularSystemError(StormlensError):
 class ModelOverflowError(StormlensError):
     """A forward pass produced a non-finite activation."""
 
-    def __init__(self, step: int):
+    def __init__(self, step: int, where: str = ""):
         self.step = step
-        super().__init__(f"non-finite activation at time step {step}")
+        super().__init__(f"non-finite activation at time step {step}{where}")
 
 
 class NonFiniteParameterError(StormlensError):

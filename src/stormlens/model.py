@@ -57,9 +57,12 @@ in it, reused by the next call with that dict instead of allocated anew. A
 cache built with a ``work`` dict, and the input gradients read from it, are
 valid only until the next call with that dict. ``LstmModel`` keeps one such
 dict, in which every tile of ``predict_proba`` and ``input_gradient_batch``
-runs (the latter also returns its result in it), as do the path points that
-``shapley.gradient_shap`` builds, so one model must not run them from two
-threads at once; ``train`` keeps another for its batches.
+runs (the latter also returns its result in it), so one model must not run
+them from two threads at once; ``train`` keeps another for its batches. The
+explainers hand the model no whole batch: ``walk_tiles`` builds one tile of
+their rows at a time in the same dict (coalition rows, gradient path points,
+LIME rows) and runs it, so the dict holds at most one tile of model input and
+one of input gradients.
 
 Additive attention over the hidden states:
 
@@ -90,22 +93,23 @@ from .data import NormStats, SequenceSet
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The most rows one batched coalition pass (exact, kernel) hands to a forward
-# call. Part of the artifact contract: a row's output bits depend on the batch
-# it is computed in, so another value changes the bytes of shap.json.
+# The most rows of one chunk of coalitions (exact, kernel), which walk_tiles
+# builds and runs tile by tile. Part of the artifact contract: a chunk's row
+# count sets its tiles, and a row's output bits depend on the forward call it
+# is computed in, so another value changes the bytes of shap.json.
 CHUNK_ROWS = 4096
 
-# The rows of one tile of LstmModel.predict_proba and input_gradient_batch.
-# Not part of the artifact contract: in the numpy/BLAS builds tested, a row's
-# bits depend on its offset mod 4 in its call and on whether the call has
-# exactly one row, so tiles that start at multiples of 8 and hold at least
-# TILE_ROWS rows give every row the bits of one whole-batch call (the backward
-# products are padded for this, see the module docstring; tests/test_model.py
-# holds both passes to it). At T = 10, H = 16, d = 12 on one core, 1,600 rows
-# forward and backward took ~15 ms per call in tiles of 384-512 rows, ~16 ms
-# in tiles of 256-320 rows and ~17 ms untiled; 4,090 rows forward-only took
-# ~37 ms in 400-row tiles against ~38.5 ms in 1,024-row tiles, in a quarter of
-# the workspace (1.6 MB against 6.5 MB).
+# The rows of one tile of LstmModel.predict_proba, input_gradient_batch and
+# walk_tiles. Not part of the artifact contract: in the numpy/BLAS builds
+# tested, a row's bits depend on its offset mod 4 in its call and on whether
+# the call has exactly one row, so tiles that start at multiples of 8 and hold
+# at least TILE_ROWS rows give every row the bits of one whole-batch call (the
+# backward products are padded for this, see the module docstring;
+# tests/test_model.py holds both passes to it). At T = 10, H = 16, d = 12 on
+# one core, 1,600 rows forward and backward took ~15 ms per call in tiles of
+# 384-512 rows, ~16 ms in tiles of 256-320 rows and ~17 ms untiled; 4,090 rows
+# forward-only took ~37 ms in 400-row tiles against ~38.5 ms in 1,024-row
+# tiles, in a quarter of the workspace (1.6 MB against 6.5 MB).
 TILE_ROWS = 400
 
 
@@ -139,6 +143,27 @@ def _tiles(X: np.ndarray) -> list[tuple[int, int]]:
     bounds = _tile_bounds(X.shape[0])
     tiles = list(zip(bounds, bounds[1:]))
     return tiles[-1:] + tiles[:-1]
+
+
+def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool = False):
+    """Run ``model`` on an n-row batch that is never built whole.
+
+    The rows are walked in order, in the tiles of ``_tile_bounds(n)``. For
+    each tile (lo, hi), ``fill(X, lo, hi)`` writes rows lo:hi of the batch
+    into X, an uninitialised (hi - lo, *row_shape) array of the model's
+    ``work`` dict (a new one for a model without it); then ``(lo, hi, out)``
+    is yielded, where ``out`` is the model's ``predict_proba`` of X, or with
+    ``gradients`` its ``input_gradient_batch``, valid until the next tile. A
+    tile has fewer than ``2 * TILE_ROWS`` rows, so either method runs it in
+    one call, the one it makes for those rows on the whole batch.
+    """
+    work = getattr(model, "work", None)
+    call = model.input_gradient_batch if gradients else model.predict_proba
+    bounds = _tile_bounds(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        X = work_buffer(work, "rows", (hi - lo, *row_shape))
+        fill(X, lo, hi)
+        yield lo, hi, call(X)
 
 
 def _padded(work: dict | None, key: str, w: np.ndarray) -> np.ndarray:
@@ -538,8 +563,13 @@ def train(
     step = 0
     history: list[float] = []
 
+    def diverged(update: tuple[int, int]) -> str:
+        return f" after the update of epoch {update[0]}, batch {update[1]}: training diverged"
+
     X = sequences.values
-    # a diverging run overflows here; the check after each update names it
+    update = None  # (epoch, batch) of the last update, both from 1
+    # a diverging run overflows here; the check after each update names it,
+    # as does the next forward pass if the parameters stay finite
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             frac = epoch / max(config.epochs - 1, 1)
@@ -550,7 +580,12 @@ def train(
             for lo in range(0, n, config.batch):
                 idx = order[lo : lo + config.batch]
                 xb, yb, wb = X[idx], y[idx], sample_w[idx]
-                p, _, cache = forward_batch(params, xb, work=work)
+                try:
+                    p, _, cache = forward_batch(params, xb, work=work)
+                except ModelOverflowError as exc:
+                    if update is None:
+                        raise
+                    raise ModelOverflowError(exc.step, diverged(update)) from None
                 z = cache["z"]
                 losses = _bce_from_logits(z, yb)
                 loss_sum += float((wb * losses).sum())
@@ -571,9 +606,9 @@ def train(
                 u += ADAM_EPS
                 t /= u
                 flat -= t
+                update = (epoch + 1, lo // config.batch + 1)
                 if not np.isfinite(flat).all():
-                    params.check_finite(f" after the update of epoch {epoch + 1}, "
-                                        f"batch {lo // config.batch + 1}: training diverged")
+                    params.check_finite(diverged(update))
             history.append(loss_sum / weight_sum)
 
     return LstmModel(params), history

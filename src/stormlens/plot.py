@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -122,10 +121,16 @@ def _padded(values: np.ndarray, frac: float = 0.05) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _escape(s: str) -> str:
+    """``s`` as XML character data: the replacements of
+    ``xml.sax.saxutils.escape``, whose import loads the network stack."""
+    return s.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _text(x: float, y: float, s: str, size: int = 11, anchor: str = "start") -> str:
     return (
         f'<text x="{_px(x)}" y="{_px(y)}" font-family="monospace" '
-        f'font-size="{size}" text-anchor="{anchor}">{escape(s)}</text>'
+        f'font-size="{size}" text-anchor="{anchor}">{_escape(s)}</text>'
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .errors import InputError, SingularSystemError
-from .model import CHUNK_ROWS, work_buffer
+from .model import CHUNK_ROWS, walk_tiles
 
 MAX_EXACT_FEATURES = 20
 
@@ -68,7 +68,9 @@ def _coalition_values(model, sample, background, masks: np.ndarray) -> np.ndarra
     """Model output averaged over the background for each coalition mask.
 
     ``masks`` is (m, d) boolean; True columns are taken from the sample
-    (across all time steps), the rest from each background window.
+    (across all time steps), the rest from each background window. The
+    masks are taken ``CHUNK_ROWS // B`` at a time, and the rows of a chunk,
+    one per (mask, background window), are built and run one tile at a time.
     """
     sample = np.asarray(sample, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -77,22 +79,37 @@ def _coalition_values(model, sample, background, masks: np.ndarray) -> np.ndarra
     m = masks.shape[0]
     out = np.empty(m)
     chunk = max(1, CHUNK_ROWS // B)
-    # A chunk's windows are where(mask, sample, background), selected bit by
-    # bit into one buffer reused by every chunk: (background & ~keep) |
-    # (sample & keep), where keep is all ones in the cells the mask takes
-    # from the sample.
-    buf = np.empty((min(chunk, m), B, T, d))
     bg_bits = background.reshape(B, T * d).view(np.uint64)
     sample_bits = sample.reshape(T * d).view(np.uint64)
     for lo in range(0, m, chunk):
         mk = masks[lo : lo + chunk]  # (mc, d)
         mc = mk.shape[0]
-        keep = np.negative(np.tile(mk, (1, T)).astype(np.uint64))[:, None, :]  # (mc, 1, T*d)
-        bits = buf[:mc].reshape(mc, B, T * d).view(np.uint64)
-        np.bitwise_and(bg_bits, ~keep, out=bits)
-        bits |= sample_bits & keep
-        del keep  # freed before the model's arrays are allocated
-        probs = model.predict_proba(buf[:mc].reshape(mc * B, T, d))
+        # Row j * B + b of the chunk is where(mask j, sample, background b),
+        # selected bit by bit: (background & ~keep) | (sample & keep), where
+        # keep is all ones in the cells the mask takes from the sample.
+        keep = np.negative(np.tile(mk, (1, T)).astype(np.uint64))  # (mc, T*d)
+
+        def fill(X, r0, r1):
+            # rows r0..r1, cut where the first and the last of their masks
+            # start: a run of whole masks is selected as one (masks, B, T*d)
+            # block, a part of one mask's rows as one (rows, T*d) block
+            bits = X.reshape(r1 - r0, T * d).view(np.uint64)
+            starts = range(-(-r0 // B) * B, r1, B)
+            cuts = sorted({r0, r1, *starts[:1], *starts[-1:]})
+            for a, z in zip(cuts, cuts[1:]):
+                j, b = divmod(a, B)
+                if b == 0 and (z - a) % B == 0:
+                    rows = bits[a - r0 : z - r0].reshape(-1, B, T * d)
+                    k, bg = keep[j : j + rows.shape[0], None, :], bg_bits
+                else:
+                    rows = bits[a - r0 : z - r0]
+                    k, bg = keep[j], bg_bits[b : b + z - a]
+                np.bitwise_and(bg, ~k, out=rows)
+                rows |= sample_bits & k
+
+        probs = np.empty(mc * B)
+        for r0, r1, p in walk_tiles(model, mc * B, (T, d), fill):
+            probs[r0:r1] = p
         out[lo : lo + mc] = probs.reshape(mc, B).mean(axis=1)
     return out
 
@@ -247,10 +264,11 @@ def gradient_shap(
     points are drawn (one uniform jitter per stratum); the input gradient
     at each point is weighted by (sample - background) and averaged. The
     per-cell attribution is then summed over time steps to give one value
-    per feature. ``base`` is as for :func:`kernel_shap`. The points are
-    built in the model's ``work`` dict when it has one, as are the gradients
-    of :meth:`LstmModel.input_gradient_batch`, so a warm model allocates no
-    (B, n_steps, T, d) array.
+    per feature. ``base`` is as for :func:`kernel_shap`. The B * n_steps
+    points, row b * n_steps + k for background window b, are built and run
+    one tile at a time, and each tile's gradients times (sample -
+    background) are added to a running sum at once, so no array holds all
+    of them.
     """
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
@@ -261,15 +279,25 @@ def gradient_shap(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x6D]))
     jitter = rng.random(size=(B, n_steps))
     alphas = (np.arange(n_steps)[None, :] + jitter) / n_steps  # (B, K) in (0, 1)
+    alpha_rows = alphas.reshape(B * n_steps, 1, 1)
 
     diff = sample[None, :, :] - background  # (B, T, d)
-    points = work_buffer(getattr(model, "work", None), "points", (B, n_steps, T, d))
-    np.multiply(alphas[:, :, None, None], diff[:, None, :, :], out=points)
-    points += background[:, None, :, :]  # background + alpha * diff
-    contrib = model.input_gradient_batch(points.reshape(B * n_steps, T, d))
-    contrib = contrib.reshape(B, n_steps, T, d)
-    contrib *= diff[:, None, :, :]  # the gradient times (sample - background)
-    per_cell = contrib.mean(axis=(0, 1))  # (T, d)
+
+    def fill(X, lo, hi):
+        b = np.arange(lo, hi) // n_steps
+        np.multiply(alpha_rows[lo:hi], diff[b], out=X)
+        X += background[b]  # background + alpha * diff
+
+    # The rows are added in row order, as mean() over the whole (B * K, T, d)
+    # array adds them: each tile's reduce starts from the running sum
+    # (contrib[0] + total is total + contrib[0], bit for bit).
+    total = None
+    for lo, hi, contrib in walk_tiles(model, B * n_steps, (T, d), fill, gradients=True):
+        contrib *= diff[np.arange(lo, hi) // n_steps]  # the gradient times (sample - background)
+        if total is not None:
+            contrib[0] += total
+        total = np.add.reduce(contrib, axis=0, out=total)
+    per_cell = np.true_divide(total, B * n_steps, out=total)  # (T, d)
     phi = per_cell.sum(axis=0)
 
     if base is None:

@@ -2,8 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import tracemalloc
 import typing
 from datetime import timedelta, timezone
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -91,6 +93,17 @@ class TestTrain:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["untrained"] is True
         assert metrics["loss_history"] == []
+
+    def test_ar_id_that_xml_cannot_hold_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        csv_path = out / "data.csv"
+        lines = csv_path.read_text(encoding="utf-8").split("\n")
+        lines[5] = lines[5].replace("AR", "A\x01R", 1)
+        csv_path.write_text("\n".join(lines), encoding="utf-8")
+        assert run(train_args(out)) == 2
+        err = capsys.readouterr().err
+        assert "error: line 6: ar_id " in err and "U+0001" in err
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         code = run(["train", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
@@ -775,6 +788,47 @@ class TestExplainLocal:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and "Traceback" not in err and "Warning" not in err
+
+    def test_lime_plot_of_an_id_with_markup_parses(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        csv_path = out / "data.csv"
+        csv_path.write_text(csv_path.read_text(encoding="utf-8").replace("AR0", "A<&>R0"),
+                            encoding="utf-8")
+        assert run(train_args(out)) == 0
+        assert run([
+            "explain-local", "--data", str(csv_path), "--model", str(out / "model.json"),
+            "--out", str(out), "--sample-id", "0", "--lime-n", "200",
+        ]) == 0
+        (svg,) = out.glob("lime_*_plot.svg")
+        texts = [el.text for el in ElementTree.parse(svg).iter() if el.tag.endswith("text")]
+        assert any(t.startswith("local explanation: A<&>R0") for t in texts)
+
+    # 10, 399 and 801 rows make one, one and two tiles; 5,000 make twelve
+    @pytest.mark.parametrize("n", [10, 399, 801, 5000])
+    def test_lime_rows_match_one_repeated_batch(self, n):
+        T, d = 10, 12
+        rng = np.random.default_rng(n)
+        params = model_mod.init_params(d, 16, seed=n)
+        window, rows = rng.normal(size=(T, d)), rng.normal(size=(n, d))
+        batch = np.repeat(window[None, :, :], n, axis=0)
+        batch[:, -1, :] = rows
+        want = model_mod.LstmModel(params).predict_proba(batch)
+        got = cli._predict_last_step(model_mod.LstmModel(params), window, rows)
+        assert np.array_equal(got, want)
+
+    def test_lime_rows_hold_less_than_one_batch(self):
+        n, T, d = 5000, 10, 12
+        rng = np.random.default_rng(0)
+        net = model_mod.LstmModel(model_mod.init_params(d, 16, seed=0))
+        window, rows = rng.normal(size=(T, d)), rng.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            cli._predict_last_step(net, window, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * T * d * 8  # bytes of the (n, T, d) batch
 
 
 class TestCorrelate:

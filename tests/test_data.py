@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -170,6 +171,21 @@ class TestLoadCsv:
             data.load_csv(f)
         assert str(err.value) == f"line 3: timestamp '{ts}' is out of range in UTC"
 
+    @pytest.mark.parametrize("char", ["\x01", "\ufffe"])
+    def test_ar_id_that_xml_cannot_hold_rejected(self, tmp_path, char):
+        f = tmp_path / "d.csv"
+        write_fixture(f, [fixture_row(), fixture_row(ar=f"AR{char}2")])
+        with pytest.raises(SchemaError) as err:
+            data.load_csv(f)
+        assert str(err.value) == (f"line 3: ar_id {'AR' + char + '2'!r} holds the character "
+                                  f"U+{ord(char):04X}, which XML cannot hold")
+
+    def test_ar_id_that_xml_holds_escaped_accepted(self, tmp_path):
+        ids = ["A<&>1", "A\t1", "A\ufffd1", "A\U00010000"]
+        f = tmp_path / "d.csv"
+        write_fixture(f, [fixture_row(ar=ar) for ar in ids])
+        assert sorted(s.ar_id for s in data.load_csv(f)) == sorted(ids)
+
     def test_zulu_timestamps_accepted(self, tmp_path):
         f = tmp_path / "d.csv"
         write_fixture(f, [fixture_row(ts="2024-01-01T00:00:00Z")])
@@ -218,6 +234,17 @@ class TestWindowize:
         samples = [make_sample("A", 0), make_sample("A", 0)]
         with pytest.raises(InputError):
             data.windowize(samples, 1)
+
+    def test_windows_are_copied_once(self):
+        samples = data.synth_generate(40, 14, 12, data.PlantSpec())
+        tracemalloc.start()
+        try:
+            out = data.windowize(samples, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.dtype == np.float64
+        assert peak < 2 * out.values.nbytes
 
 
 class TestSplit:
@@ -273,6 +300,27 @@ class TestNormStats:
             want = data.windowize(normalised, 4)
             assert got.values.shape == want.values.shape
             assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+    def test_apply_z_scores_a_float64_array_in_place(self):
+        X = np.random.default_rng(6).normal(size=(2000, 10, 12)) * 50.0 + 3.0
+        stats = data.NormStats.fit(X.reshape(-1, 12))
+        want = (X - stats.mean) / stats.std
+        tracemalloc.start()
+        try:
+            Z = stats.apply(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Z is X
+        assert np.array_equal(Z, want)
+        # numpy's fixed-size ufunc buffers, ~67 kB; X is 1.92 MB
+        assert peak < X.nbytes // 16
+
+    def test_apply_overflow_is_an_input_error(self):
+        stats = data.NormStats(np.zeros(12), np.full(12, 1e-300), np.zeros(12, dtype=bool))
+        with pytest.raises(InputError, match="overflow"):
+            stats.apply(np.full((2, 12), 1e10))
+        assert np.array_equal(stats.apply(np.zeros((0, 12))), np.zeros((0, 12)))
 
     def test_round_trips_through_dict(self):
         plant = data.PlantSpec()

@@ -530,6 +530,17 @@ class TestTrain:
         for (name, got), (_, want) in zip(net.params.items(), want_params.items()):
             assert np.array_equal(got, want), name
 
+    def test_overflow_after_an_update_names_the_divergence(self):
+        # the first update leaves the weights finite but near 1e308, so the
+        # next forward pass overflows before any parameter check can fail
+        train_set = separable_windows(n=40)
+        train_set.values *= 4.0
+        cfg = model.TrainConfig(hidden=8, epochs=3, batch=32, learning_rate=1e308, seed=0)
+        with pytest.raises(ModelOverflowError) as err:
+            model.train(train_set, cfg)
+        assert str(err.value) == ("non-finite activation at time step 1 after the update "
+                                  "of epoch 1, batch 1: training diverged")
+
     def test_single_class_rejected(self):
         values = np.zeros((10, 3, 12))
         train_set = make_sequence_set(values, np.ones(10))

@@ -158,7 +158,7 @@ class TestZScore:
         col = rng.normal(size=100)
         col = (col - col.mean()) / col.std()
         stats = NormStats.fit(col[:, None])
-        again = stats.apply(col[:, None]).ravel()
+        again = stats.apply(col[:, None].copy()).ravel()  # apply works in place
         assert np.abs(again - col).max() < 1e-10
 
     def test_transformed_moments(self):

@@ -1,9 +1,11 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stormlens import analysis, lime, plot, shapley
 from stormlens.features import FEATURE_NAMES
@@ -79,6 +81,12 @@ class TestRenderBasics:
         names = plot.write_pair(tmp_path, "bar", spec)
         assert sorted(names) == ["bar.json", "bar.svg"]
         assert (tmp_path / "bar.svg").read_text().startswith("<?xml")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.text(st.one_of(st.sampled_from("&<>;amp"), st.characters())))
+    @example("&amp;&<&>>")
+    def test_escape_matches_saxutils(self, text):
+        assert plot._escape(text) == escape(text)
 
 
 class TestPayloadValidation:

@@ -73,8 +73,9 @@ class TestCoalitionValue:
 
 
 class TestCoalitionValues:
-    """The chunked value function fills one reused buffer per call; every
-    value keeps the bits of masking each chunk afresh with np.where."""
+    """The chunked value function builds each chunk's rows one tile at a
+    time; every value keeps the bits of masking each whole chunk afresh with
+    np.where and running it in one predict_proba call."""
 
     @staticmethod
     def where_oracle(net, sample, background, masks):
@@ -88,9 +89,12 @@ class TestCoalitionValues:
             out[lo : lo + mk.shape[0]] = probs.reshape(mk.shape[0], B).mean(axis=1)
         return out
 
-    @pytest.mark.parametrize("which", ["all", "few"])
+    # "desk": B = 10 and all 4,096 masks of d = 12, so every chunk has 4,090
+    # rows and ends in a 490-row tile; "wide": B = 450, so tiles cut through
+    # the rows of one mask
+    @pytest.mark.parametrize("which", ["all", "few", "desk", "wide"])
     def test_bits_match_where_oracle(self, which):
-        d, T, B = 10, 3, 7
+        d, T, B = {"desk": (12, 10, 10), "wide": (3, 2, 450)}.get(which, (10, 3, 7))
         net = random_lstm(d, 4, seed=30)
         rng = np.random.default_rng(30)
         sample = rng.normal(size=(T, d))
@@ -100,6 +104,23 @@ class TestCoalitionValues:
             masks = np.concatenate([masks[::-1][:2], rng.random((3, d)) < 0.5])
         got = shapley._coalition_values(net, sample, bg, masks)
         assert np.array_equal(got, self.where_oracle(net, sample, bg, masks))
+
+    def test_warm_call_holds_no_chunk_of_rows(self):
+        # a whole chunk of rows, 409 masks x 10 windows, is 3.9 MB
+        d, T, B, H = 12, 10, 10, 16
+        net = random_lstm(d, H, seed=31)
+        rng = np.random.default_rng(31)
+        sample, bg = rng.normal(size=(T, d)), rng.normal(size=(B, T, d))
+        _, masks = shapley._all_masks(d)
+        first = shapley._coalition_values(net, sample, bg, masks)
+        tracemalloc.start()
+        try:
+            again = shapley._coalition_values(net, sample, bg, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert np.array_equal(again, first)
 
 
 class TestExactShapley:
@@ -334,6 +355,44 @@ class TestGradientShap:
             tracemalloc.stop()
         assert peak < B * K * T * d * 8  # bytes of one (B, K, T, d) array
         assert np.array_equal(again.phi, first.phi)
+
+
+class TestGradientTiles:
+    """gradient_shap builds its path points one tile at a time and adds each
+    tile's contributions to a running sum; phi keeps the bits of building
+    all B * K points, running them in one input_gradient_batch call and
+    taking the mean over (B, K)."""
+
+    @staticmethod
+    def whole_batch_oracle(net, sample, background, n_steps, seed):
+        B, (T, d) = background.shape[0], sample.shape
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6D]))
+        alphas = (np.arange(n_steps)[None, :] + rng.random(size=(B, n_steps))) / n_steps
+        diff = sample[None, :, :] - background
+        points = alphas[:, :, None, None] * diff[:, None, :, :] + background[:, None, :, :]
+        grads = net.input_gradient_batch(points.reshape(B * n_steps, T, d))
+        contrib = grads.reshape(B, n_steps, T, d) * diff[:, None, :, :]
+        return contrib.mean(axis=(0, 1)).sum(axis=0)
+
+    # B * K rows: 592 (one tile), 1,300 (400, 400, 500) and 1,600 (4 x 400)
+    @pytest.mark.parametrize("B, K", [(37, 16), (100, 13), (100, 16), (3, 1)])
+    def test_bits_match_whole_batch_oracle(self, B, K):
+        T, d = 10, 12
+        rng = np.random.default_rng(B * K)
+        net = random_lstm(d, 16, seed=B)
+        sample, bg = rng.normal(size=(T, d)), rng.normal(size=(B, T, d))
+        want = self.whole_batch_oracle(random_lstm(d, 16, seed=B), sample, bg, K, 7)
+        got = shapley.gradient_shap(net, sample, bg, n_steps=K, seed=7)
+        assert np.array_equal(got.phi, want)
+
+    def test_workspace_holds_no_path_point_array(self):
+        # at H = 8 the model's own tile arrays are smaller than B * K rows too
+        B, K, T, d = 100, 16, 10, 12
+        rng = np.random.default_rng(18)
+        net = random_lstm(d, 8, seed=18)
+        shapley.gradient_shap(net, rng.normal(size=(T, d)), rng.normal(size=(B, T, d)),
+                              n_steps=K, seed=5)
+        assert max(arr.size for arr in net.work.values()) < B * K * T * d
 
 
 class TestBaseValue:

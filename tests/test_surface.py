@@ -19,11 +19,18 @@ they document the feature catalog for a reader of ``features.py``.
 A public module-level constant (a name that a module-level assignment
 binds) must be read somewhere in the package, as a name or as a module
 attribute, matched by name; assigning or importing it does not count.
+
+No module imports ``xml``, ``urllib``, ``http``, ``email`` or ``ssl``:
+``xml.sax.saxutils`` alone loads the last four, some 37 modules and 3 MB,
+into every process that imports the CLI.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -282,3 +289,44 @@ def f(module):
     return READ, module.ATTRIBUTE_READ
 """
     assert unread_constants({"m": source}) == ["m.ANNOTATED", "m.UNREAD"]
+
+
+NETWORK_PACKAGES = ("xml", "urllib", "http", "email", "ssl")
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages that the absolute imports of ``source`` name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_the_network_stack():
+    found = {path.stem: sorted(imported_packages(path.read_text(encoding="utf-8"))
+                               & set(NETWORK_PACKAGES))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == {}
+
+
+def test_an_import_of_the_network_stack_is_found():
+    source = """
+from xml.sax.saxutils import escape
+import http.client as client, json
+from . import plot
+"""
+    assert imported_packages(source) & set(NETWORK_PACKAGES) == {"xml", "http"}
+
+
+def test_importing_the_cli_loads_no_network_module():
+    # numpy itself imports urllib.parse, so count only what the package adds
+    code = ("import sys, numpy; before = set(sys.modules); import stormlens.cli; "
+            f"print(sorted(m for m in set(sys.modules) - before "
+            f"if m.split('.')[0] in {NETWORK_PACKAGES!r}))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
