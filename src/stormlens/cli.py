@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, data, lime, model as model_mod, plot, shapley
-from .errors import InputError, StormlensError
+from .errors import InputError, ModelOverflowError, StormlensError
 from .features import FEATURE_NAMES
 
 METHODS = ("exact", "kernel", "gradient")
@@ -342,7 +342,7 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = cfg.data or os.path.join(cfg.out, "data.csv")
     data.write_csv(csv_path, samples)
-    n_pos = sum(1 for s in samples if s.label == "P")
+    n_pos = int(samples.labels.sum())
     manifest = {
         "seed": cfg.seed,
         "plant": dataclasses.asdict(plant),
@@ -371,10 +371,15 @@ def cmd_train(cfg: RunConfig) -> list[str]:
     record = dataclasses.replace(
         record, norm_stats=stats, feature_names=FEATURE_NAMES, untrained=cfg.epochs == 0
     )
+    with np.errstate(over="ignore", invalid="ignore"):  # weights finite but huge overflow
+        try:
+            evaluation = _evaluation_metrics(cfg, net, record, train_w, test_w)
+        except ModelOverflowError as exc:
+            raise ModelOverflowError(exc.step, " in evaluation: training diverged") from None
     model_mod.save_checkpoint(os.path.join(cfg.out, "model.json"), net, record)
 
     metrics = {
-        **_evaluation_metrics(cfg, net, record, train_w, test_w),
+        **evaluation,
         "loss_history": history,
         "n_train_windows": len(train_w),
         "n_dropped_train": train_w.n_dropped,
@@ -467,7 +472,7 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     net, record = _load_model(cfg)
     train_s, _, train_w, test_w = _prepare_windows(cfg, record)
 
-    matrix = analysis.correlation_matrix(data.features_matrix(train_s))
+    matrix = analysis.correlation_matrix(train_s.features)
     with open(os.path.join(cfg.out, "corr.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(matrix.to_csv())
     _write_json(os.path.join(cfg.out, "corr.json"), matrix.to_dict())

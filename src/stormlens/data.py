@@ -1,5 +1,5 @@
-"""Dataset handling: CSV ingest, z-score normalization (``NormStats``),
-windowing, splits, and a synthetic generator with planted ground truth.
+"""Dataset handling: one sorted, columnar ``Samples`` record and its CSV IO,
+z-scores (``NormStats``), windowing, splits and a planted synthetic generator.
 
 CSV schema (header order-insensitive, catalog order recommended)::
 
@@ -11,20 +11,19 @@ Timestamps are ISO-8601 UTC, labels are the literals ``P`` / ``N``.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import re
 import sys
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import compress
 
 import numpy as np
 
 from . import numerics
 from .errors import InputError, SchemaError
 from .features import FEATURE_NAMES, N_FEATURES, feature_index
-
-log = logging.getLogger(__name__)
 
 LABELS = ("P", "N")
 
@@ -36,13 +35,37 @@ _NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010fff
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One labeled observation of the 12 features for an active region."""
+class Samples:
+    """Labeled observations of the 12 features, one row per (ar_id, timestamp)
+    key, sorted by key; rows out of key order or a repeated key are an input
+    error. AR ``k`` (in sorted order) holds rows ``starts[k]:starts[k + 1]``.
+    """
 
-    ar_id: str
-    timestamp: datetime
-    features: np.ndarray  # (12,) float64, physical units pre-normalization
-    label: str  # "P" or "N"
+    ar_ids: tuple[str, ...]
+    timestamps: tuple[datetime, ...]
+    features: np.ndarray  # (n, 12) float64, physical units pre-normalization
+    labels: np.ndarray  # (n,) int8, 1 = P
+    starts: np.ndarray = field(init=False, repr=False)  # (n_ars + 1,) row offsets
+
+    def __post_init__(self):
+        keys = list(zip(self.ar_ids, self.timestamps))
+        for a, b in zip(keys, keys[1:]):
+            if b <= a:
+                raise InputError(f"samples not in strictly increasing (ar_id, timestamp) "
+                                 f"order at ({b[0]}, {b[1].isoformat()})")
+        firsts = [i for i, (a, b) in enumerate(zip((None, *self.ar_ids), self.ar_ids)) if a != b]
+        object.__setattr__(self, "starts", np.array(firsts + [len(keys)]))
+
+    def __len__(self) -> int:
+        return len(self.ar_ids)
+
+
+def _sorted_samples(ar_ids, timestamps, features: np.ndarray, labels: np.ndarray) -> Samples:
+    """The record of these rows, sorted by (ar_id, timestamp)."""
+    order = sorted(range(len(ar_ids)), key=lambda i: (ar_ids[i], timestamps[i]))
+    return Samples(ar_ids=tuple(map(ar_ids.__getitem__, order)),
+                   timestamps=tuple(map(timestamps.__getitem__, order)),
+                   features=features[order], labels=labels[order])
 
 
 @dataclass
@@ -148,11 +171,6 @@ class SequenceSet:
         return [f"{a}:{t.isoformat()}" for a, t in zip(self.ar_ids, self.end_times)]
 
 
-def features_matrix(samples: list[Sample]) -> np.ndarray:
-    """Stack sample feature vectors into an (n, 12) matrix."""
-    return np.stack([s.features for s in samples], dtype=np.float64)
-
-
 def _parse_timestamp(text: str, line: int) -> datetime:
     t = text.strip()
     if t.endswith("Z"):
@@ -184,8 +202,8 @@ def _parse_cells(row: list[str], feature_cols: list[int], line: int) -> list[flo
     return values
 
 
-def _read_samples(reader, path) -> list[Sample]:
-    """The samples of a CSV file's rows, in file order (see ``load_csv``)."""
+def _read_samples(reader, path) -> Samples:
+    """The samples of a CSV file's rows (see ``load_csv``)."""
     try:
         header = next(reader)
     except StopIteration:
@@ -204,7 +222,8 @@ def _read_samples(reader, path) -> list[Sample]:
     col = {name: header.index(name) for name in header}
     feature_cols = [col[name] for name in FEATURE_NAMES]
 
-    samples: list[Sample] = []
+    ar_ids, timestamps = [], []
+    features, labels = array("d"), array("b")  # 12 values per row; 1 = P
     seen: set[tuple[str, datetime]] = set()
     for line, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -233,19 +252,23 @@ def _read_samples(reader, path) -> list[Sample]:
             values = _parse_cells(row, feature_cols, line)
         if not all(map(math.isfinite, values)):
             raise SchemaError(f"line {line}: non-finite feature value")
-        feats = np.array(values)
         key = (ar, ts)
         if key in seen:
             raise InputError(
                 f"line {line}: duplicate (ar_id, timestamp) = ({ar}, {ts.isoformat()})"
             )
         seen.add(key)
-        samples.append(Sample(ar_id=ar, timestamp=ts, features=feats, label=label))
-    return samples
+        ar_ids.append(ar)
+        timestamps.append(ts)
+        features.extend(values)
+        labels.append(label == "P")
+    return _sorted_samples(ar_ids, timestamps,
+                           np.frombuffer(features).reshape(-1, N_FEATURES),
+                           np.frombuffer(labels, dtype=np.int8))
 
 
-def load_csv(path) -> list[Sample]:
-    """Load samples from a CSV file, sorted by (ar_id, timestamp).
+def load_csv(path) -> Samples:
+    """Load samples from a CSV file into one record, sorted by (ar_id, timestamp).
 
     Raises
     ------
@@ -262,95 +285,74 @@ def load_csv(path) -> list[Sample]:
             samples = _read_samples(csv.reader(fh), path)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from None
-    samples.sort(key=lambda s: (s.ar_id, s.timestamp))
-    log.info("loaded %d samples from %s", len(samples), path)
     return samples
 
 
-def write_csv(path, samples: list[Sample]) -> None:
-    """Write samples to CSV in catalog column order, quoting a cell only
-    where ``load_csv`` needs it to read the cell back. The writer prints a
-    float with ``str``, which is its shortest round-trip form."""
+def write_csv(path, samples: Samples) -> None:
+    """Write samples to CSV in catalog column order, one row at a time, quoting
+    a cell only where ``load_csv`` needs it to read the cell back. The writer
+    prints a float with ``str``, which is its shortest round-trip form."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("ar_id", "timestamp") + FEATURE_NAMES + ("label",))
-        writer.writerows([s.ar_id, s.timestamp.isoformat(), *s.features.tolist(), s.label]
-                         for s in samples)
+        writer.writerows([ar, ts.isoformat(), *row.tolist(), "P" if label else "N"]
+                         for ar, ts, row, label in zip(samples.ar_ids, samples.timestamps,
+                                                       samples.features, samples.labels))
 
 
-def windowize(samples: list[Sample], window_length: int) -> SequenceSet:
+def windowize(samples: Samples, window_length: int) -> SequenceSet:
     """Build one window per sample that has >= T-1 predecessors in its AR.
 
     Samples whose AR history is too short are dropped; the count is
     recorded on the returned set. A set that yields no window at all is an
-    input error.
+    input error. The windows are gathered from ``samples.features`` at once.
     """
     T = int(window_length)
     if T < 1:
         raise InputError(f"window length must be >= 1, got {T}")
-    ordered = sorted(samples, key=lambda s: (s.ar_id, s.timestamp))
-    groups: dict[str, list[Sample]] = {}
-    for s in ordered:
-        groups.setdefault(s.ar_id, []).append(s)
-
-    values, labels, ar_ids, end_times = [], [], [], []
-    dropped = 0
-    for ar, group in groups.items():
-        for a, b in zip(group, group[1:]):
-            if b.timestamp <= a.timestamp:
-                raise InputError(
-                    f"AR {ar}: timestamps not strictly increasing at {b.timestamp.isoformat()}"
-                )
-        if len(group) < T:
-            dropped += len(group)
-            continue
-        dropped += T - 1
-        feats = np.stack([s.features for s in group])
-        for end in range(T - 1, len(group)):
-            values.append(feats[end - T + 1 : end + 1])
-            labels.append(1 if group[end].label == "P" else 0)
-            ar_ids.append(ar)
-            end_times.append(group[end].timestamp)
-
-    if not values:
+    starts = samples.starts
+    # a row ends a window when at least T - 1 rows of its AR precede it
+    position = np.arange(len(samples)) - np.repeat(starts[:-1], np.diff(starts))
+    ends = np.flatnonzero(position >= T - 1)
+    if ends.size == 0:
         raise InputError(f"windowing with T={T} left no windows: each of the "
-                         f"{len(groups)} ARs has fewer than {T} samples")
-    arr = np.stack(values, dtype=np.float64)
-    log.info("windowize: %d windows (T=%d), %d samples dropped", len(values), T, dropped)
+                         f"{len(starts) - 1} ARs has fewer than {T} samples")
+    rows = ends.tolist()
     return SequenceSet(
-        values=arr,
-        labels=np.asarray(labels, dtype=np.int8),
-        ar_ids=tuple(ar_ids),
-        end_times=tuple(end_times),
-        n_dropped=dropped,
+        values=samples.features[ends[:, None] + np.arange(1 - T, 1)],
+        labels=samples.labels[ends],
+        ar_ids=tuple(map(samples.ar_ids.__getitem__, rows)),
+        end_times=tuple(map(samples.timestamps.__getitem__, rows)),
+        n_dropped=len(samples) - ends.size,
     )
 
 
-def split(
-    samples: list[Sample], train_fraction: float, seed: int
-) -> tuple[list[Sample], list[Sample]]:
+def split(samples: Samples, train_fraction: float, seed: int) -> tuple[Samples, Samples]:
     """Deterministic AR-level split: no AR appears in both halves."""
     frac = float(train_fraction)
     if not 0.0 < frac < 1.0:
         raise InputError(f"train fraction must be in (0, 1), got {frac}")
-    ar_ids = sorted({s.ar_id for s in samples})
-    if len(ar_ids) < 2:
+    n_ars = len(samples.starts) - 1
+    if n_ars < 2:
         raise InputError("need at least 2 ARs to split at AR granularity")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    perm = rng.permutation(len(ar_ids))
-    n_train = int(round(frac * len(ar_ids)))
-    n_train = min(max(n_train, 1), len(ar_ids) - 1)
-    train_ars = {ar_ids[i] for i in perm[:n_train]}
-    train = [s for s in samples if s.ar_id in train_ars]
-    test = [s for s in samples if s.ar_id not in train_ars]
-    return train, test
+    perm = rng.permutation(n_ars)
+    n_train = int(round(frac * n_ars))
+    n_train = min(max(n_train, 1), n_ars - 1)
+    train_ar = np.zeros(n_ars, dtype=bool)
+    train_ar[perm[:n_train]] = True
+    in_train = np.repeat(train_ar, np.diff(samples.starts))
+    return tuple(Samples(ar_ids=tuple(compress(samples.ar_ids, keep.tolist())),
+                         timestamps=tuple(compress(samples.timestamps, keep.tolist())),
+                         features=samples.features[keep], labels=samples.labels[keep])
+                 for keep in (in_train, ~in_train))
 
 
-def fit_norm_stats(samples: list[Sample]) -> NormStats:
+def fit_norm_stats(samples: Samples) -> NormStats:
     """Fit z-score statistics on the (training) samples; a feature whose
     mean or std overflows is an input error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = NormStats.fit(features_matrix(samples))
+        stats = NormStats.fit(samples.features)
     finite = np.isfinite(stats.mean) & np.isfinite(stats.std)
     if not finite.all():
         name = FEATURE_NAMES[int(np.argmin(finite))]
@@ -419,9 +421,7 @@ def _smooth_walk(rng: np.random.Generator, length: int) -> np.ndarray:
     return w
 
 
-def synth_generate(
-    n_ars: int, samples_per_ar: int, seed: int, plant: PlantSpec
-) -> list[Sample]:
+def synth_generate(n_ars: int, samples_per_ar: int, seed: int, plant: PlantSpec) -> Samples:
     """Generate labeled synthetic samples with planted structure.
 
     Each AR follows smooth latent processes. The dominant feature carries a
@@ -429,6 +429,8 @@ def synth_generate(
     feature's trailing-window trend exceeds 0.5, then labels are flipped
     with probability ``plant.label_noise``. The correlate feature is mixed
     from the standardized dominant signal to hit the target correlation.
+    AR ``a`` (from 0) is ``AR{a + 1:04d}``; the record sorts ids as text, so
+    from 10,000 ARs on ``AR10000`` comes before ``AR1001``.
     """
     plant.validate()
     if n_ars < 1 or samples_per_ar < 1:
@@ -470,20 +472,10 @@ def synth_generate(
     latent[:, :, dom] = dominant
     latent[:, :, cor] = c_std.reshape(n_ars, L)
 
-    samples: list[Sample] = []
-    for a in range(n_ars):
-        ar_id = f"AR{a + 1:04d}"
-        for t in range(L):
-            feats = np.empty(N_FEATURES)
-            for j, name in enumerate(FEATURE_NAMES):
-                off, scale = _SYNTH_SCALES[name]
-                feats[j] = off + scale * latent[a, t, j]
-            samples.append(
-                Sample(
-                    ar_id=ar_id,
-                    timestamp=_SYNTH_EPOCH + timedelta(hours=int(a * L + t)),
-                    features=feats,
-                    label="P" if labels[a, t] else "N",
-                )
-            )
-    return samples
+    offset, scale = np.array([_SYNTH_SCALES[name] for name in FEATURE_NAMES]).T
+    return _sorted_samples(
+        ar_ids=[ar for ar in (f"AR{a + 1:04d}" for a in range(n_ars)) for _ in range(L)],
+        timestamps=[_SYNTH_EPOCH + timedelta(hours=i) for i in range(n_ars * L)],
+        features=(offset + scale * latent).reshape(-1, N_FEATURES),
+        labels=labels.reshape(-1).astype(np.int8),
+    )

@@ -54,12 +54,6 @@ def normalized_windows(samples, stats, window_length: int):
     return windows
 
 
-@pytest.fixture
-def planted_samples():
-    samples, _ = small_planted_dataset()
-    return samples
-
-
 @pytest.fixture(scope="session")
 def desk_pipeline():
     """A small trained pipeline shared by explanation tests.

@@ -7,6 +7,8 @@ end-to-end criteria; engine-level criteria use small randomized models.
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -254,7 +256,7 @@ def test_criterion_8_lime_fidelity(desk_training):
 def test_criterion_9_correlation_recovery():
     plant = data.PlantSpec(dominant="TOTPOT", correlate="SAVNCPP", rho=0.95)
     samples = data.synth_generate(400, 14, 42, plant)  # 5600 samples
-    matrix = analysis.correlation_matrix(data.features_matrix(samples))
+    matrix = analysis.correlation_matrix(samples.features)
     i, j = feature_index("TOTPOT"), feature_index("SAVNCPP")
     cell = matrix.values[i, j]
     sym = float(np.abs(matrix.values - matrix.values.T).max())
@@ -319,6 +321,42 @@ def test_criterion_10_cli_determinism(pipeline_twice):
         "criterion 10 (byte-identical reruns of every CLI artifact)",
         codes1 == [0] * 6 and not mismatched,
         f"{len(files1)} artifacts compared, mismatches: {mismatched or 'none'}",
+    )
+
+
+def test_criterion_10_across_processes(tmp_path):
+    """Criterion 10 with each run in a fresh process, under different hash
+    seeds and BLAS thread counts, so neither state left in a process nor
+    set or dict order can make two runs agree."""
+    steps = [
+        ["synth", "--out", "out", "--n-ars", "16", "--samples-per-ar", "8", "--window", "4",
+         "--seed", "7"],
+        ["train", "--data", "out/data.csv", "--out", "out", "--window", "4", "--hidden", "4",
+         "--epochs", "2", "--batch", "32", "--seed", "7"],
+        *([command, "--data", "out/data.csv", "--model", "out/model.json", "--out", "out",
+           "--method", "gradient", "--background", "5", "--n-steps", "4", "--seed", "7"]
+          for command in ("explain-global", "correlate")),
+    ]
+    script = ("import json, sys\nfrom stormlens import cli\n"
+              "sys.exit(next((rc for rc in map(cli.main, json.loads(sys.argv[1])) if rc), 0))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    runs = []
+    for hash_seed, threads in (("0", "1"), ("1", "2")):
+        workdir = tmp_path / f"hash{hash_seed}"
+        workdir.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed,
+               "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(steps)], cwd=workdir,
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        runs.append({path.relative_to(workdir).as_posix(): path.read_bytes()
+                     for path in (workdir / "out").rglob("*") if path.is_file()})
+    mismatched = sorted(name for name in runs[0].keys() | runs[1].keys()
+                        if runs[0].get(name) != runs[1].get(name))
+    report(
+        "criterion 10b (byte-identical reruns across processes, hash seeds and BLAS threads)",
+        not mismatched,
+        f"{len(runs[0])} files compared, mismatches: {mismatched or 'none'}",
     )
 
 

@@ -23,7 +23,7 @@ class TestCorrelationMatrix:
     def test_planted_pair_recovered(self):
         plant = data.PlantSpec(rho=0.95)
         samples = data.synth_generate(400, 14, 42, plant)
-        m = analysis.correlation_matrix(data.features_matrix(samples))
+        m = analysis.correlation_matrix(samples.features)
         i, j = feature_index("TOTPOT"), feature_index("SAVNCPP")
         assert 0.90 <= m.values[i, j] <= 1.00
 
@@ -158,8 +158,7 @@ class TestDependenceData:
         bg = shapley.sample_background(train_w.values, 25, 42)
         exps = shapley.explain_set(net, test_w.values, bg, method="gradient",
                                    seed=42, n_steps=8)
-        m = analysis.correlation_matrix(
-            data.features_matrix([s for s in samples]))
+        m = analysis.correlation_matrix(samples.features)
         dep = analysis.dependence_data("TOTPOT", exps, test_w.values, m)
         # Spearman rank correlation between feature value and attribution
         def ranks(v):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import tracemalloc
 import typing
 from datetime import timedelta, timezone
@@ -147,14 +148,12 @@ class TestTrain:
         assert run(synth_args(out)) == 0
         samples = data.load_csv(out / "data.csv")
         train_s, _ = data.split(samples, 0.8, 42)
-        huge = {(s.ar_id, s.timestamp) for s in train_s[:cells]}
-        edited = []
-        for s in samples:
-            feats = s.features.copy()
-            if (s.ar_id, s.timestamp) in huge:
-                feats[FEATURE_NAMES.index("TOTPOT")] = 1e308
-            edited.append(data.Sample(s.ar_id, s.timestamp, feats, s.label))
-        data.write_csv(out / "data.csv", edited)
+        huge = set(zip(train_s.ar_ids[:cells], train_s.timestamps[:cells]))
+        feats = samples.features.copy()
+        for i, key in enumerate(zip(samples.ar_ids, samples.timestamps)):
+            if key in huge:
+                feats[i, FEATURE_NAMES.index("TOTPOT")] = 1e308
+        data.write_csv(out / "data.csv", dataclasses.replace(samples, features=feats))
         assert run(train_args(out)) == 2
         assert "TOTPOT" in capsys.readouterr().err
         assert not (out / "model.json").exists()
@@ -184,6 +183,19 @@ class TestTrain:
             assert where in err
             assert "RuntimeWarning" not in err
             assert not (out / "model.json").exists()
+
+    def test_training_diverged_at_evaluation_exit_1(self, tmp_path, capsys):
+        # one update leaves the weights finite but so large that evaluating
+        # the trained model overflows; pytest makes a RuntimeWarning an error
+        out = tmp_path / "o"
+        assert run(synth_args(out, n_ars=30, spa=12, seed=1)) == 0
+        capsys.readouterr()
+        args = train_args(out, window=10, epochs=1, seed=1)
+        assert run(args + ["--lr", "1e308", "--batch", "100000"]) == 1
+        assert re.fullmatch(r"internal error: non-finite activation at time step \d+ "
+                            r"in evaluation: training diverged\n",
+                            capsys.readouterr().err)
+        assert not (out / "model.json").exists()
 
     def test_single_step_window_trains(self, tmp_path):
         out = tmp_path / "o"
@@ -854,12 +866,9 @@ class TestCorrelate:
         assert run(synth_args(out, n_ars=40)) == 0
         samples = data.load_csv(out / "data.csv")
         j = FEATURE_NAMES.index("MEANGBZ")
-        frozen = []
-        for s in samples:
-            feats = s.features.copy()
-            feats[j] = 7.3
-            frozen.append(data.Sample(s.ar_id, s.timestamp, feats, s.label))
-        data.write_csv(out / "data.csv", frozen)
+        feats = samples.features.copy()
+        feats[:, j] = 7.3
+        data.write_csv(out / "data.csv", dataclasses.replace(samples, features=feats))
         assert run(train_args(out)) == 0
         stats = json.loads((out / "model.json").read_text())["extra"]["norm_stats"]
         assert stats["constant"][j] is True
@@ -879,12 +888,9 @@ class TestCorrelate:
         assert run(synth_args(out)) == 0
         # inject a constant column into the dataset
         samples = data.load_csv(out / "data.csv")
-        frozen = []
-        for s in samples:
-            feats = s.features.copy()
-            feats[7] = 5.0
-            frozen.append(data.Sample(s.ar_id, s.timestamp, feats, s.label))
-        data.write_csv(out / "data.csv", frozen)
+        feats = samples.features.copy()
+        feats[:, 7] = 5.0
+        data.write_csv(out / "data.csv", dataclasses.replace(samples, features=feats))
         assert run(train_args(out)) == 0
         assert run([
             "correlate", "--data", str(out / "data.csv"),

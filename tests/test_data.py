@@ -14,13 +14,53 @@ from stormlens.features import FEATURE_NAMES, feature_index
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def make_sample(ar, hour, label="N", value=1.0):
-    return data.Sample(
-        ar_id=ar,
-        timestamp=datetime(2024, 1, 1, tzinfo=timezone.utc) + timedelta(hours=hour),
-        features=np.full(12, value),
-        label=label,
+EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
+
+
+def make_samples(keys, value=1.0):
+    """A record of N-labeled rows at the (ar_id, hour) ``keys``, given in key
+    order; every feature of a row is ``value``, a number or one per row."""
+    n = len(keys)
+    return data.Samples(
+        ar_ids=tuple(ar for ar, _ in keys),
+        timestamps=tuple(EPOCH + timedelta(hours=h) for _, h in keys),
+        features=np.zeros((n, 12)) + np.reshape(value, (-1, 1)),
+        labels=np.zeros(n, dtype=np.int8),
     )
+
+
+def record_fields(samples):
+    """The fields of a record, features as bit patterns, for comparisons."""
+    return (samples.ar_ids, samples.timestamps, samples.labels.tolist(),
+            samples.features.view(np.uint64).tolist())
+
+
+def windowize_oracle(samples, window_length):
+    """``data.windowize`` as a per-AR loop: group the rows by AR, stack each
+    AR's features and slice its windows one by one. The record is sorted
+    with unique keys, so grouping in row order needs no sort or check."""
+    T = window_length
+    groups = {}
+    for i, ar in enumerate(samples.ar_ids):
+        groups.setdefault(ar, []).append(i)
+    values, labels, ar_ids, end_times = [], [], [], []
+    dropped = 0
+    for ar, rows in groups.items():
+        if len(rows) < T:
+            dropped += len(rows)
+            continue
+        dropped += T - 1
+        feats = np.stack([samples.features[i] for i in rows])
+        for end in range(T - 1, len(rows)):
+            values.append(feats[end - T + 1 : end + 1])
+            labels.append(int(samples.labels[rows[end]]))
+            ar_ids.append(ar)
+            end_times.append(samples.timestamps[rows[end]])
+    if not values:
+        raise InputError(f"windowing with T={T} left no windows: each of the "
+                         f"{len(groups)} ARs has fewer than {T} samples")
+    return data.SequenceSet(np.stack(values), np.asarray(labels, dtype=np.int8),
+                            tuple(ar_ids), tuple(end_times), dropped)
 
 
 def write_fixture(path, rows):
@@ -31,6 +71,23 @@ def write_fixture(path, rows):
 def fixture_row(ar="AR1", ts="2024-01-01T00:00:00+00:00", label="P", base=1.0):
     feats = ",".join(str(base + j) for j in range(12))
     return f"{ar},{ts},{feats},{label}"
+
+
+class TestSamples:
+    def test_starts_mark_each_ar(self):
+        samples = make_samples([("A", 0), ("A", 1), ("B", 0), ("C", 5), ("C", 6), ("C", 7)])
+        assert len(samples) == 6
+        assert samples.starts.tolist() == [0, 2, 3, 6]
+        assert make_samples([]).starts.tolist() == [0]
+
+    def test_non_increasing_timestamps_rejected(self):
+        with pytest.raises(InputError, match="strictly increasing"):
+            make_samples([("A", 0), ("A", 0)])
+
+    @pytest.mark.parametrize("keys", [[("A", 1), ("A", 0)], [("B", 0), ("A", 1)]])
+    def test_rows_out_of_key_order_rejected(self, keys):
+        with pytest.raises(InputError, match=r"order at \(A, 2024-01-01T0"):
+            make_samples(keys)
 
 
 class TestLoadCsv:
@@ -52,16 +109,22 @@ class TestLoadCsv:
     @example([("AR,1", datetime(2024, 1, 1, tzinfo=timezone.utc), [0.0] * 12, "P"),
               ('say "hi"', datetime(2024, 1, 1, tzinfo=timezone.utc), [1.0] * 12, "N")])
     def test_write_then_load_round_trip(self, tmp_path, rows):
-        original = [data.Sample(ar, ts, np.array(feats), label)
-                    for ar, ts, feats, label in rows]
+        rows = sorted(rows, key=lambda row: (row[0], row[1]))
+        original = data.Samples(
+            ar_ids=tuple(row[0] for row in rows),
+            timestamps=tuple(row[1] for row in rows),
+            features=np.array([row[2] for row in rows]).reshape(-1, 12),
+            labels=np.array([row[3] == "P" for row in rows], dtype=np.int8),
+        )
         f = tmp_path / "round_trip.csv"
         data.write_csv(f, original)
         loaded = data.load_csv(f)
-        want = sorted(original, key=lambda s: (s.ar_id, s.timestamp))
-        assert len(loaded) == len(want)
-        for got, s in zip(loaded, want):
-            assert (got.ar_id, got.timestamp, got.label) == (s.ar_id, s.timestamp, s.label)
-            assert np.array_equal(got.features.view(np.uint64), s.features.view(np.uint64))
+        assert len(loaded) == len(original)
+        assert record_fields(loaded) == record_fields(original)
+        # the same rows listed backwards load into the same sorted record
+        header, *lines = f.read_text(encoding="utf-8").splitlines()
+        f.write_text("\n".join([header, *reversed(lines)]) + "\n", encoding="utf-8")
+        assert record_fields(data.load_csv(f)) == record_fields(original)
 
     def test_minimal_round_trip(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -75,9 +138,9 @@ class TestLoadCsv:
         )
         samples = data.load_csv(f)
         assert len(samples) == 3
-        times = [s.timestamp for s in samples]
+        times = list(samples.timestamps)
         assert times == sorted(times)
-        assert samples[0].label == "P" and samples[0].features[0] == 1.0
+        assert samples.labels[0] == 1 and samples.features[0, 0] == 1.0
 
     def test_round_trip_field_identical(self, tmp_path):
         plant = data.PlantSpec()
@@ -86,11 +149,10 @@ class TestLoadCsv:
         data.write_csv(f, original)
         again = data.load_csv(f)
         assert len(again) == len(original)
-        for a, b in zip(original, again):
-            assert a.ar_id == b.ar_id
-            assert a.timestamp == b.timestamp
-            assert a.label == b.label
-            assert np.array_equal(a.features, b.features)
+        assert again.ar_ids == original.ar_ids
+        assert again.timestamps == original.timestamps
+        assert np.array_equal(again.labels, original.labels)
+        assert np.array_equal(again.features, original.features)
 
     def test_byte_order_mark_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
@@ -98,9 +160,9 @@ class TestLoadCsv:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         want, got = data.load_csv(plain), data.load_csv(marked)
         assert len(got) == len(want) == 12
-        for a, b in zip(got, want):
-            assert (a.ar_id, a.timestamp, a.label) == (b.ar_id, b.timestamp, b.label)
-            assert np.array_equal(a.features, b.features)
+        assert (got.ar_ids, got.timestamps) == (want.ar_ids, want.timestamps)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.features, want.features)
 
     def test_missing_column_named(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -143,7 +205,7 @@ class TestLoadCsv:
     def test_cells_with_spaces_parse(self, tmp_path):
         f = tmp_path / "d.csv"
         write_fixture(f, [self.row_with_cells({"TOTUSJZ": " 2.5 ", "MEANGBZ": "\t-3e2"})])
-        feats = data.load_csv(f)[0].features
+        feats = data.load_csv(f).features[0]
         assert feats[0] == 2.5 and feats[11] == -300.0 and feats.dtype == np.float64
 
     def test_duplicate_key_rejected(self, tmp_path):
@@ -184,24 +246,48 @@ class TestLoadCsv:
         ids = ["A<&>1", "A\t1", "A\ufffd1", "A\U00010000"]
         f = tmp_path / "d.csv"
         write_fixture(f, [fixture_row(ar=ar) for ar in ids])
-        assert sorted(s.ar_id for s in data.load_csv(f)) == sorted(ids)
+        assert list(data.load_csv(f).ar_ids) == sorted(ids)
+
+    def test_loaded_record_holds_under_three_feature_arrays(self, tmp_path):
+        f = tmp_path / "desk.csv"
+        data.write_csv(f, data.synth_generate(500, 14, 42, data.PlantSpec()))
+        tracemalloc.start()
+        try:
+            samples = data.load_csv(f)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 7000
+        # the features, the labels and one id and one datetime per row come
+        # to 2.5 times the features
+        assert held < 3 * samples.features.nbytes
+
+    def test_write_streams_one_row_at_a_time(self, tmp_path):
+        samples = data.synth_generate(500, 14, 42, data.PlantSpec())
+        tracemalloc.start()
+        try:
+            data.write_csv(tmp_path / "d.csv", samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.features.nbytes
 
     def test_zulu_timestamps_accepted(self, tmp_path):
         f = tmp_path / "d.csv"
         write_fixture(f, [fixture_row(ts="2024-01-01T00:00:00Z")])
-        (sample,) = data.load_csv(f)
-        assert sample.timestamp.tzinfo is not None
+        (timestamp,) = data.load_csv(f).timestamps
+        assert timestamp.tzinfo is not None
 
 
 class TestWindowize:
     def test_counts_per_ar(self):
-        samples = [make_sample("A", h) for h in range(5)]
+        samples = make_samples([("A", h) for h in range(5)])
         out = data.windowize(samples, 3)
         assert len(out) == 3
-        assert out.end_times[0] == samples[2].timestamp
+        assert out.end_times[0] == samples.timestamps[2]
 
     def test_degenerate_window_length_one(self):
-        samples = [make_sample("A", h, value=float(h)) for h in range(3)]
+        samples = make_samples([("A", h) for h in range(3)], value=[0.0, 1.0, 2.0])
         out = data.windowize(samples, 1)
         assert len(out) == 3
         assert out.values.shape == (3, 1, 12)
@@ -210,9 +296,7 @@ class TestWindowize:
     def test_two_ars_hand_enumerated(self):
         # AR lengths 4 and 2 with T=3: only the first AR yields windows,
         # ending at its 3rd and 4th samples
-        samples = [make_sample("A", h) for h in range(4)] + [
-            make_sample("B", h) for h in range(2)
-        ]
+        samples = make_samples([("A", h) for h in range(4)] + [("B", h) for h in range(2)])
         out = data.windowize(samples, 3)
         assert len(out) == 2
         assert set(out.ar_ids) == {"A"}
@@ -223,17 +307,37 @@ class TestWindowize:
         samples = data.synth_generate(6, 7, 11, plant)
         out = data.windowize(samples, 4)
         ids = set(out.ar_ids)
-        assert ids <= {s.ar_id for s in samples}
+        assert ids <= set(samples.ar_ids)
         # labels of final samples match
-        by_key = {(s.ar_id, s.timestamp): s.label for s in samples}
+        by_key = dict(zip(zip(samples.ar_ids, samples.timestamps), samples.labels.tolist()))
         for i in range(len(out)):
             expected = by_key[(out.ar_ids[i], out.end_times[i])]
-            assert out.labels[i] == (1 if expected == "P" else 0)
+            assert out.labels[i] == expected
 
-    def test_non_increasing_timestamps_rejected(self):
-        samples = [make_sample("A", 0), make_sample("A", 0)]
-        with pytest.raises(InputError):
-            data.windowize(samples, 1)
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(lengths=st.lists(st.integers(0, 15), min_size=1, max_size=6),
+           window_length=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[0], window_length=1, seed=0)
+    def test_equals_the_per_ar_loop(self, lengths, window_length, seed):
+        rng = np.random.default_rng(seed)
+        keys = [(f"AR{a:02d}", h) for a, n in enumerate(lengths)
+                for h in np.cumsum(rng.integers(1, 4, size=n)).tolist()]
+        samples = dataclasses.replace(
+            make_samples(keys), features=rng.normal(size=(len(keys), 12)),
+            labels=rng.integers(0, 2, size=len(keys)).astype(np.int8))
+        try:
+            want = windowize_oracle(samples, window_length)
+        except InputError as exc:
+            with pytest.raises(InputError) as err:
+                data.windowize(samples, window_length)
+            assert str(err.value) == str(exc)
+            return
+        got = data.windowize(samples, window_length)
+        assert got.values.dtype == want.values.dtype
+        assert np.array_equal(got.values, want.values)
+        assert got.labels.dtype == np.int8 and np.array_equal(got.labels, want.labels)
+        assert got.ar_ids == want.ar_ids and got.end_times == want.end_times
+        assert got.n_dropped == want.n_dropped
 
     def test_windows_are_copied_once(self):
         samples = data.synth_generate(40, 14, 12, data.PlantSpec())
@@ -249,27 +353,27 @@ class TestWindowize:
 
 class TestSplit:
     def test_counts_and_disjointness(self):
-        samples = [make_sample(f"AR{i}", h) for i in range(10) for h in range(3)]
+        samples = make_samples([(f"AR{i}", h) for i in range(10) for h in range(3)])
         train, test = data.split(samples, 0.8, 42)
-        train_ars = {s.ar_id for s in train}
-        test_ars = {s.ar_id for s in test}
+        train_ars = set(train.ar_ids)
+        test_ars = set(test.ar_ids)
         assert len(train_ars) == 8 and len(test_ars) == 2
         assert not (train_ars & test_ars)
 
     def test_deterministic(self):
-        samples = [make_sample(f"AR{i}", h) for i in range(7) for h in range(2)]
+        samples = make_samples([(f"AR{i}", h) for i in range(7) for h in range(2)])
         a = data.split(samples, 0.6, 9)
         b = data.split(samples, 0.6, 9)
-        assert [s.ar_id for s in a[0]] == [s.ar_id for s in b[0]]
+        assert a[0].ar_ids == b[0].ar_ids
 
     def test_half_split_even_ars(self):
-        samples = [make_sample(f"AR{i}", h) for i in range(4) for h in range(2)]
+        samples = make_samples([(f"AR{i}", h) for i in range(4) for h in range(2)])
         train, test = data.split(samples, 0.5, 1)
-        assert len({s.ar_id for s in train}) == 2
-        assert len({s.ar_id for s in test}) == 2
+        assert len(set(train.ar_ids)) == 2
+        assert len(set(test.ar_ids)) == 2
 
     def test_single_ar_rejected(self):
-        samples = [make_sample("A", h) for h in range(4)]
+        samples = make_samples([("A", h) for h in range(4)])
         with pytest.raises(InputError):
             data.split(samples, 0.5, 0)
 
@@ -280,10 +384,10 @@ class TestNormStats:
         samples = data.synth_generate(20, 8, 3, plant)
         train, test = data.split(samples, 0.75, 3)
         stats = data.fit_norm_stats(train)
-        Z = stats.apply(data.features_matrix(train))
+        Z = stats.apply(train.features.copy())
         assert np.abs(Z.mean(axis=0)).max() < 1e-10
         assert np.abs(Z.std(axis=0) - 1.0).max() < 1e-10
-        Zt = stats.apply(data.features_matrix(test))
+        Zt = stats.apply(test.features.copy())
         assert np.all(np.isfinite(Zt))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -296,8 +400,10 @@ class TestNormStats:
         _, stats, train_w, test_w = cli._prepare_windows(cfg, cli._run_record(cfg))
         train_s, test_s = data.split(data.load_csv(path), cfg.train_fraction, seed)
         for got, part in ((train_w, train_s), (test_w, test_s)):
-            normalised = [dataclasses.replace(s, features=stats.apply(s.features)) for s in part]
-            want = data.windowize(normalised, 4)
+            features = part.features.copy()
+            for row in features:
+                stats.apply(row)
+            want = data.windowize(dataclasses.replace(part, features=features), 4)
             assert got.values.shape == want.values.shape
             assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
 
@@ -376,14 +482,14 @@ class TestSynth:
     def test_planted_correlation_hit(self):
         plant = data.PlantSpec(dominant="TOTPOT", correlate="SAVNCPP", rho=0.95)
         samples = data.synth_generate(400, 14, 42, plant)  # n = 5600
-        X = data.features_matrix(samples)
+        X = samples.features
         r = numerics.pearson(X[:, feature_index("TOTPOT")], X[:, feature_index("SAVNCPP")])
         assert 0.90 <= r <= 1.00
 
     def test_zero_rho_uncorrelated(self):
         plant = data.PlantSpec(rho=0.0)
         samples = data.synth_generate(400, 14, 7, plant)
-        X = data.features_matrix(samples)
+        X = samples.features
         r = numerics.pearson(X[:, feature_index("TOTPOT")], X[:, feature_index("SAVNCPP")])
         assert abs(r) < 0.05
 
@@ -391,26 +497,34 @@ class TestSynth:
         plant = data.PlantSpec()
         a = data.synth_generate(5, 6, 12, plant)
         b = data.synth_generate(5, 6, 12, plant)
-        for s, t in zip(a, b):
-            assert s.ar_id == t.ar_id and s.timestamp == t.timestamp
-            assert s.label == t.label and np.array_equal(s.features, t.features)
+        assert a.ar_ids == b.ar_ids and a.timestamps == b.timestamps
+        assert np.array_equal(a.labels, b.labels) and np.array_equal(a.features, b.features)
 
     def test_class_balance(self):
         samples, _ = _balanced()
-        frac = sum(s.label == "P" for s in samples) / len(samples)
+        frac = int(samples.labels.sum()) / len(samples)
         assert 0.3 <= frac <= 0.7
 
     def test_labels_recoverable_by_threshold_sweep(self):
         samples, plant = _balanced()
-        X = data.features_matrix(samples)
-        v = X[:, feature_index(plant.dominant)]
-        y = np.array([1 if s.label == "P" else 0 for s in samples])
+        v = samples.features[:, feature_index(plant.dominant)]
+        y = samples.labels.astype(int)
         best = 0.0
         for th in np.quantile(v, np.linspace(0.01, 0.99, 99)):
             up = ((v > th).astype(int) == y).mean()
             down = ((v <= th).astype(int) == y).mean()
             best = max(best, up, down)
         assert best >= 0.8
+
+    def test_ids_from_ten_thousand_ars_listed_in_sorted_order(self, tmp_path):
+        samples = data.synth_generate(10_001, 1, 0, data.PlantSpec())
+        order = ("AR1000", "AR10000", "AR10001", "AR1001")
+        assert samples.ar_ids[999:1003] == order
+        assert samples.timestamps[1000] == EPOCH + timedelta(hours=9999)
+        f = tmp_path / "d.csv"
+        data.write_csv(f, samples)
+        lines = f.read_text(encoding="utf-8").splitlines()
+        assert tuple(line.split(",")[0] for line in lines[1000:1004]) == order
 
     def test_invalid_plants_rejected(self):
         with pytest.raises(InputError):
