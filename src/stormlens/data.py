@@ -60,9 +60,20 @@ class Samples:
         return len(self.ar_ids)
 
 
-def _sorted_samples(ar_ids, timestamps, features: np.ndarray, labels: np.ndarray) -> Samples:
-    """The record of these rows, sorted by (ar_id, timestamp)."""
+def _sorted_samples(ar_ids, timestamps, features: np.ndarray, labels: np.ndarray,
+                    lines=None) -> Samples:
+    """The record of these rows, sorted by (ar_id, timestamp). Given the
+    file line of each row, a repeated key is an input error at the earliest
+    line that repeats an earlier one."""
     order = sorted(range(len(ar_ids)), key=lambda i: (ar_ids[i], timestamps[i]))
+    if lines is not None:
+        # the sort is stable, so each run of one key starts at its first line
+        repeats = [j for i, j in zip(order, order[1:])
+                   if ar_ids[i] == ar_ids[j] and timestamps[i] == timestamps[j]]
+        if repeats:
+            j = min(repeats)
+            raise InputError(f"line {lines[j]}: duplicate (ar_id, timestamp) = "
+                             f"({ar_ids[j]}, {timestamps[j].isoformat()})")
     return Samples(ar_ids=tuple(map(ar_ids.__getitem__, order)),
                    timestamps=tuple(map(timestamps.__getitem__, order)),
                    features=features[order], labels=labels[order])
@@ -224,7 +235,7 @@ def _read_samples(reader, path) -> Samples:
 
     ar_ids, timestamps = [], []
     features, labels = array("d"), array("b")  # 12 values per row; 1 = P
-    seen: set[tuple[str, datetime]] = set()
+    lines = array("q")
     for line, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -252,19 +263,14 @@ def _read_samples(reader, path) -> Samples:
             values = _parse_cells(row, feature_cols, line)
         if not all(map(math.isfinite, values)):
             raise SchemaError(f"line {line}: non-finite feature value")
-        key = (ar, ts)
-        if key in seen:
-            raise InputError(
-                f"line {line}: duplicate (ar_id, timestamp) = ({ar}, {ts.isoformat()})"
-            )
-        seen.add(key)
         ar_ids.append(ar)
         timestamps.append(ts)
         features.extend(values)
         labels.append(label == "P")
+        lines.append(line)
     return _sorted_samples(ar_ids, timestamps,
                            np.frombuffer(features).reshape(-1, N_FEATURES),
-                           np.frombuffer(labels, dtype=np.int8))
+                           np.frombuffer(labels, dtype=np.int8), lines)
 
 
 def load_csv(path) -> Samples:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .data import NormStats
-from .errors import InputError
+from .errors import InputError, SingularSystemError
 from .features import FEATURE_NAMES
 
 @dataclass
@@ -288,7 +288,12 @@ def explain_local(
     if keep:
         Xk = design[:, keep]
         xbar = sw @ Xk
-        beta = numerics.ridge_regression(Xk - xbar, y - ybar, weights, ridge_lambda)
+        try:
+            beta = numerics.ridge_regression(Xk - xbar, y - ybar, weights, ridge_lambda)
+        except SingularSystemError as exc:
+            raise InputError(
+                f"lime_lambda={ridge_lambda:g} leaves the surrogate singular ({exc}) with "
+                f"lime_n={n} perturbations; raise lime_n or lime_lambda") from None
         beta_full[keep] = beta
         intercept = ybar - float(xbar @ beta)
     else:

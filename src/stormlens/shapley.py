@@ -162,32 +162,16 @@ def _kernel_weight(d: int, size: np.ndarray) -> np.ndarray:
     return (d - 1) / (comb * size * (d - size))
 
 
-def _member_keys(rng: np.random.Generator, d: int, sizes) -> list[int]:
-    """Bit keys of the feature sets ``rng.choice(d, size=s, replace=False)``
-    draws for each s of ``sizes`` in turn, from the same random stream but
-    with one ``rng.integers`` call.
-
-    For a population of at most 10,000, numpy's ``Generator.choice`` runs
-    Floyd's algorithm: for j = d - s, ..., d - 1 it draws v on 0..j and
-    takes v, or j if v is taken already; then it shuffles the s members
-    with draws on s - 1, ..., 1, which leave the set as it is. The same
-    closed bounds given to ``rng.integers`` make the same draws, so the
-    keys and the generator's state after them are the loop's (a test holds
-    this against ``rng.choice``).
-    """
-    sizes = [int(s) for s in sizes]
-    bounds = [j for s in sizes for j in (*range(d - s, d), *range(s - 1, 0, -1))]
-    draws = iter(rng.integers(0, np.array(bounds, dtype=np.int64) + 1).tolist())
-    keys = []
-    for s in sizes:
-        key = 0
-        for j in range(d - s, d):
-            v = next(draws)
-            key |= 1 << (j if key >> v & 1 else v)
-        for _ in range(s - 1):  # the shuffle's draws
-            next(draws)
-        keys.append(key)
-    return keys
+def _sampled_coalitions(d: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` coalitions of d features drawn from the Shapley kernel, as the
+    distinct (m, d) masks in sorted order and their draw counts as weights."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A]))
+    sizes = np.arange(1, d)
+    size_mass = (d - 1) / (sizes * (d - sizes))
+    drawn = rng.choice(sizes, size=n, p=size_mass / size_mass.sum())
+    members = rng.permuted(np.arange(d) < drawn[:, None], axis=1)
+    masks, counts = np.unique(members, axis=0, return_counts=True)
+    return masks, counts.astype(np.float64)
 
 
 def kernel_shap(
@@ -200,8 +184,15 @@ def kernel_shap(
     eliminating the last feature's coefficient. When ``n_coalitions``
     covers all 2^d - 2 non-trivial coalitions the full enumeration is used
     with exact Shapley-kernel weights, which reproduces the exact method.
-    ``base``, when given, must be ``base_value(model, background)``; it is
-    computed here otherwise.
+    Otherwise ``n_coalitions`` coalitions are drawn from the Shapley kernel
+    itself: a size s with probability proportional to (d-1)/(s(d-s)), then
+    s members uniformly, all in one vectorised draw. Repeated coalitions are
+    merged and weighted by their count, so the regression is unweighted
+    over the draws. Small budgets repeat coalitions often (at d = 12, 36% of
+    the draws fall on the 24 coalitions of size 1 or d - 1), and a
+    regression left with too few distinct coalitions is singular: retry
+    with a larger ``n_coalitions``. ``base``, when given, must be
+    ``base_value(model, background)``; it is computed here otherwise.
     """
     sample = np.asarray(sample, dtype=np.float64)
     d = sample.shape[1]
@@ -215,23 +206,7 @@ def kernel_shap(
         masks = masks[keep]
         weights = _kernel_weight(d, masks.sum(axis=1).astype(np.float64))
     else:
-        if d > 63:
-            raise InputError(f"sampled coalitions are int64 bit masks, so d must be <= 63 "
-                             f"(got {d})")
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5A]))
-        sizes = np.arange(1, d)
-        size_mass = (d - 1) / (sizes * (d - sizes)) * np.array(
-            [math.comb(d, int(s)) for s in sizes], dtype=np.float64
-        )
-        size_p = size_mass / size_mass.sum()
-        counts: dict[int, int] = {}
-        drawn_sizes = rng.choice(sizes, size=n_coalitions, p=size_p)
-        for key in _member_keys(rng, d, drawn_sizes):
-            counts[key] = counts.get(key, 0) + 1
-        keys = sorted(counts)
-        bits = (np.array(keys, dtype=np.int64)[:, None] >> np.arange(d)[None, :]) & 1
-        masks = bits.astype(bool)
-        weights = np.array([counts[k] for k in keys], dtype=np.float64)
+        masks, weights = _sampled_coalitions(d, n_coalitions, seed)
 
     values = _coalition_values(model, sample, background, masks)
     if base is None:

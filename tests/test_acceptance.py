@@ -7,12 +7,14 @@ end-to-end criteria; engine-level criteria use small randomized models.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import LinearWindowModel, normalized_windows, random_lstm
 from stormlens import analysis, cli, data, lime, model, numerics, shapley
@@ -336,6 +338,11 @@ def test_criterion_10_across_processes(tmp_path):
         *([command, "--data", "out/data.csv", "--model", "out/model.json", "--out", "out",
            "--method", "gradient", "--background", "5", "--n-steps", "4", "--seed", "7"]
           for command in ("explain-global", "correlate")),
+        ["explain-global", "--data", "out/data.csv", "--model", "out/model.json",
+         "--out", "out/kernel", "--method", "kernel", "--background", "5",
+         "--n-coalitions", "64", "--seed", "7"],
+        ["explain-local", "--data", "out/data.csv", "--model", "out/model.json", "--out", "out",
+         "--sample-id", "0", "--seed", "7"],
     ]
     script = ("import json, sys\nfrom stormlens import cli\n"
               "sys.exit(next((rc for rc in map(cli.main, json.loads(sys.argv[1])) if rc), 0))")
@@ -358,6 +365,36 @@ def test_criterion_10_across_processes(tmp_path):
         not mismatched,
         f"{len(runs[0])} files compared, mismatches: {mismatched or 'none'}",
     )
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert cli.main(["synth", "--out", str(out), "--n-ars", "8", "--samples-per-ar", "6",
+                     "--seed", "3"]) == 0
+    assert cli.main(["train", "--data", str(out / "data.csv"), "--out", str(out),
+                     "--window", "3", "--hidden", "3", "--epochs", "1", "--seed", "3"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("method", ["exact", "kernel", "gradient"])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=st.integers(0, cli.MAX_INT_SETTING))
+def test_criterion_10_at_random_seeds(tiny_model, method, seed):
+    """Criterion 10 for each attribution method at seeds drawn at random:
+    the same explain-global command, run twice, writes the same bytes."""
+    out = tiny_model / f"explain-{method}"
+    args = ["explain-global", "--data", str(tiny_model / "data.csv"),
+            "--model", str(tiny_model / "model.json"), "--out", str(out), "--method", method,
+            "--background", "2", "--n-coalitions", "32", "--n-steps", "2", "--seed", str(seed)]
+    runs = []
+    for _ in range(2):
+        shutil.rmtree(out, ignore_errors=True)
+        assert cli.main(args) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert runs[0].keys() == runs[1].keys() and "shap.json" in runs[0]
+    mismatched = sorted(name for name in runs[0] if runs[0][name] != runs[1][name])
+    assert not mismatched, f"{method} at seed {seed}: {mismatched} differ"
 
 
 def test_criterion_11_end_to_end_artifacts(pipeline_twice):

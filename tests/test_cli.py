@@ -790,6 +790,7 @@ class TestExplainLocal:
         (["--lime-lambda", "0", "--lime-n", "10"], "lime_lambda"),  # 10 rows, 12 features
         (["--lime-lambda", "nan"], "lime_lambda"),
         (["--lime-lambda", "inf"], "lime_lambda"),
+        (["--lime-lambda", "0", "--lime-n", "13", "--seed", "1"], "lime_n"),  # rank-deficient
     ])
     def test_unusable_surrogate_settings_exit_2(self, trained, capsys, flags, field):
         code = run([

@@ -214,6 +214,16 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="duplicate"):
             data.load_csv(f)
 
+    def test_duplicate_reported_at_the_earliest_repeating_line(self, tmp_path):
+        f = tmp_path / "d.csv"
+        t0, t1 = "2024-01-01T00:00:00+00:00", "2024-01-01T01:00:00+00:00"
+        rows = [fixture_row("B", t1), fixture_row("A", t0), "", fixture_row("B", t0),
+                fixture_row("A", t0), fixture_row("B", t1), fixture_row("A", t0)]
+        write_fixture(f, rows)
+        with pytest.raises(InputError, match=r"^line 6: duplicate \(ar_id, timestamp\) = "
+                                             r"\(A, 2024-01-01T00:00:00\+00:00\)$"):
+            data.load_csv(f)
+
     def test_unknown_column_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         header = ",".join(("ar_id", "timestamp") + FEATURE_NAMES + ("label", "bogus"))
@@ -261,6 +271,18 @@ class TestLoadCsv:
         # the features, the labels and one id and one datetime per row come
         # to 2.5 times the features
         assert held < 3 * samples.features.nbytes
+
+    def test_load_peaks_under_five_feature_arrays(self, tmp_path):
+        f = tmp_path / "desk.csv"
+        data.write_csv(f, data.synth_generate(500, 14, 42, data.PlantSpec()))
+        tracemalloc.start()
+        try:
+            samples = data.load_csv(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a set of every (ar_id, timestamp) key took it to six
+        assert peak < 5 * samples.features.nbytes
 
     def test_write_streams_one_row_at_a_time(self, tmp_path):
         samples = data.synth_generate(500, 14, 42, data.PlantSpec())
