@@ -27,8 +27,7 @@ import numpy as np
 from . import analysis, data, lime, model as model_mod, plot, shapley
 from .errors import InputError, ModelOverflowError, StormlensError
 from .features import FEATURE_NAMES
-
-METHODS = ("exact", "kernel", "gradient")
+from .shapley import METHODS
 
 # The largest value an integer setting may take. Every size, count and seed
 # of a run is far below it; a larger one would reach numpy as an integer it
@@ -86,6 +85,9 @@ class RunConfig:
             raise InputError(f"method must be one of {', '.join(METHODS)}")
         if self.background < 1:
             raise InputError("background size must be >= 1")
+        if self.n_coalitions < len(FEATURE_NAMES) + 2:
+            raise InputError(f"n_coalitions must be >= d + 2 = {len(FEATURE_NAMES) + 2}, "
+                             f"got {self.n_coalitions}")
         if self.n_steps < 1:
             raise InputError("n_steps must be >= 1")
         if self.lime_n < 10:

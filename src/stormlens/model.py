@@ -27,10 +27,17 @@ for every step and returns them in the cache for :func:`backward_batch`.
 With ``keep_cache=False`` (every forward-only call) ``A`` holds one step's
 gates, reused by every step, ``C`` is two rows used in turn (the zeroed
 last row again serves as the initial state), both inside the step scratch,
-and no cache is returned. ``LstmModel.predict_proba`` (forward-only) and
-``LstmModel.input_gradient_batch`` (forward and backward) walk their rows in
-the same tiles of ``TILE_ROWS`` rows (``_tiles``): every tile starts at a
-multiple of 8 and none has one row unless the batch has.
+and no cache is returned.
+
+One rule batches every model row. ``LstmModel.predict_proba``
+(forward-only), ``LstmModel.input_gradient_batch`` (forward and backward)
+and ``walk_tiles`` walk their rows in row order, in the tiles of
+``_tile_bounds``: every tile starts at a multiple of ``TILE_ROWS`` (itself a
+multiple of 8) and none is shorter than ``TILE_ROWS`` rows unless the batch
+is. The coalition rows of exact and kernel attribution are built in groups of
+whole masks, ``TILE_ROWS // B`` masks of B background windows (at least one),
+and each group is one ``predict_proba`` call of at most ``max(B, TILE_ROWS)``
+rows.
 
 Output bits depend on the numpy/BLAS build and on the batch a row is
 computed in, not on the layout of ``A`` or on the mode: the tests compare
@@ -59,10 +66,10 @@ valid only until the next call with that dict. ``LstmModel`` keeps one such
 dict, in which every tile of ``predict_proba`` and ``input_gradient_batch``
 runs (the latter also returns its result in it), so one model must not run
 them from two threads at once; ``train`` keeps another for its batches. The
-explainers hand the model no whole batch: ``walk_tiles`` builds one tile of
-their rows at a time in the same dict (coalition rows, gradient path points,
-LIME rows) and runs it, so the dict holds at most one tile of model input and
-one of input gradients.
+explainers hand the model no whole batch: they build one tile of their rows
+at a time in the same dict (a group of coalition rows, or through
+``walk_tiles`` gradient path points and LIME rows) and run it, so the dict
+holds at most one tile of model input and one of input gradients.
 
 Additive attention over the hidden states:
 
@@ -93,23 +100,20 @@ from .data import NormStats, SequenceSet
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The most rows of one chunk of coalitions (exact, kernel), which walk_tiles
-# builds and runs tile by tile. Part of the artifact contract: a chunk's row
-# count sets its tiles, and a row's output bits depend on the forward call it
-# is computed in, so another value changes the bytes of shap.json.
-CHUNK_ROWS = 4096
-
 # The rows of one tile of LstmModel.predict_proba, input_gradient_batch and
-# walk_tiles. Not part of the artifact contract: in the numpy/BLAS builds
-# tested, a row's bits depend on its offset mod 4 in its call and on whether
-# the call has exactly one row, so tiles that start at multiples of 8 and hold
-# at least TILE_ROWS rows give every row the bits of one whole-batch call (the
-# backward products are padded for this, see the module docstring;
-# tests/test_model.py holds both passes to it). At T = 10, H = 16, d = 12 on
-# one core, 1,600 rows forward and backward took ~15 ms per call in tiles of
-# 384-512 rows, ~16 ms in tiles of 256-320 rows and ~17 ms untiled; 4,090 rows
-# forward-only took ~37 ms in 400-row tiles against ~38.5 ms in 1,024-row
-# tiles, in a quarter of the workspace (1.6 MB against 6.5 MB).
+# walk_tiles, and the most rows of one group of coalition masks (exact,
+# kernel). In the numpy/BLAS builds tested, a row's bits depend on its offset
+# mod 4 in its call and on whether the call has exactly one row, so tiles that
+# start at multiples of 8 and hold at least TILE_ROWS rows give every row the
+# bits of one whole-batch call (the backward products are padded for this, see
+# the module docstring; tests/test_model.py holds both passes to it). A
+# coalition group is one call of its own, so its size sets its rows' offsets:
+# another value can change the bytes of exact and kernel shap.json. At T = 10,
+# H = 16, d = 12 on one core, 1,600 rows forward and backward took ~15 ms per
+# call in tiles of 384-512 rows, ~16 ms in tiles of 256-320 rows and ~17 ms
+# untiled; 4,090 rows forward-only took ~37 ms in 400-row tiles against
+# ~38.5 ms in 1,024-row tiles, in a quarter of the workspace (1.6 MB against
+# 6.5 MB).
 TILE_ROWS = 400
 
 
@@ -132,17 +136,6 @@ def _tile_bounds(n: int) -> list[int]:
     tile is shorter than ``TILE_ROWS`` rows unless the whole batch is."""
     starts = range(0, max(1, n // TILE_ROWS) * TILE_ROWS, TILE_ROWS)
     return [*starts, n]
-
-
-def _tiles(X: np.ndarray) -> list[tuple[int, int]]:
-    """The (lo, hi) row bounds of the tiles of an (n, T, d) batch, last
-    (largest) tile first, so that a ``work`` dict's arrays are sized once,
-    before the other tiles run."""
-    if X.ndim != 3:
-        raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
-    bounds = _tile_bounds(X.shape[0])
-    tiles = list(zip(bounds, bounds[1:]))
-    return tiles[-1:] + tiles[:-1]
 
 
 def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool = False):
@@ -469,25 +462,29 @@ class LstmModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed
-        forward-only tile by tile (see ``_tiles``) in ``work``. A
-        ModelOverflowError names the step of the first tile to overflow in
-        that order."""
+        forward-only tile by tile (see ``_tile_bounds``), in row order, in
+        ``work``. A ModelOverflowError names the step of the first tile to
+        overflow."""
         X = np.asarray(X, dtype=np.float64)
-        tiles = _tiles(X)
+        if X.ndim != 3:
+            raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+        bounds = _tile_bounds(X.shape[0])
         p = np.empty(X.shape[0])
-        for lo, hi in tiles:
+        for lo, hi in zip(bounds, bounds[1:]):
             p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=self.work)[0]
         return p
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of the output probability w.r.t. every input cell,
-        computed forward and backward tile by tile (see ``_tiles``) in
-        ``work``. The result is one of ``work``'s arrays, valid until the
-        next call that uses it."""
+        computed forward and backward tile by tile (see ``_tile_bounds``), in
+        row order, in ``work``. The result is one of ``work``'s arrays, valid
+        until the next call that uses it."""
         X = np.asarray(X, dtype=np.float64)
-        tiles = _tiles(X)
+        if X.ndim != 3:
+            raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
+        bounds = _tile_bounds(X.shape[0])
         out = work_buffer(self.work, "grad", X.shape)
-        for lo, hi in tiles:
+        for lo, hi in zip(bounds, bounds[1:]):
             p, _, cache = forward_batch(self.params, X[lo:hi], work=self.work)
             dz = p * (1.0 - p)  # d sigmoid(z) / dz
             backward_batch(self.params, cache, dz, work=self.work, out=out[lo:hi])

@@ -15,9 +15,10 @@ import numpy as np
 
 from . import numerics
 from .errors import InputError, SingularSystemError
-from .model import CHUNK_ROWS, walk_tiles
+from .model import TILE_ROWS, walk_tiles, work_buffer
 
 MAX_EXACT_FEATURES = 20
+METHODS = ("exact", "kernel", "gradient")
 
 
 @dataclass
@@ -28,7 +29,7 @@ class ShapExplanation:
     """
 
     sample_id: str
-    method: str  # "exact" | "kernel" | "gradient"
+    method: str  # one of METHODS
     base: float
     fx: float
     phi: np.ndarray  # (d,)
@@ -69,8 +70,9 @@ def _coalition_values(model, sample, background, masks: np.ndarray) -> np.ndarra
 
     ``masks`` is (m, d) boolean; True columns are taken from the sample
     (across all time steps), the rest from each background window. The
-    masks are taken ``CHUNK_ROWS // B`` at a time, and the rows of a chunk,
-    one per (mask, background window), are built and run one tile at a time.
+    masks are taken ``TILE_ROWS // B`` at a time (at least one), and the
+    rows of such a group, one per (mask, background window), are built in
+    the model's workspace and run in one ``predict_proba`` call.
     """
     sample = np.asarray(sample, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
@@ -78,39 +80,22 @@ def _coalition_values(model, sample, background, masks: np.ndarray) -> np.ndarra
     T, d = sample.shape
     m = masks.shape[0]
     out = np.empty(m)
-    chunk = max(1, CHUNK_ROWS // B)
+    group = max(1, TILE_ROWS // B)
+    work = getattr(model, "work", None)
     bg_bits = background.reshape(B, T * d).view(np.uint64)
     sample_bits = sample.reshape(T * d).view(np.uint64)
-    for lo in range(0, m, chunk):
-        mk = masks[lo : lo + chunk]  # (mc, d)
-        mc = mk.shape[0]
-        # Row j * B + b of the chunk is where(mask j, sample, background b),
+    for lo in range(0, m, group):
+        mk = masks[lo : lo + group]  # (k, d)
+        k = mk.shape[0]
+        # Row j * B + b of the group is where(mask j, sample, background b),
         # selected bit by bit: (background & ~keep) | (sample & keep), where
         # keep is all ones in the cells the mask takes from the sample.
-        keep = np.negative(np.tile(mk, (1, T)).astype(np.uint64))  # (mc, T*d)
-
-        def fill(X, r0, r1):
-            # rows r0..r1, cut where the first and the last of their masks
-            # start: a run of whole masks is selected as one (masks, B, T*d)
-            # block, a part of one mask's rows as one (rows, T*d) block
-            bits = X.reshape(r1 - r0, T * d).view(np.uint64)
-            starts = range(-(-r0 // B) * B, r1, B)
-            cuts = sorted({r0, r1, *starts[:1], *starts[-1:]})
-            for a, z in zip(cuts, cuts[1:]):
-                j, b = divmod(a, B)
-                if b == 0 and (z - a) % B == 0:
-                    rows = bits[a - r0 : z - r0].reshape(-1, B, T * d)
-                    k, bg = keep[j : j + rows.shape[0], None, :], bg_bits
-                else:
-                    rows = bits[a - r0 : z - r0]
-                    k, bg = keep[j], bg_bits[b : b + z - a]
-                np.bitwise_and(bg, ~k, out=rows)
-                rows |= sample_bits & k
-
-        probs = np.empty(mc * B)
-        for r0, r1, p in walk_tiles(model, mc * B, (T, d), fill):
-            probs[r0:r1] = p
-        out[lo : lo + mc] = probs.reshape(mc, B).mean(axis=1)
+        keep = np.negative(np.tile(mk, (1, T)).astype(np.uint64))[:, None, :]  # (k, 1, T*d)
+        X = work_buffer(work, "rows", (k * B, T, d))
+        bits = X.reshape(k, B, T * d).view(np.uint64)
+        np.bitwise_and(bg_bits, ~keep, out=bits)
+        bits |= sample_bits & keep
+        out[lo : lo + k] = model.predict_proba(X).reshape(k, B).mean(axis=1)
     return out
 
 
@@ -313,8 +298,8 @@ def explain_set(
     ids = sample_ids if sample_ids is not None else [str(i) for i in range(n)]
     if len(ids) != n:
         raise InputError("sample_ids length does not match the window count")
-    if method not in ("exact", "kernel", "gradient"):
-        raise InputError(f"unknown method {method!r}; expected exact, kernel, gradient")
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}; expected {', '.join(METHODS)}")
 
     explanations = []
     base = base_value(model, background) if method != "exact" and n else None

@@ -341,6 +341,8 @@ def test_criterion_10_across_processes(tmp_path):
         ["explain-global", "--data", "out/data.csv", "--model", "out/model.json",
          "--out", "out/kernel", "--method", "kernel", "--background", "5",
          "--n-coalitions", "64", "--seed", "7"],
+        ["explain-global", "--data", "out/data.csv", "--model", "out/model.json",
+         "--out", "out/exact", "--method", "exact", "--background", "2", "--seed", "7"],
         ["explain-local", "--data", "out/data.csv", "--model", "out/model.json", "--out", "out",
          "--sample-id", "0", "--seed", "7"],
     ]

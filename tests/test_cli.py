@@ -699,6 +699,59 @@ class TestCsvBoundary:
             json.loads((out / name).read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
+# The command each float setting matters to, and the values at the edges of
+# what float() parses. Every other argument of the command is valid.
+FLOAT_SETTING_COMMANDS = {
+    "train_fraction": "train", "lr": "train", "threshold": "train",
+    "lime_width": "explain-local", "lime_lambda": "explain-local",
+    "rho": "synth", "label_noise": "synth",
+}
+EDGE_FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0"]
+
+
+class TestFloatSettings:
+    """Every float setting at every edge value exits 0, 1 or 2 and lets no
+    exception escape; a failed run prints exactly one error line, and a run
+    that succeeds writes every artifact its manifest lists, with finite
+    numbers in the manifest and in every JSON artifact."""
+
+    def test_every_float_setting_has_a_case(self):
+        hints = typing.get_type_hints(cli.RunConfig)
+        floats = {name for name, hint in hints.items() if hint in (float, float | None)}
+        assert set(FLOAT_SETTING_COMMANDS) == floats
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    @pytest.mark.parametrize("field", sorted(FLOAT_SETTING_COMMANDS))
+    def test_edge_value_exits_0_1_or_2(self, tiny_checkpoint, field, value):
+        command = FLOAT_SETTING_COMMANDS[field]
+        out = tiny_checkpoint / "floats" / f"{field}{value}"
+        inputs = ["--data", str(tiny_checkpoint / "data.csv"), "--out", str(out)]
+        args = {
+            "synth": ["synth", "--out", str(out), "--n-ars", "10", "--samples-per-ar", "8"],
+            "train": ["train", *inputs, "--window", "4", "--epochs", "1", "--hidden", "2"],
+            "explain-local": ["explain-local", *inputs,
+                              "--model", str(tiny_checkpoint / "model.json"),
+                              "--sample-id", "0", "--lime-n", "200"],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            # --name=value: argparse reads a spaced "-1e308" as a flag
+            code = run(args + [f"--{field.replace('_', '-')}={value}"])
+        assert code in (0, 1, 2)
+        if code != 0:
+            errors = [line for line in err.getvalue().splitlines()
+                      if line.startswith(("error: ", "internal error: "))]
+            assert len(errors) == 1, err.getvalue()
+            return
+        manifest_path = out / f"run_manifest_{command.replace('-', '_')}.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"),
+                              parse_constant=_reject_constant)
+        for name in manifest["artifacts"]:
+            text = (out / name).read_text(encoding="utf-8")
+            if name.endswith(".json"):
+                json.loads(text, parse_constant=_reject_constant)
+
+
 class TestExplainGlobal:
     def test_artifacts_and_efficiency(self, trained):
         code = run([
@@ -732,6 +785,17 @@ class TestExplainGlobal:
             abs(a - b) for e1, e2 in zip(ex, kn) for a, b in zip(e1["phi"], e2["phi"])
         )
         assert worst < 1e-8
+
+    def test_too_few_coalitions_reported_before_any_file_is_read(self, tmp_path, capsys):
+        code = run([
+            "explain-global", "--data", str(tmp_path / "nope.csv"),
+            "--model", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o"),
+            "--method", "kernel", "--n-coalitions", "5",
+        ])
+        assert code == 2
+        d = len(FEATURE_NAMES)
+        assert capsys.readouterr().err == f"error: n_coalitions must be >= d + 2 = {d + 2}, got 5\n"
+        assert not (tmp_path / "o").exists()
 
     def test_feature_order_mismatch_rejected(self, trained, capsys):
         doc = json.loads((trained / "model.json").read_text())

@@ -376,8 +376,16 @@ class TestForwardOnlyTiles:
 
 
 class TestSharedWorkspace:
-    """Forward-only tiles run in the model's workspace, sized by the last
-    (largest) tile of a call; gradient calls reuse the same arrays."""
+    """Forward-only tiles run in the model's workspace, which grows to the
+    largest tile run in it; gradient calls reuse the same arrays."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (900, 3), (1, 2, 3, 4)])
+    def test_input_other_than_n_t_d_rejected(self, shape):
+        net = model.LstmModel(model.init_params(3, 2, seed=0))
+        for call in (net.predict_proba, net.input_gradient_batch):
+            with pytest.raises(ValueError) as exc:
+                call(np.zeros(shape))
+            assert str(exc.value) == f"expected (n, T, d) input, got shape {shape}"
 
     @pytest.mark.parametrize("T, d, H", [(10, 12, 16), (3, 5, 32)])
     def test_alternating_calls_match_a_fresh_model(self, T, d, H):

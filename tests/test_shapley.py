@@ -73,40 +73,68 @@ class TestCoalitionValue:
 
 
 class TestCoalitionValues:
-    """The chunked value function builds each chunk's rows one tile at a
-    time; every value keeps the bits of masking each whole chunk afresh with
+    """The value function takes the masks in groups of max(1, TILE_ROWS // B)
+    whole masks; every value keeps the bits of masking each group afresh with
     np.where and running it in one predict_proba call."""
 
     @staticmethod
     def where_oracle(net, sample, background, masks):
         B, (T, d) = background.shape[0], sample.shape
-        chunk = max(1, model.CHUNK_ROWS // B)
+        group = max(1, model.TILE_ROWS // B)
         out = np.empty(masks.shape[0])
-        for lo in range(0, masks.shape[0], chunk):
-            mk = masks[lo : lo + chunk]
+        for lo in range(0, masks.shape[0], group):
+            mk = masks[lo : lo + group]
             mixed = np.where(mk[:, None, None, :], sample[None, None], background[None])
             probs = net.predict_proba(mixed.reshape(-1, T, d))
             out[lo : lo + mk.shape[0]] = probs.reshape(mk.shape[0], B).mean(axis=1)
         return out
 
-    # "desk": B = 10 and all 4,096 masks of d = 12, so every chunk has 4,090
-    # rows and ends in a 490-row tile; "wide": B = 450, so tiles cut through
-    # the rows of one mask
-    @pytest.mark.parametrize("which", ["all", "few", "desk", "wide"])
+    # "desk": B = 10 and all 4,096 masks of d = 12, so groups of 40 masks
+    # (400 rows) and a last one of 16; "wide": B = 450 > TILE_ROWS, so one
+    # mask per group; "b100": groups of 4 masks, each exactly one 400-row
+    # tile; "ragged": B = 100 and 63 masks, so the last group has 3
+    @pytest.mark.parametrize("which", ["all", "few", "desk", "wide", "b100", "ragged"])
     def test_bits_match_where_oracle(self, which):
-        d, T, B = {"desk": (12, 10, 10), "wide": (3, 2, 450)}.get(which, (10, 3, 7))
+        d, T, B = {"desk": (12, 10, 10), "wide": (3, 2, 450), "b100": (6, 3, 100),
+                   "ragged": (6, 3, 100)}.get(which, (10, 3, 7))
         net = random_lstm(d, 4, seed=30)
         rng = np.random.default_rng(30)
         sample = rng.normal(size=(T, d))
         bg = rng.normal(size=(B, T, d))
-        _, masks = shapley._all_masks(d)  # empty first, full last: two chunks
-        if which == "few":  # less than one chunk, the full mask first
+        _, masks = shapley._all_masks(d)  # empty first, full last
+        if which == "few":  # less than one group, the full mask first
             masks = np.concatenate([masks[::-1][:2], rng.random((3, d)) < 0.5])
+        elif which == "ragged":
+            masks = masks[1:]
         got = shapley._coalition_values(net, sample, bg, masks)
         assert np.array_equal(got, self.where_oracle(net, sample, bg, masks))
 
+    class RowSpy:
+        """A model that records the row count of every predict_proba call."""
+
+        def __init__(self, net):
+            self.net, self.work, self.calls = net, net.work, []
+
+        def predict_proba(self, X):
+            self.calls.append(X.shape[0])
+            return self.net.predict_proba(X)
+
+    @pytest.mark.parametrize("B", [1, 3, 10, 100, 399, 400, 401, 450, 850])
+    def test_every_call_holds_whole_masks_of_at_most_one_tile(self, B):
+        d, T = 4, 2
+        net = random_lstm(d, 3, seed=32)
+        rng = np.random.default_rng(B)
+        sample, bg = rng.normal(size=(T, d)), rng.normal(size=(B, T, d))
+        _, masks = shapley._all_masks(d)
+        spy = self.RowSpy(net)
+        got = shapley._coalition_values(spy, sample, bg, masks)
+        assert sum(spy.calls) == masks.shape[0] * B
+        assert all(n % B == 0 and n <= max(B, model.TILE_ROWS) for n in spy.calls), spy.calls
+        assert np.array_equal(got, self.where_oracle(net, sample, bg, masks))
+
     def test_warm_call_holds_no_chunk_of_rows(self):
-        # a whole chunk of rows, 409 masks x 10 windows, is 3.9 MB
+        # the rows of all 4,096 masks x 10 windows are 39 MB, and one group of
+        # them, 40 masks x 10 windows, is 0.38 MB
         d, T, B, H = 12, 10, 10, 16
         net = random_lstm(d, H, seed=31)
         rng = np.random.default_rng(31)
