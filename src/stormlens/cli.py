@@ -367,7 +367,8 @@ def cmd_train(cfg: RunConfig) -> list[str]:
     )
     tc.validate()  # before the data is read
     record = _run_record(cfg)
-    _, stats, train_w, test_w = _prepare_windows(cfg, record)
+    # the training samples are dropped here: only correlate reads them
+    stats, train_w, test_w = _prepare_windows(cfg, record)[1:]
     net, history = model_mod.train(train_w, tc)
 
     record = dataclasses.replace(
@@ -395,7 +396,7 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
     net, record = _load_model(cfg)
-    _, _, train_w, test_w = _prepare_windows(cfg, record)
+    train_w, test_w = _prepare_windows(cfg, record)[2:]
     _write_json(os.path.join(cfg.out, "metrics.json"),
                 _evaluation_metrics(cfg, net, record, train_w, test_w))
     artifacts = ["metrics.json"]
@@ -405,7 +406,7 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
 
 def cmd_explain_global(cfg: RunConfig) -> list[str]:
     net, record = _load_model(cfg)
-    _, _, train_w, test_w = _prepare_windows(cfg, record)
+    train_w, test_w = _prepare_windows(cfg, record)[2:]
     explanations = _explain_test_set(cfg, net, train_w, test_w)
 
     _write_json(
@@ -435,7 +436,7 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
 def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _require(cfg, "sample_id")
     net, record = _load_model(cfg)
-    _, _, train_w, test_w = _prepare_windows(cfg, record)
+    train_w, test_w = _prepare_windows(cfg, record)[2:]
 
     ids = test_w.sample_ids
     if cfg.sample_id in ids:

@@ -7,13 +7,16 @@ Forward pass, per step t on input x_t (batch, d):
     c_t  = f * c_{t-1} + i * g
     h_t  = o * tanh(c_t)
 
+with sigmoid(z) = 1 / (1 + exp(-z)) computed as written, which is 0 where
+exp(-z) overflows (z below about -709.78).
+
 The activated gates of all steps live in one gate-major (T, 4, n, H) array
 ``A``, so each gate of a step is one contiguous (n, H) block and the
 elementwise work runs over whole blocks. Step t computes x_t W_x' and
 h_{t-1} W_h' into two (n, 4H) buffers that every step reuses, adds them and
 then b in that order, copies the sum gate-major into ``A[t]`` and activates
-it in place; the buffers also serve as the sigmoid's and the cell update's
-scratch. They share one step scratch array with the attention scores ``S``,
+it in place; the first buffer also serves as the cell update's scratch.
+They share one step scratch array with the attention scores ``S``,
 which are computed after the loop, when the buffers are dead. The cell
 states ``C`` and hidden states ``Hs`` are (T + 1, n, H) arrays whose last
 row is zero, so step 0 reads its initial state at index t - 1 = -1 like any
@@ -153,6 +156,10 @@ def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool 
     work = getattr(model, "work", None)
     call = model.input_gradient_batch if gradients else model.predict_proba
     bounds = _tile_bounds(n)
+    if work is not None:  # sized for the last tile, the largest, before the first
+        work_buffer(work, "rows", (bounds[-1] - bounds[-2], *row_shape))
+        if not gradients:
+            _forward_arrays(work, bounds[-1] - bounds[-2], row_shape[0], model.params.hidden, False)
     for lo, hi in zip(bounds, bounds[1:]):
         X = work_buffer(work, "rows", (hi - lo, *row_shape))
         fill(X, lo, hi)
@@ -171,21 +178,15 @@ def _padded(work: dict | None, key: str, w: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None,
-             work: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function, bit for bit ``where(z >= 0, 1/(1+e), e/(1+e))``
-    with ``e = exp(-|z|)``, which never overflows. The numerator
-    ``max(e, z >= 0)`` is exactly 1 where z >= 0 (there e <= 1) and e
-    elsewhere, and NaN propagates. ``out`` may be ``z``; ``work`` is an
-    optional scratch array of z's shape."""
-    e = np.abs(z, out=work)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    # z >= 0 as 1.0 / 0.0 straight into out, so that max reads two float arrays
-    out = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
-    np.maximum(e, out, out=out)
-    e += 1.0
-    return np.divide(out, e, out=out)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function ``1 / (1 + exp(-z))``, bit for bit, in ``out``
+    (which may be ``z``) or a new array. Below z = -709.78, where exp(-z)
+    overflows, the result is its limit 0, with no warning; NaN propagates."""
+    out = np.negative(z, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _param_shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
@@ -258,6 +259,22 @@ def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
     return LstmParams(**arrays)
 
 
+def _forward_arrays(work: dict | None, n: int, T: int, H: int, keep_cache: bool):
+    """The step scratch, ``A``, ``C`` and ``Hs`` of ``forward_batch`` on n rows."""
+    # The step scratch holds one step's x_t W_x' and h_{t-1} W_h', and after
+    # the loop the attention scores S. Without a cache it also holds the one
+    # step of gates and the two rows of cell state, which die with the loop.
+    if keep_cache:
+        step = work_buffer(work, "step", (max(8, T) * n * H,))
+        A = work_buffer(work, "A", (T, 4, n, H))
+        C = work_buffer(work, "C", (T + 1, n, H))
+    else:
+        step = work_buffer(work, "step", (max(14, T) * n * H,))
+        A = step[8 * n * H : 12 * n * H].reshape(1, 4, n, H)
+        C = step[12 * n * H : 14 * n * H].reshape(2, n, H)
+    return step, A, C, work_buffer(work, "Hs", (T + 1, n, H))
+
+
 def forward_batch(
     params: LstmParams, X: np.ndarray, keep_cache: bool = True, work: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, dict | None]:
@@ -288,20 +305,9 @@ def forward_batch(
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
-    # The step scratch holds one step's x_t W_x' and h_{t-1} W_h', and after
-    # the loop the attention scores S. Without a cache it also holds the one
-    # step of gates and the two rows of cell state, which die with the loop.
     kept = T if keep_cache else 1  # steps of gates and cell state kept
-    if keep_cache:
-        step = work_buffer(work, "step", (max(8, T) * n * H,))
-        A = work_buffer(work, "A", (T, 4, n, H))
-        C = work_buffer(work, "C", (T + 1, n, H))
-    else:
-        step = work_buffer(work, "step", (max(14, T) * n * H,))
-        A = step[8 * n * H : 12 * n * H].reshape(1, 4, n, H)
-        C = step[12 * n * H : 14 * n * H].reshape(2, n, H)
+    step, A, C, Hs = _forward_arrays(work, n, T, H, keep_cache)
     xw, hw = step[: 8 * n * H].reshape(2, n, 4 * H)
-    Hs = work_buffer(work, "Hs", (T + 1, n, H))
     # the initial state; every other row is written before it is read
     C[-1] = Hs[T] = 0.0
     for t in range(T):
@@ -311,7 +317,7 @@ def forward_batch(
         xw += params.b
         a = A[t % kept]
         np.copyto(a, xw.reshape(n, 4, H).transpose(1, 0, 2))
-        _sigmoid(a[:3], out=a[:3], work=hw.reshape(4, n, H)[:3])
+        _sigmoid(a[:3], out=a[:3])
         np.tanh(a[3], out=a[3])
         i, f, o, g = a
         ig = xw.reshape(4, n, H)[0]
@@ -469,6 +475,8 @@ class LstmModel:
         if X.ndim != 3:
             raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
         bounds = _tile_bounds(X.shape[0])
+        # sized for the last tile, the largest, before the first
+        _forward_arrays(self.work, bounds[-1] - bounds[-2], X.shape[1], self.params.hidden, False)
         p = np.empty(X.shape[0])
         for lo, hi in zip(bounds, bounds[1:]):
             p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=self.work)[0]

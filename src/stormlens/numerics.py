@@ -34,43 +34,30 @@ def _as_vector(x, name: str = "x") -> np.ndarray:
     return v
 
 
-def _cholesky_spd(A: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a symmetric positive-definite matrix.
+def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for symmetric positive-definite A through its Cholesky
+    factor L (A = L L').
 
     Raises
     ------
     SingularSystemError
-        If any pivot falls below ``SINGULARITY_RTOL`` relative to the
-        largest diagonal entry of ``A``.
+        If A is not positive definite, or a pivot ``L[k, k]**2`` falls to
+        ``SINGULARITY_RTOL`` times the largest diagonal entry of A or below
+        (the message names the first such column k).
     """
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    scale = float(np.max(np.abs(np.diag(A)))) if n else 0.0
+    scale = float(np.max(np.abs(np.diag(A)), initial=0.0))
     if scale <= 0.0:
         raise SingularSystemError("singular system: zero normal matrix")
-    for k in range(n):
-        pivot = A[k, k] - L[k, :k] @ L[k, :k]
-        if pivot <= SINGULARITY_RTOL * scale:
-            raise SingularSystemError(
-                f"singular system: relative pivot {pivot / scale:.3e} at column {k}"
-            )
-        L[k, k] = np.sqrt(pivot)
-        if k + 1 < n:
-            L[k + 1 :, k] = (A[k + 1 :, k] - L[k + 1 :, :k] @ L[k, :k]) / L[k, k]
-    return L
-
-
-def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky."""
-    L = _cholesky_spd(A)
-    n = A.shape[0]
-    z = np.zeros(n)
-    for k in range(n):
-        z[k] = (b[k] - L[k, :k] @ z[:k]) / L[k, k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (z[k] - L[k + 1 :, k] @ x[k + 1 :]) / L[k, k]
-    return x
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"singular system: {exc}") from exc
+    pivots = np.diag(L) ** 2 / scale
+    low = np.flatnonzero(pivots <= SINGULARITY_RTOL)
+    if low.size:
+        k = low[0]
+        raise SingularSystemError(f"singular system: relative pivot {pivots[k]:.3e} at column {k}")
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 def _normal_equations(X, y, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,9 +21,8 @@ from stormlens.model import LstmParams
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    with np.errstate(over="ignore"):  # exp(-z) overflows below z = -709.78, giving 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _times_padded(a: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import re
 import tracemalloc
 import typing
+import weakref
 from datetime import timedelta, timezone
 from xml.etree import ElementTree
 
@@ -86,6 +88,27 @@ class TestTrain:
         checkpoint = json.loads((trained / "model.json").read_text())
         assert checkpoint["schema"] == "stormlens-model/1"
         assert checkpoint["extra"]["feature_names"] == list(FEATURE_NAMES)
+
+    def test_samples_released_before_training(self, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        halves, alive = [], []
+        split, train = data.split, model_mod.train
+
+        def split_spy(*args):
+            result = split(*args)
+            halves.extend(weakref.ref(half) for half in result)
+            return result
+
+        def train_spy(*args):
+            gc.collect()
+            alive.extend(ref() is not None for ref in halves)
+            return train(*args)
+
+        monkeypatch.setattr(data, "split", split_spy)
+        monkeypatch.setattr(model_mod, "train", train_spy)
+        assert run(train_args(out)) == 0
+        assert alive == [False, False]
 
     def test_zero_epochs_flagged_untrained(self, tmp_path):
         out = tmp_path / "o"

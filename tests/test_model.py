@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -376,8 +377,8 @@ class TestForwardOnlyTiles:
 
 
 class TestSharedWorkspace:
-    """Forward-only tiles run in the model's workspace, which grows to the
-    largest tile run in it; gradient calls reuse the same arrays."""
+    """Forward-only tiles run in the model's workspace, which is sized for
+    the largest tile run in it; gradient calls reuse the same arrays."""
 
     @pytest.mark.parametrize("shape", [(), (5,), (900, 3), (1, 2, 3, 4)])
     def test_input_other_than_n_t_d_rejected(self, shape):
@@ -412,6 +413,37 @@ class TestSharedWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < (T + 1) * model.TILE_ROWS * H * 8  # bytes of one tile's Hs
+
+    @staticmethod
+    def _traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [5000, 850])  # the last tile is 600 and 450 rows
+    def test_cold_walk_allocates_its_workspace_once(self, n):
+        # beyond the workspace, a cold call peaks where a warm one does: the
+        # arrays are sized for the last tile, the largest, before the first
+        T, d, H = 10, 12, 16
+        params = model.init_params(d, H, seed=0)
+        X = np.random.default_rng(0).normal(size=(n, T, d))
+
+        def fill(rows, lo, hi):
+            rows[:] = X[lo:hi]
+
+        calls = {
+            "predict_proba": lambda net: net.predict_proba(X),
+            "walk_tiles": lambda net: list(model.walk_tiles(net, n, (T, d), fill)),
+        }
+        for name, call in calls.items():
+            net = model.LstmModel(params)
+            cold = self._traced_peak(lambda: call(net))
+            work = sum(arr.nbytes for arr in net.work.values())
+            warm = self._traced_peak(lambda: call(net))
+            assert cold - work <= warm + 4096, name
 
 
 class TestGradientWorkspace:
@@ -488,18 +520,24 @@ class TestGradientTiles:
 class TestSigmoid:
     SPECIAL = [0.0, 5e-324, 1e-300, 36.0, 709.8, 745.0, 1e308, np.inf]
 
-    def test_bits_match_masked_form(self):
+    def test_bits_match_closed_form(self):
         rng = np.random.default_rng(6)
         z = np.concatenate([
             self.SPECIAL, np.negative(self.SPECIAL), [np.nan],
             rng.normal(scale=20.0, size=500), rng.uniform(-1e-3, 1e-3, size=100),
         ])
-        e = np.exp(-np.abs(z))
-        want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        assert np.array_equal(model._sigmoid(z).view(np.uint64), want.view(np.uint64))
-        in_place = z.copy()
-        model._sigmoid(in_place, out=in_place, work=np.empty_like(z))
+        with np.errstate(over="ignore"):  # exp(-z) overflows below z = -709.78
+            want = 1.0 / (1.0 + np.exp(-z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model._sigmoid(z)
+            in_place = z.copy()
+            assert model._sigmoid(in_place, out=in_place) is in_place
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(in_place.view(np.uint64), want.view(np.uint64))
+        # 709.8 and beyond: exp(-z) is below half an ulp of 1, or overflows
+        k = len(self.SPECIAL)
+        assert got[4:k].tolist() == [1.0] * 4 and got[k + 4 : 2 * k].tolist() == [0.0] * 4
 
 
 class TestTrain:

@@ -51,6 +51,17 @@ class TestWeightedLeastSquares:
         with pytest.raises(SingularSystemError):
             numerics.weighted_least_squares(X, [1, 2, 3], [1, 1, 1])
 
+    def test_near_singular_positive_definite_system_raises(self):
+        # two columns 1e-9 apart: LAPACK's Cholesky factors X'X, whose last
+        # pivot is ~1e-14 of its largest diagonal entry; only the relative
+        # pivot rule rejects it
+        rng = np.random.default_rng(0)
+        X = 0.01 * rng.normal(size=(50, 3))
+        X[:, 2] = X[:, 1] + 1e-9 * rng.normal(size=50)
+        np.linalg.cholesky(X.T @ X)
+        with pytest.raises(SingularSystemError, match="at column 2"):
+            numerics.weighted_least_squares(X, rng.normal(size=50), np.ones(50))
+
     def test_underdetermined_rejected(self):
         with pytest.raises(ValueError):
             numerics.weighted_least_squares([[1, 2]], [1], [1])

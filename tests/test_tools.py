@@ -1,6 +1,8 @@
-"""tools/pipeline_digests.py: the listing and its comparison with a saved one."""
+"""tools/pipeline_digests.py: the listing and its comparison with a saved one;
+tools/bench_record.py: its BENCH record, on canned benchmark output."""
 
 import importlib.util
+import json
 import os
 import shutil
 from pathlib import Path
@@ -55,3 +57,117 @@ def test_against_a_saved_listing(digests_tool, tmp_path, capsys):
 def test_unreadable_saved_listing_exits_2(digests_tool, tmp_path):
     assert digests_tool.main(["--out", str(tmp_path / "out"),
                               "--against", str(tmp_path / "missing.txt")]) == 2
+
+
+RECORD_TOOL = TOOL.parent / "bench_record.py"
+BENCHMARK = TOOL.parent.parent / "BENCHMARK.json"
+
+
+def canned_stdout(workload, trace, metrics, correct=True):
+    """What perfbench/run.py prints: comment lines, then the JSON result."""
+    env = {"python": "3.11.7", "seed": 3, "git_commit": "abc"}
+    result = {"correct": correct, "attempted": 4, "failed": 0 if correct else 1,
+              "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}
+              if correct else {}}
+    return "\n".join([f"# {workload} seed=3 trace={trace} environment {json.dumps(env)}",
+                      "# end-to-end, median [q1, q3] over n cycles", json.dumps(result)]) + "\n"
+
+
+@pytest.fixture
+def record_tool(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_record", RECORD_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # BENCH files go to a scratch root that holds BENCHMARK.json
+    (tmp_path / "BENCHMARK.json").write_text(BENCHMARK.read_text(encoding="utf-8"),
+                                             encoding="utf-8")
+    monkeypatch.setattr(tool, "ROOT", str(tmp_path))
+    return tool
+
+
+class FakeRuns:
+    """Stands in for run_once: wall_s counts up per side and call, one run
+    of the parent's train workload fails, and every call is logged."""
+
+    def __init__(self, parent_root):
+        self.parent_root, self.calls = parent_root, []
+
+    def __call__(self, root, workload, seed, seconds, trace):
+        side = "parent" if root == self.parent_root else "this"
+        self.calls.append((workload, side, trace))
+        if trace:
+            return 0, canned_stdout(workload, 1, {"model.forward.calls": 509})
+        k = sum(c[:2] == (workload, side) and c[2] == 0 for c in self.calls)
+        if (workload, side, k) == ("train", "parent", 2):
+            return 1, canned_stdout(workload, 0, {}, correct=False)
+        wall = (2.0 if side == "parent" else 1.0) + 0.1 * k
+        return 0, canned_stdout(workload, 0, {"setup_s": 3.0, "wall_s": wall,
+                                              "peak_rss_mb": 50.0, "tss": 0.97})
+
+
+def test_parse_run_reads_the_last_line(record_tool):
+    run = record_tool.parse_run(0, canned_stdout("train", 0, {"wall_s": 1.5}))
+    assert run == {"rc": 0, "correct": True, "metrics": {"wall_s": 1.5},
+                   "environment": {"python": "3.11.7", "seed": 3, "git_commit": "abc"}}
+    for rc, stdout in [(1, canned_stdout("train", 0, {}, correct=False)), (-9, ""),
+                       (0, "Traceback (most recent call last):\n"),
+                       (1, canned_stdout("train", 0, {"wall_s": 1.5}))]:
+        assert record_tool.parse_run(rc, stdout)["correct"] is False
+
+
+def test_quartiles(record_tool):
+    assert record_tool.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {
+        "median": 3.0, "q1": 1.5, "q3": 4.5, "n": 5}
+    assert record_tool.quartiles([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0, "n": 1}
+
+
+def test_against_alternates_pairs_and_keeps_failed_runs(record_tool, tmp_path, monkeypatch):
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("", encoding="utf-8")
+    fake = FakeRuns(str(parent))
+    monkeypatch.setattr(record_tool, "run_once", fake)
+    assert record_tool.main(["--label", "t", "--against", str(parent), "--pairs", "3"]) == 1
+
+    workloads = [w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"]]
+    per_workload = ["parent", "this", "this", "parent", "parent", "this", "this", "parent"]
+    assert fake.calls == [(w, side, int(i >= 6)) for w in workloads
+                          for i, side in enumerate(per_workload)]
+
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    assert bench["pairs"] == 3 and bench["seed"] == 3 and bench["run_seconds"] == 22
+    assert set(bench["sides"]) == {"this", "parent"}
+    assert bench["sides"]["this"]["environment"]["python"] == "3.11.7"
+    for w in workloads:
+        entry = bench["workloads"][w]
+        assert entry["this"]["end_to_end"]["wall_s"] == {
+            "median": 1.2, "q1": 1.1, "q3": 1.3, "n": 3}
+        assert entry["this"]["per_layer"] == {"model.forward.calls": 509}
+        assert len(entry["parent"]["runs"]) == 3
+    train = bench["workloads"]["train"]
+    assert train["parent"]["failed"] == 1
+    assert train["parent"]["runs"][1] == {"rc": 1, "correct": False, "metrics": {}}
+    assert train["parent"]["end_to_end"]["wall_s"]["n"] == 2
+    assert train["wins"] == {"pairs": 2, "this_better": {
+        "setup_s": 0, "wall_s": 2, "peak_rss_mb": 0, "tss": 0}}
+    assert bench["workloads"][workloads[0]]["wins"]["pairs"] == 3
+
+
+def test_one_checkout_alone(record_tool, tmp_path, monkeypatch):
+    fake = FakeRuns(None)
+    monkeypatch.setattr(record_tool, "run_once", fake)
+    assert record_tool.main(["--label", "solo", "--pairs", "2"]) == 0
+    bench = json.loads((tmp_path / "BENCH_solo.json").read_text(encoding="utf-8"))
+    assert set(bench["sides"]) == {"this"}
+    assert all(set(e) == {"this"} for e in bench["workloads"].values())
+    assert len(fake.calls) == 3 * len(bench["workloads"])
+
+
+@pytest.mark.parametrize("argv", [["--label", "a/b"], ["--label", ""],
+                                  ["--label", "x", "--pairs", "0"],
+                                  ["--label", "x", "--against", "missing-checkout"]])
+def test_bad_arguments_exit_2(record_tool, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        record_tool.main(argv)
+    assert exc.value.code == 2
