@@ -396,7 +396,7 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
     net, record = _load_model(cfg)
-    train_w, test_w = _prepare_windows(cfg, record)[2:]
+    _, _, train_w, test_w = _prepare_windows(cfg, record)
     _write_json(os.path.join(cfg.out, "metrics.json"),
                 _evaluation_metrics(cfg, net, record, train_w, test_w))
     artifacts = ["metrics.json"]
@@ -406,7 +406,7 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
 
 def cmd_explain_global(cfg: RunConfig) -> list[str]:
     net, record = _load_model(cfg)
-    train_w, test_w = _prepare_windows(cfg, record)[2:]
+    _, _, train_w, test_w = _prepare_windows(cfg, record)
     explanations = _explain_test_set(cfg, net, train_w, test_w)
 
     _write_json(
@@ -436,7 +436,7 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
 def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _require(cfg, "sample_id")
     net, record = _load_model(cfg)
-    train_w, test_w = _prepare_windows(cfg, record)[2:]
+    _, _, train_w, test_w = _prepare_windows(cfg, record)
 
     ids = test_w.sample_ids
     if cfg.sample_id in ids:

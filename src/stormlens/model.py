@@ -159,7 +159,7 @@ def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool 
     if work is not None:  # sized for the last tile, the largest, before the first
         work_buffer(work, "rows", (bounds[-1] - bounds[-2], *row_shape))
         if not gradients:
-            _forward_arrays(work, bounds[-1] - bounds[-2], row_shape[0], model.params.hidden, False)
+            model.reserve(bounds[-1] - bounds[-2], row_shape[0])
     for lo, hi in zip(bounds, bounds[1:]):
         X = work_buffer(work, "rows", (hi - lo, *row_shape))
         fill(X, lo, hi)
@@ -466,6 +466,10 @@ class LstmModel:
         self.params = params
         self.work: dict[str, np.ndarray] = {}
 
+    def reserve(self, n: int, T: int) -> None:
+        """Size ``work`` for forward-only tiles of up to n rows of T steps."""
+        _forward_arrays(self.work, n, T, self.params.hidden, False)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed
         forward-only tile by tile (see ``_tile_bounds``), in row order, in
@@ -475,8 +479,7 @@ class LstmModel:
         if X.ndim != 3:
             raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
         bounds = _tile_bounds(X.shape[0])
-        # sized for the last tile, the largest, before the first
-        _forward_arrays(self.work, bounds[-1] - bounds[-2], X.shape[1], self.params.hidden, False)
+        self.reserve(bounds[-1] - bounds[-2], X.shape[1])  # the last tile, the largest
         p = np.empty(X.shape[0])
         for lo, hi in zip(bounds, bounds[1:]):
             p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=self.work)[0]

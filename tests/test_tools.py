@@ -127,7 +127,8 @@ def test_against_alternates_pairs_and_keeps_failed_runs(record_tool, tmp_path, m
     (parent / "perfbench" / "run.py").write_text("", encoding="utf-8")
     fake = FakeRuns(str(parent))
     monkeypatch.setattr(record_tool, "run_once", fake)
-    assert record_tool.main(["--label", "t", "--against", str(parent), "--pairs", "3"]) == 1
+    monkeypatch.setattr(record_tool, "PAIRS", 3)
+    assert record_tool.main(["--label", "t", "--against", str(parent)]) == 1
 
     workloads = [w["name"] for w in json.loads(BENCHMARK.read_text(encoding="utf-8"))["workloads"]]
     per_workload = ["parent", "this", "this", "parent", "parent", "this", "this", "parent"]
@@ -153,21 +154,14 @@ def test_against_alternates_pairs_and_keeps_failed_runs(record_tool, tmp_path, m
     assert bench["workloads"][workloads[0]]["wins"]["pairs"] == 3
 
 
-def test_one_checkout_alone(record_tool, tmp_path, monkeypatch):
-    fake = FakeRuns(None)
-    monkeypatch.setattr(record_tool, "run_once", fake)
-    assert record_tool.main(["--label", "solo", "--pairs", "2"]) == 0
-    bench = json.loads((tmp_path / "BENCH_solo.json").read_text(encoding="utf-8"))
-    assert set(bench["sides"]) == {"this"}
-    assert all(set(e) == {"this"} for e in bench["workloads"].values())
-    assert len(fake.calls) == 3 * len(bench["workloads"])
-
-
-@pytest.mark.parametrize("argv", [["--label", "a/b"], ["--label", ""],
-                                  ["--label", "x", "--pairs", "0"],
+@pytest.mark.parametrize("argv", [["--label", "a/b", "--against", "parent"],
+                                  ["--label", "", "--against", "parent"], ["--label", "x"],
                                   ["--label", "x", "--against", "missing-checkout"]])
 def test_bad_arguments_exit_2(record_tool, tmp_path, monkeypatch, argv):
+    (tmp_path / "parent" / "perfbench").mkdir(parents=True)
+    (tmp_path / "parent" / "perfbench" / "run.py").write_text("", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(record_tool, "run_once", None)  # nothing may run
     with pytest.raises(SystemExit) as exc:
         record_tool.main(argv)
     assert exc.value.code == 2

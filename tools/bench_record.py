@@ -1,28 +1,28 @@
-"""Run the benchmark several times and commit its figures as BENCH_<label>.json.
+"""Run the benchmark in alternating pairs against the parent commit and
+commit its figures as BENCH_<label>.json.
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_record.py --label baseline
-    python3 tools/bench_record.py --label change --against ../parent --pairs 10
+    python3 tools/bench_record.py --label change --against ../parent
 
-For each workload of BENCHMARK.json it runs ``perfbench/run.py --trace 0``
-``--pairs`` times, each in a process of its own, then once with
-``--trace 1`` for the per-layer figures, and reads the JSON result on the
-last line of each run's stdout. ``--against DIR`` names a second checkout,
-usually of the parent commit, whose ``perfbench/run.py`` imports the
-package from DIR's own ``src/``: each pair then runs both checkouts, the
+``--against DIR`` names a checkout of the parent commit, whose
+``perfbench/run.py`` imports the package from DIR's own ``src/``. For each
+workload of BENCHMARK.json it runs ``perfbench/run.py --seed SEED --trace 0``
+of both checkouts ``PAIRS`` times, each run in a process of its own, the
 parent first in even pairs and this checkout first in odd ones, so that a
-drift of the machine's speed reaches both sides alike.
+drift of the machine's speed reaches both sides alike; then each side once
+with ``--trace 1`` for the per-layer figures. It reads the JSON result on
+the last line of each run's stdout.
 
 BENCH_<label>.json, at the root of this checkout, holds for each side
-(``this`` checkout, and with ``--against`` the ``parent``) its commit,
-the environment that run.py reports, and per workload every run, the
-median and quartiles of each end-to-end metric over the runs that
-succeeded, and the traced run's per-layer figures. A run that exits
+(``this`` checkout and the ``parent``) its commit, the environment that
+run.py reports, and per workload every run, the median and quartiles of
+each end-to-end metric over the runs that succeeded, and the traced run's
+per-layer figures; the parent side is the baseline. A run that exits
 non-zero or reports ``"correct": false`` is kept as a failed run and left
-out of the medians. With ``--against`` each workload also records, per
-end-to-end metric, in how many pairs this checkout read better than the
-parent (ties count for neither) and how many pairs had no failed side.
+out of the medians. Each workload also records, per end-to-end metric, in
+how many pairs this checkout read better than the parent (ties count for
+neither) and how many pairs had no failed side.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 3  # the workload seed of every committed BENCH file
+PAIRS = 10  # runs per side and workload
 
 
 def quartiles(values: list[float]) -> dict:
@@ -98,28 +100,28 @@ def wins(this: list[dict], parent: list[dict], better: dict[str, str]) -> dict:
     return {"pairs": len(pairs), "this_better": counts}
 
 
-def record(label: str, seed: int, n_pairs: int, sides: dict[str, str], log=sys.stderr) -> dict:
-    """Run every workload ``n_pairs`` times per side, plus one traced run per
+def record(label: str, sides: dict[str, str], log=sys.stderr) -> dict:
+    """Run every workload ``PAIRS`` times per side, plus one traced run per
     side, and return the BENCH record."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    out = {"label": label, "seed": seed, "pairs": n_pairs, "run_seconds": seconds,
-           "command": f"perfbench/run.py --workload W --seed {seed} --seconds {seconds} "
+    out = {"label": label, "seed": SEED, "pairs": PAIRS, "run_seconds": seconds,
+           "command": f"perfbench/run.py --workload W --seed {SEED} --seconds {seconds} "
                       "--trace 0, then once with --trace 1",
            "sides": {side: commit(root) for side, root in sides.items()}, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         runs: dict[str, list[dict]] = {side: [] for side in sides}
-        for i in range(n_pairs):
+        for i in range(PAIRS):
             order = list(sides)[::-1] if i % 2 == 0 else list(sides)  # parent first in even pairs
             for side in order:
-                run = parse_run(*run_once(sides[side], workload, seed, seconds, 0))
+                run = parse_run(*run_once(sides[side], workload, SEED, seconds, 0))
                 runs[side].append(run)
                 print(f"{workload} pair {i} {side}: rc={run['rc']} {run['metrics']}", file=log)
         entry = {}
         for side, root in sides.items():
-            traced = parse_run(*run_once(root, workload, seed, seconds, 1))
+            traced = parse_run(*run_once(root, workload, SEED, seconds, 1))
             print(f"{workload} traced {side}: rc={traced['rc']}", file=log)
             out["sides"][side].setdefault("environment", next(
                 (r["environment"] for r in runs[side] if r["environment"]), None))
@@ -132,8 +134,7 @@ def record(label: str, seed: int, n_pairs: int, sides: dict[str, str], log=sys.s
                 "traced_run": {k: traced[k] for k in ("rc", "correct")},
                 "runs": runs[side],
             }
-        if "parent" in sides:
-            entry["wins"] = wins(runs["this"], runs["parent"], better)
+        entry["wins"] = wins(runs["this"], runs["parent"], better)
         out["workloads"][workload] = entry
     return out
 
@@ -141,21 +142,16 @@ def record(label: str, seed: int, n_pairs: int, sides: dict[str, str], log=sys.s
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
-    parser.add_argument("--against", metavar="DIR", help="a checkout of the parent commit")
-    parser.add_argument("--pairs", type=int, default=10, help="runs per side and workload")
-    parser.add_argument("--seed", type=int, default=3, help="the benchmark's workload seed")
+    parser.add_argument("--against", metavar="DIR", required=True,
+                        help="a checkout of the parent commit")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     if not args.label.replace("-", "").replace("_", "").isalnum():
         parser.error("--label may hold only letters, digits, '-' and '_'")
-    sides = {"this": ROOT}
-    if args.against is not None:
-        parent = os.path.abspath(args.against)
-        if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
-            parser.error(f"{parent} holds no perfbench/run.py")
-        sides["parent"] = parent
-    result = record(args.label, args.seed, args.pairs, sides)
+    parent = os.path.abspath(args.against)
+    if not os.path.isfile(os.path.join(parent, "perfbench", "run.py")):
+        parser.error(f"{parent} holds no perfbench/run.py")
+    sides = {"this": ROOT, "parent": parent}
+    result = record(args.label, sides)
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
