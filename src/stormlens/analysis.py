@@ -32,11 +32,7 @@ class CorrMatrix:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "names": list(FEATURE_NAMES),
-            "values": [[float(v) for v in row] for row in self.values],
-            "constant": [bool(v) for v in self.constant],
-        }
+        return {"names": list(FEATURE_NAMES), "values": self.values, "constant": self.constant}
 
 
 def correlation_matrix(rows: np.ndarray) -> CorrMatrix:

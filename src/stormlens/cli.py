@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import re
@@ -102,6 +101,13 @@ class RunConfig:
             raise InputError("threshold must be in (0, 1)")
         if self.horizon_hours < 1:
             raise InputError("horizon_hours must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):  # TrainConfig's rule and message
+            raise InputError("learning rate must be positive and finite")
+        # every command writes every setting into its manifest, and JSON
+        # cannot hold NaN or infinity
+        for name, value in vars(self).items():
+            if type(value) is float and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
 
     def plant(self) -> data.PlantSpec:
         spec = data.PlantSpec(
@@ -177,14 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="solar-storm prediction with global and local explanations",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("synth", "generate a synthetic dataset with planted ground truth"),
-        ("train", "train the classifier and report held-out skill"),
-        ("evaluate", "evaluate a checkpoint on the held-out split"),
-        ("explain-global", "attribution over the test set plus beeswarm/bar/decision plots"),
-        ("explain-local", "local surrogate explanation for one test sample"),
-        ("correlate", "correlation matrix and dependence plots"),
-    ):
+    for name, (_, helptext) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", help="flat KEY=VALUE config file")
         for f in dataclasses.fields(RunConfig):
@@ -217,12 +216,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _write_manifest(
     cfg: RunConfig, command: str, inputs: list[str], artifacts: list[str],
     record: model_mod.TrainingRecord | None = None,
@@ -236,7 +229,7 @@ def _write_manifest(
     }
     if record is not None and record.norm_stats is None:
         doc["norm_stats_refit"] = True  # refitted on the training split
-    _write_json(os.path.join(cfg.out, f"run_manifest_{command.replace('-', '_')}.json"), doc)
+    data.write_json(os.path.join(cfg.out, f"run_manifest_{command.replace('-', '_')}.json"), doc)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -285,7 +278,7 @@ def _prepare_windows(cfg: RunConfig, record: model_mod.TrainingRecord):
     _require(cfg, "data")
     samples = data.load_csv(cfg.data)
     train_s, test_s = data.split(samples, record.train_fraction, record.split_seed)
-    stats = record.norm_stats or data.fit_norm_stats(train_s)
+    stats = record.norm_stats or data.NormStats.fit(train_s.features)
     window = record.window_length
     train_w, test_w = data.windowize(train_s, window), data.windowize(test_s, window)
     stats.apply(train_w.values)
@@ -354,7 +347,7 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
         "class_counts": {"P": n_pos, "N": len(samples) - n_pos},
         "csv": str(csv_path),
     }
-    _write_json(os.path.join(cfg.out, "data_manifest.json"), manifest)
+    data.write_json(os.path.join(cfg.out, "data_manifest.json"), manifest)
     artifacts = [os.path.basename(csv_path), "data_manifest.json"]
     _write_manifest(cfg, "synth", [], artifacts)
     return artifacts
@@ -388,7 +381,7 @@ def cmd_train(cfg: RunConfig) -> list[str]:
         "n_dropped_train": train_w.n_dropped,
         "n_dropped_test": test_w.n_dropped,
     }
-    _write_json(os.path.join(cfg.out, "metrics.json"), metrics)
+    data.write_json(os.path.join(cfg.out, "metrics.json"), metrics)
     artifacts = ["model.json", "metrics.json"]
     _write_manifest(cfg, "train", [cfg.data], artifacts)
     return artifacts
@@ -397,8 +390,8 @@ def cmd_train(cfg: RunConfig) -> list[str]:
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
     net, record = _load_model(cfg)
     _, _, train_w, test_w = _prepare_windows(cfg, record)
-    _write_json(os.path.join(cfg.out, "metrics.json"),
-                _evaluation_metrics(cfg, net, record, train_w, test_w))
+    data.write_json(os.path.join(cfg.out, "metrics.json"),
+                    _evaluation_metrics(cfg, net, record, train_w, test_w))
     artifacts = ["metrics.json"]
     _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts, record)
     return artifacts
@@ -409,9 +402,7 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
     _, _, train_w, test_w = _prepare_windows(cfg, record)
     explanations = _explain_test_set(cfg, net, train_w, test_w)
 
-    _write_json(
-        os.path.join(cfg.out, "shap.json"), [e.to_dict() for e in explanations]
-    )
+    data.write_json(os.path.join(cfg.out, "shap.json"), [e.to_dict() for e in explanations])
     artifacts = ["shap.json"]
 
     importance = shapley.global_importance(explanations)
@@ -464,7 +455,7 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
         sample_id=ids[index],
     )
     stem = f"lime_{_sanitize(ids[index])}"
-    _write_json(os.path.join(cfg.out, f"{stem}.json"), explanation.to_dict())
+    data.write_json(os.path.join(cfg.out, f"{stem}.json"), explanation.to_dict())
     artifacts = [f"{stem}.json"]
     artifacts += plot.write_pair(cfg.out, f"{stem}_plot", plot.spec_lime(explanation))
     _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts, record)
@@ -476,9 +467,10 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     train_s, _, train_w, test_w = _prepare_windows(cfg, record)
 
     matrix = analysis.correlation_matrix(train_s.features)
+    del train_s  # only the matrix reads the training samples
     with open(os.path.join(cfg.out, "corr.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(matrix.to_csv())
-    _write_json(os.path.join(cfg.out, "corr.json"), matrix.to_dict())
+    data.write_json(os.path.join(cfg.out, "corr.json"), matrix.to_dict())
     artifacts = ["corr.csv", "corr.json"]
 
     explanations = _explain_test_set(cfg, net, train_w, test_w)
@@ -492,13 +484,15 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     return artifacts
 
 
+# Each command's function and its --help line, in --help order.
 _COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "explain-global": cmd_explain_global,
-    "explain-local": cmd_explain_local,
-    "correlate": cmd_correlate,
+    "synth": (cmd_synth, "generate a synthetic dataset with planted ground truth"),
+    "train": (cmd_train, "train the classifier and report held-out skill"),
+    "evaluate": (cmd_evaluate, "evaluate a checkpoint on the held-out split"),
+    "explain-global": (cmd_explain_global,
+                       "attribution over the test set plus beeswarm/bar/decision plots"),
+    "explain-local": (cmd_explain_local, "local surrogate explanation for one test sample"),
+    "correlate": (cmd_correlate, "correlation matrix and dependence plots"),
 }
 
 
@@ -507,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command][0](cfg)
         return 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Dataset handling: one sorted, columnar ``Samples`` record and its CSV IO,
-z-scores (``NormStats``), windowing, splits and a planted synthetic generator.
+z-scores (``NormStats``), windowing, splits, a planted synthetic generator
+and the one JSON writer.
 
 CSV schema (header order-insensitive, catalog order recommended)::
 
@@ -11,6 +12,7 @@ Timestamps are ISO-8601 UTC, labels are the literals ``P`` / ``N``.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 import sys
@@ -22,7 +24,7 @@ from itertools import compress
 import numpy as np
 
 from . import numerics
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, StormlensError
 from .features import FEATURE_NAMES, N_FEATURES, feature_index
 
 LABELS = ("P", "N")
@@ -91,16 +93,24 @@ class NormStats:
     def fit(cls, rows) -> "NormStats":
         """Fit on rows (n, d), n >= 1. A constant column (all values equal,
         see ``numerics.constant_columns``) is stored with its value as mean
-        and std 1, so that it maps to exactly 0."""
+        and std 1, so that it maps to exactly 0. A feature whose mean or
+        std overflows is an input error."""
         A = np.asarray(rows, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] == 0:
             raise InputError(f"expected a nonempty (n, d) matrix, got shape {A.shape}")
-        mean = A.mean(axis=0)
-        var = ((A - mean) ** 2).mean(axis=0)
-        std = np.sqrt(var)
-        constant = numerics.constant_columns(A)
-        return cls(mean=np.where(constant, A[0], mean),
-                   std=np.where(constant, 1.0, std), constant=constant)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = A.mean(axis=0)
+            var = ((A - mean) ** 2).mean(axis=0)
+            std = np.sqrt(var)
+            constant = numerics.constant_columns(A)
+        stats = cls(mean=np.where(constant, A[0], mean),
+                    std=np.where(constant, 1.0, std), constant=constant)
+        finite = np.isfinite(stats.mean) & np.isfinite(stats.std)
+        if not finite.all():
+            name = FEATURE_NAMES[int(np.argmin(finite))]
+            raise InputError(f"feature {name}: mean or standard deviation overflows; "
+                             "values are too large to normalise")
+        return stats
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Z-score ``values`` (last axis: features) in place and return them:
@@ -306,6 +316,29 @@ def write_csv(path, samples: Samples) -> None:
                                                        samples.features, samples.labels))
 
 
+def dumps_json(obj) -> str:
+    """``obj`` in the JSON form of every file the package writes: sorted
+    keys, a two-space indent and a final newline, numpy arrays as lists.
+    NaN and infinity, which JSON cannot hold, raise a StormlensError."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=np.ndarray.tolist) + "\n"
+    except ValueError as exc:
+        raise StormlensError(f"cannot write as JSON: {exc}") from None
+
+
+def write_json(path, obj) -> None:
+    """Write ``dumps_json(obj)`` to ``path``. The text is built before the
+    file is opened, so a value JSON cannot hold leaves no file; its error
+    names ``path``."""
+    try:
+        text = dumps_json(obj)
+    except StormlensError as exc:
+        raise StormlensError(f"{path}: {exc}") from None
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def windowize(samples: Samples, window_length: int) -> SequenceSet:
     """Build one window per sample that has >= T-1 predecessors in its AR.
 
@@ -352,19 +385,6 @@ def split(samples: Samples, train_fraction: float, seed: int) -> tuple[Samples, 
                          timestamps=tuple(compress(samples.timestamps, keep.tolist())),
                          features=samples.features[keep], labels=samples.labels[keep])
                  for keep in (in_train, ~in_train))
-
-
-def fit_norm_stats(samples: Samples) -> NormStats:
-    """Fit z-score statistics on the (training) samples; a feature whose
-    mean or std overflows is an input error."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        stats = NormStats.fit(samples.features)
-    finite = np.isfinite(stats.mean) & np.isfinite(stats.std)
-    if not finite.all():
-        name = FEATURE_NAMES[int(np.argmin(finite))]
-        raise InputError(f"feature {name}: mean or standard deviation overflows; "
-                         "values are too large to normalise")
-    return stats
 
 
 @dataclass(frozen=True)

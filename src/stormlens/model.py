@@ -24,28 +24,28 @@ other step. Finiteness is checked once per call, on the output: a NaN in
 any hidden state reaches its row's probability, and only then are the
 steps scanned for the first one that overflowed.
 
-``forward_batch`` runs in one of two modes of the same loop. With
-``keep_cache=True`` (training and gradients) it keeps ``A``, ``C`` and ``Hs``
-for every step and returns them in the cache for :func:`backward_batch`.
-With ``keep_cache=False`` (every forward-only call) ``A`` holds one step's
-gates, reused by every step, ``C`` is two rows used in turn (the zeroed
-last row again serves as the initial state), both inside the step scratch,
-and no cache is returned.
+``forward_batch`` runs in one of two modes of the same loop and layout:
+``A`` keeps ``kept`` steps of gates and ``C`` ``kept + 1`` rows of cell
+state, step t using ``A[t % kept]`` and ``C[t % (kept + 1)]``. With
+``keep_cache=True`` (training and gradients) ``kept = T`` and the cache
+returns ``A``, ``C`` and ``Hs`` for :func:`backward_batch`; with
+``keep_cache=False`` (every forward-only call) ``kept = 1`` and no cache is
+returned.
 
-One rule batches every model row. ``LstmModel.predict_proba``
-(forward-only), ``LstmModel.input_gradient_batch`` (forward and backward)
-and ``walk_tiles`` walk their rows in row order, in the tiles of
-``_tile_bounds``: every tile starts at a multiple of ``TILE_ROWS`` (itself a
-multiple of 8) and none is shorter than ``TILE_ROWS`` rows unless the batch
-is. The coalition rows of exact and kernel attribution are built in groups of
-whole masks, ``TILE_ROWS // B`` masks of B background windows (at least one),
-and each group is one ``predict_proba`` call of at most ``max(B, TILE_ROWS)``
-rows.
+One rule batches every model row. ``LstmModel.predict_proba`` and
+``walk_tiles`` (which hands ``LstmModel.input_gradient_batch``, one forward
+and one backward call, every gradient tile) walk their rows in row order,
+in the tiles of ``_tile_bounds``: every tile starts at a multiple of
+``TILE_ROWS`` (itself a multiple of 8) and none is shorter than
+``TILE_ROWS`` rows unless the batch is. The coalition rows of exact and
+kernel attribution are built in groups of whole masks, ``TILE_ROWS // B``
+masks of B background windows (at least one), and each group is one
+``predict_proba`` call of at most ``max(B, TILE_ROWS)`` rows.
 
 Output bits depend on the numpy/BLAS build and on the batch a row is
 computed in, not on the layout of ``A`` or on the mode: the tests compare
 both passes bit for bit with a reference cell that keeps ``A`` as
-(T, n, 4H), and both tiled methods with the whole batch in one call. In the
+(T, n, 4H), and tiled calls with the whole batch in one call. In the
 builds tested, once a call has a few hundred rows, a row's bits depend only
 on its offset mod 4 in the call, for every forward product and for the
 backward pass's three weight products as it computes them for input
@@ -66,13 +66,14 @@ Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew. A
 cache built with a ``work`` dict, and the input gradients read from it, are
 valid only until the next call with that dict. ``LstmModel`` keeps one such
-dict, in which every tile of ``predict_proba`` and ``input_gradient_batch``
-runs (the latter also returns its result in it), so one model must not run
-them from two threads at once; ``train`` keeps another for its batches. The
-explainers hand the model no whole batch: they build one tile of their rows
-at a time in the same dict (a group of coalition rows, or through
-``walk_tiles`` gradient path points and LIME rows) and run it, so the dict
-holds at most one tile of model input and one of input gradients.
+dict, in which every tile of ``predict_proba`` and every
+``input_gradient_batch`` call runs (the latter also returns its result in
+it), so one model must not run them from two threads at once; ``train``
+keeps another for its batches. The explainers hand the model no whole batch:
+they build one tile of their rows at a time in the same dict (a group of
+coalition rows, or through ``walk_tiles`` gradient path points and LIME
+rows) and run it, so the dict holds at most one tile of model input and one
+of input gradients.
 
 Additive attention over the hidden states:
 
@@ -99,24 +100,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ModelOverflowError, NonFiniteParameterError
-from .data import NormStats, SequenceSet
+from .data import NormStats, SequenceSet, write_json
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The rows of one tile of LstmModel.predict_proba, input_gradient_batch and
-# walk_tiles, and the most rows of one group of coalition masks (exact,
-# kernel). In the numpy/BLAS builds tested, a row's bits depend on its offset
-# mod 4 in its call and on whether the call has exactly one row, so tiles that
-# start at multiples of 8 and hold at least TILE_ROWS rows give every row the
-# bits of one whole-batch call (the backward products are padded for this, see
-# the module docstring; tests/test_model.py holds both passes to it). A
-# coalition group is one call of its own, so its size sets its rows' offsets:
-# another value can change the bytes of exact and kernel shap.json. At T = 10,
-# H = 16, d = 12 on one core, 1,600 rows forward and backward took ~15 ms per
-# call in tiles of 384-512 rows, ~16 ms in tiles of 256-320 rows and ~17 ms
-# untiled; 4,090 rows forward-only took ~37 ms in 400-row tiles against
-# ~38.5 ms in 1,024-row tiles, in a quarter of the workspace (1.6 MB against
-# 6.5 MB).
+# The rows of one tile of LstmModel.predict_proba and walk_tiles, and the most
+# rows of one group of coalition masks (exact, kernel). In the numpy/BLAS
+# builds tested, a row's bits depend on its offset mod 4 in its call and on
+# whether the call has exactly one row, so tiles that start at multiples of 8
+# and hold at least TILE_ROWS rows give every row the bits of one whole-batch
+# call (the backward products are padded for this, see the module docstring;
+# tests/test_model.py holds both passes to it). A coalition group is one call
+# of its own, so its size sets its rows' offsets: another value can change the
+# bytes of exact and kernel shap.json. At T = 10, H = 16, d = 12 on one core,
+# 1,600 rows forward and backward took ~15 ms per call in tiles of 384-512
+# rows, ~16 ms in tiles of 256-320 rows and ~17 ms untiled; 4,090 rows
+# forward-only took ~37 ms in 400-row tiles against ~38.5 ms in 1,024-row
+# tiles, in a quarter of the workspace (1.6 MB against 6.5 MB).
 TILE_ROWS = 400
 
 
@@ -149,9 +149,9 @@ def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool 
     into X, an uninitialised (hi - lo, *row_shape) array of the model's
     ``work`` dict (a new one for a model without it); then ``(lo, hi, out)``
     is yielded, where ``out`` is the model's ``predict_proba`` of X, or with
-    ``gradients`` its ``input_gradient_batch``, valid until the next tile. A
-    tile has fewer than ``2 * TILE_ROWS`` rows, so either method runs it in
-    one call, the one it makes for those rows on the whole batch.
+    ``gradients`` its ``input_gradient_batch``, valid until the next tile.
+    Each tile is one call of either method: ``predict_proba`` cuts no batch
+    of fewer than ``2 * TILE_ROWS`` rows, and ``input_gradient_batch`` none.
     """
     work = getattr(model, "work", None)
     call = model.input_gradient_batch if gradients else model.predict_proba
@@ -260,19 +260,16 @@ def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
 
 
 def _forward_arrays(work: dict | None, n: int, T: int, H: int, keep_cache: bool):
-    """The step scratch, ``A``, ``C`` and ``Hs`` of ``forward_batch`` on n rows."""
-    # The step scratch holds one step's x_t W_x' and h_{t-1} W_h', and after
-    # the loop the attention scores S. Without a cache it also holds the one
-    # step of gates and the two rows of cell state, which die with the loop.
-    if keep_cache:
-        step = work_buffer(work, "step", (max(8, T) * n * H,))
-        A = work_buffer(work, "A", (T, 4, n, H))
-        C = work_buffer(work, "C", (T + 1, n, H))
-    else:
-        step = work_buffer(work, "step", (max(14, T) * n * H,))
-        A = step[8 * n * H : 12 * n * H].reshape(1, 4, n, H)
-        C = step[12 * n * H : 14 * n * H].reshape(2, n, H)
-    return step, A, C, work_buffer(work, "Hs", (T + 1, n, H))
+    """The step scratch, ``A`` (``kept`` steps of gates), ``C`` (``kept + 1``
+    rows of cell state) and ``Hs`` of ``forward_batch`` on n rows, where
+    ``kept`` is T with a cache and 1 without."""
+    kept = T if keep_cache else 1
+    # the step scratch holds one step's x_t W_x' and h_{t-1} W_h', and after
+    # the loop the attention scores S
+    return (work_buffer(work, "step", (max(8, T) * n * H,)),
+            work_buffer(work, "A", (kept, 4, n, H)),
+            work_buffer(work, "C", (kept + 1, n, H)),
+            work_buffer(work, "Hs", (T + 1, n, H)))
 
 
 def forward_batch(
@@ -305,8 +302,8 @@ def forward_batch(
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
-    kept = T if keep_cache else 1  # steps of gates and cell state kept
     step, A, C, Hs = _forward_arrays(work, n, T, H, keep_cache)
+    kept = A.shape[0]  # steps of gates kept
     xw, hw = step[: 8 * n * H].reshape(2, n, 4 * H)
     # the initial state; every other row is written before it is read
     C[-1] = Hs[T] = 0.0
@@ -487,19 +484,13 @@ class LstmModel:
 
     def input_gradient_batch(self, X: np.ndarray) -> np.ndarray:
         """Exact gradient of the output probability w.r.t. every input cell,
-        computed forward and backward tile by tile (see ``_tile_bounds``), in
-        row order, in ``work``. The result is one of ``work``'s arrays, valid
-        until the next call that uses it."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 3:
-            raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
-        bounds = _tile_bounds(X.shape[0])
-        out = work_buffer(self.work, "grad", X.shape)
-        for lo, hi in zip(bounds, bounds[1:]):
-            p, _, cache = forward_batch(self.params, X[lo:hi], work=self.work)
-            dz = p * (1.0 - p)  # d sigmoid(z) / dz
-            backward_batch(self.params, cache, dz, work=self.work, out=out[lo:hi])
-        return out
+        in one forward and one backward call in ``work`` (``walk_tiles``
+        tiles a batch). The result is one of ``work``'s arrays, valid until
+        the next call that uses it."""
+        p, _, cache = forward_batch(self.params, X, work=self.work)
+        dz = p * (1.0 - p)  # d sigmoid(z) / dz
+        out = work_buffer(self.work, "grad", cache["X"].shape)
+        return backward_batch(self.params, cache, dz, work=self.work, out=out)[1]
 
 
 LR_DECAY = 0.1  # the final epoch runs at learning_rate * LR_DECAY (linear ramp)
@@ -732,12 +723,10 @@ def save_checkpoint(path, model: LstmModel, record: TrainingRecord) -> None:
     doc = {
         "schema": CHECKPOINT_SCHEMA,
         "config": {"input_dim": model.params.input_dim, "hidden": model.params.hidden},
-        "params": {name: arr.tolist() for name, arr in model.params.items()},
+        "params": dict(model.params.items()),
         "extra": record.to_dict(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path, fallback: TrainingRecord) -> tuple[LstmModel, TrainingRecord]:

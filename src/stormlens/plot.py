@@ -8,12 +8,12 @@ randomness-free layout (jitter included) is hash-based.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import DependenceData
+from .data import dumps_json
 from .errors import InputError
 from .lime import LimeExplanation
 from .shapley import GlobalImportance, ShapExplanation
@@ -54,8 +54,7 @@ class PlotSpec:
         _assert_finite_payload(self.data)
 
     def to_json(self) -> str:
-        doc = {"schema": PLOTSPEC_SCHEMA, **dataclasses.asdict(self)}
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return dumps_json({"schema": PLOTSPEC_SCHEMA, **dataclasses.asdict(self)})
 
 
 def diverging_color(t: float) -> str:
@@ -444,8 +443,7 @@ def render(spec: PlotSpec) -> str:
 def write_pair(out_dir, name: str, spec: PlotSpec) -> list[str]:
     """Write <name>.svg plus <name>.json; returns the two file names."""
     svg_name, json_name = f"{name}.svg", f"{name}.json"
-    with open(f"{out_dir}/{svg_name}", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render(spec))
-    with open(f"{out_dir}/{json_name}", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(spec.to_json())
+    for file_name, text in ((svg_name, render(spec)), (json_name, spec.to_json())):
+        with open(f"{out_dir}/{file_name}", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     return [svg_name, json_name]

@@ -35,7 +35,7 @@ class ShapExplanation:
     phi: np.ndarray  # (d,)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "phi": [float(v) for v in self.phi]}
+        return dict(vars(self))
 
 
 @dataclass

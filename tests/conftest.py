@@ -62,7 +62,7 @@ def desk_pipeline():
     """
     samples, _ = small_planted_dataset(seed=42, n_ars=120, samples_per_ar=14)
     train_s, test_s = data.split(samples, 0.8, 42)
-    stats = data.fit_norm_stats(train_s)
+    stats = data.NormStats.fit(train_s.features)
     train_w = normalized_windows(train_s, stats, 10)
     test_w = normalized_windows(test_s, stats, 10)
     net, _ = model.train(

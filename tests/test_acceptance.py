@@ -164,7 +164,7 @@ def desk_training():
     plant = data.PlantSpec(rho=0.95, label_noise=0.005)
     samples = data.synth_generate(500, 14, 42, plant)
     train_s, test_s = data.split(samples, 0.8, 42)
-    stats = data.fit_norm_stats(train_s)
+    stats = data.NormStats.fit(train_s.features)
     train_w = normalized_windows(train_s, stats, 10)
     test_w = normalized_windows(test_s, stats, 10)
     net, history = model.train(
@@ -195,7 +195,7 @@ def test_criterion_7_planted_importance_recovery():
                                label_noise=0.005, trend_window=8)
         samples = data.synth_generate(120, 12, seed, plant)
         train_s, test_s = data.split(samples, 0.8, seed)
-        stats = data.fit_norm_stats(train_s)
+        stats = data.NormStats.fit(train_s.features)
         train_w = normalized_windows(train_s, stats, 8)
         test_w = normalized_windows(test_s, stats, 8)
         net, _ = model.train(
@@ -399,6 +399,10 @@ def test_criterion_10_at_random_seeds(tiny_model, method, seed):
     assert not mismatched, f"{method} at seed {seed}: {mismatched} differ"
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_criterion_11_end_to_end_artifacts(pipeline_twice):
     d1, _, codes1, _ = pipeline_twice
     out = d1 / "out"
@@ -415,12 +419,19 @@ def test_criterion_11_end_to_end_artifacts(pipeline_twice):
     ]
     lime_plots = list(out.glob("lime_*_plot.svg"))
     manifests = list(out.glob("run_manifest_*.json"))
+    # every JSON artifact is valid JSON: no NaN or Infinity constant
+    invalid = []
+    for path in sorted(out.glob("*.json")):
+        try:
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        except ValueError:
+            invalid.append(path.name)
     report(
         "criterion 11 (end-to-end pipeline completes with all artifacts)",
         codes1 == [0] * 6 and not missing and lime_exports and lime_plots
-        and len(manifests) == 6,
+        and len(manifests) == 6 and not invalid,
         f"exit codes {codes1}, missing: {missing or 'none'}, "
-        f"{len(manifests)} manifests",
+        f"{len(manifests)} manifests, invalid JSON: {invalid or 'none'}",
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stormlens import cli, data, model as model_mod
+from stormlens import cli, data, model as model_mod, shapley
 from stormlens.errors import InputError
 from stormlens.features import FEATURE_NAMES
 
@@ -774,6 +774,21 @@ class TestFloatSettings:
             if name.endswith(".json"):
                 json.loads(text, parse_constant=_reject_constant)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", sorted(FLOAT_SETTING_COMMANDS))
+    def test_non_finite_value_rejected_on_a_command_that_ignores_it(
+            self, tiny_checkpoint, capsys, field, value):
+        # evaluate reads none of lr, rho and label_noise, but its manifest
+        # holds every setting; the setting is rejected before any file is read
+        out = tiny_checkpoint / "nonfinite" / f"{field}{value}"
+        code = run(["evaluate", "--data", str(tiny_checkpoint / "data.csv"),
+                    "--model", str(tiny_checkpoint / "model.json"), "--out", str(out),
+                    f"--{field.replace('_', '-')}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert not out.exists()
+
 
 class TestExplainGlobal:
     def test_artifacts_and_efficiency(self, trained):
@@ -947,6 +962,30 @@ class TestCorrelate:
         assert doc["names"] == list(FEATURE_NAMES)
         for stem in ("dependence_top", "dependence_bottom"):
             assert (trained / f"{stem}.svg").exists()
+
+    def test_samples_released_before_attribution(self, trained, monkeypatch):
+        halves, alive = [], []
+        split, explain_set = data.split, shapley.explain_set
+
+        def split_spy(*args):
+            result = split(*args)
+            halves.extend(weakref.ref(half) for half in result)
+            return result
+
+        def explain_set_spy(*args, **kwargs):
+            gc.collect()
+            alive.extend(ref() is not None for ref in halves)
+            return explain_set(*args, **kwargs)
+
+        monkeypatch.setattr(data, "split", split_spy)
+        monkeypatch.setattr(shapley, "explain_set", explain_set_spy)
+        assert run([
+            "correlate", "--data", str(trained / "data.csv"),
+            "--model", str(trained / "model.json"), "--out", str(trained),
+            "--method", "gradient", "--background", "5", "--n-steps", "4",
+            "--seed", "42",
+        ]) == 0
+        assert alive == [False, False]
 
     def test_equal_values_column_constant_in_checkpoint_and_matrix(self, tmp_path):
         # fourteen or more 7.3s have a computed std of ~1e-15, not 0

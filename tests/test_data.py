@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stormlens import cli, data, numerics
-from stormlens.errors import InputError, SchemaError
+from stormlens.errors import InputError, SchemaError, StormlensError
 from stormlens.features import FEATURE_NAMES, feature_index
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -405,7 +405,7 @@ class TestNormStats:
         plant = data.PlantSpec()
         samples = data.synth_generate(20, 8, 3, plant)
         train, test = data.split(samples, 0.75, 3)
-        stats = data.fit_norm_stats(train)
+        stats = data.NormStats.fit(train.features)
         Z = stats.apply(train.features.copy())
         assert np.abs(Z.mean(axis=0)).max() < 1e-10
         assert np.abs(Z.std(axis=0) - 1.0).max() < 1e-10
@@ -453,7 +453,7 @@ class TestNormStats:
     def test_round_trips_through_dict(self):
         plant = data.PlantSpec()
         samples = data.synth_generate(4, 5, 0, plant)
-        stats = data.fit_norm_stats(samples)
+        stats = data.NormStats.fit(samples.features)
         again = data.NormStats.from_dict(stats.to_dict())
         assert np.array_equal(stats.mean, again.mean)
         assert np.array_equal(stats.std, again.std)
@@ -494,10 +494,39 @@ class TestNormStats:
         assert np.all(stats.apply(X)[:, 11] == 0.0)
         assert stats.apply(np.full(12, 7.4))[11] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("column", [[1e308, -1e308, 0.0], [1e308, 1e308, 1.0]])
+    def test_fit_overflow_names_the_feature(self, column):
+        X = np.ones((3, 12))
+        X[:, 2] = column
+        with pytest.raises(InputError, match=f"^feature {FEATURE_NAMES[2]}: mean or standard "
+                                             "deviation overflows"):
+            data.NormStats.fit(X)
+        X[:, 2] = 1e308  # a constant column keeps its value as its mean
+        assert data.NormStats.fit(X).mean[2] == 1e308
+
     def test_fit_rejects_empty_or_flat_input(self):
         for rows in (np.zeros((0, 12)), np.zeros(12)):
             with pytest.raises(InputError, match="nonempty"):
                 data.NormStats.fit(rows)
+
+
+class TestWriteJson:
+    def test_sorted_two_space_indent_final_newline_arrays_as_lists(self, tmp_path):
+        path = tmp_path / "doc.json"
+        data.write_json(path, {"b": np.array([[1.5, 2.0]]), "a": np.array([True, False]),
+                               "c": np.float64(0.1)})
+        want = {"a": [True, False], "b": [[1.5, 2.0]], "c": 0.1}
+        assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2) + "\n"
+        assert data.dumps_json(want) == json.dumps(want, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.array([1.0, -np.inf])])
+    def test_non_finite_value_raises_naming_the_file_and_leaves_no_file(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(StormlensError) as exc:
+            data.write_json(path, {"ok": 1.0, "bad": [value]})
+        assert not isinstance(exc.value, InputError)  # the CLI exits 1
+        assert str(exc.value).startswith(f"{path}: ")
+        assert not path.exists()
 
 
 class TestSynth:

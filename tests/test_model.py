@@ -465,8 +465,9 @@ class TestGradientWorkspace:
 
 
 class TestGradientTiles:
-    """input_gradient_batch runs forward and backward in tiles of
-    TILE_ROWS rows; every row keeps the bits of one untiled call."""
+    """walk_tiles is the one gradient tiler: it runs input_gradient_batch on
+    tiles of TILE_ROWS rows, and every row keeps the bits of one
+    input_gradient_batch call on the whole batch."""
 
     TILE = model.TILE_ROWS
     SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE + 7, 1600, 4100]
@@ -476,8 +477,25 @@ class TestGradientTiles:
 
     @staticmethod
     def _untiled(params, X):
-        p, _, cache = model.forward_batch(params, X)
-        return model.backward_batch(params, cache, p * (1.0 - p), out=np.empty(X.shape))[1]
+        return model.LstmModel(params).input_gradient_batch(X)
+
+    @classmethod
+    def _walked(cls, net, X):
+        """X's input gradients from gradient walk_tiles, whose tiles start at
+        multiples of TILE_ROWS and hold fewer than 2 * TILE_ROWS rows."""
+        got = np.empty(X.shape)
+
+        def fill(rows, lo, hi):
+            rows[:] = X[lo:hi]
+
+        bounds = [0]
+        for lo, hi, grads in model.walk_tiles(net, X.shape[0], X.shape[1:], fill,
+                                              gradients=True):
+            assert lo == bounds[-1] and lo % cls.TILE == 0 and hi - lo < 2 * cls.TILE
+            bounds.append(hi)
+            got[lo:hi] = grads
+        assert bounds[-1] == X.shape[0]
+        return got
 
     @pytest.mark.parametrize("n", SIZES)
     @settings(max_examples=3, deadline=None, derandomize=True)
@@ -490,7 +508,7 @@ class TestGradientTiles:
         rng = np.random.default_rng(seed)
         params = _random_params(d, H, rng, scale=1.0)
         X = rng.normal(scale=2.0, size=(n, T, d))
-        got = model.LstmModel(params).input_gradient_batch(X)
+        got = self._walked(model.LstmModel(params), X)
         assert np.array_equal(got, self._untiled(params, X))
 
     @pytest.mark.parametrize("T, d, H", [(10, 12, 16), (1, 1, 1), (4, 5, 11)])
@@ -498,7 +516,7 @@ class TestGradientTiles:
         rng = np.random.default_rng(H)
         params = _random_params(d, H, rng, scale=1.0)
         X = rng.normal(size=(1, T, d))
-        got = model.LstmModel(params).input_gradient_batch(X)
+        got = self._walked(model.LstmModel(params), X)
         assert np.array_equal(got, self._untiled(params, X))
 
     def test_repeated_call_allocates_less_than_one_untiled_gate_array(self):
@@ -506,10 +524,18 @@ class TestGradientTiles:
         untiled_A = T * 4 * n * H * 8  # bytes
         net = model.LstmModel(model.init_params(d, H, seed=0))
         X = np.random.default_rng(0).normal(size=(n, T, d))
-        net.input_gradient_batch(X)
+
+        def fill(rows, lo, hi):
+            rows[:] = X[lo:hi]
+
+        def walk():
+            for _ in model.walk_tiles(net, n, (T, d), fill, gradients=True):
+                pass
+
+        walk()
         tracemalloc.start()
         try:
-            net.input_gradient_batch(X)
+            walk()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
