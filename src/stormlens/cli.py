@@ -74,8 +74,8 @@ class RunConfig:
             if type(value) is int and value > MAX_INT_SETTING:
                 raise InputError(f"--{name.replace('_', '-')} must be at most "
                                  f"{MAX_INT_SETTING}, got {value}")
-        if self.seed < 0:
-            raise InputError("seed must be nonnegative")
+        # before the finite-float loop, so that a NaN lr gets TrainConfig's message
+        self.train_config().validate()
         if self.window < 1:
             raise InputError("window length must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -101,13 +101,15 @@ class RunConfig:
             raise InputError("threshold must be in (0, 1)")
         if self.horizon_hours < 1:
             raise InputError("horizon_hours must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr > 0):  # TrainConfig's rule and message
-            raise InputError("learning rate must be positive and finite")
         # every command writes every setting into its manifest, and JSON
         # cannot hold NaN or infinity
         for name, value in vars(self).items():
             if type(value) is float and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value}")
+
+    def train_config(self) -> model_mod.TrainConfig:
+        return model_mod.TrainConfig(hidden=self.hidden, epochs=self.epochs, batch=self.batch,
+                                     learning_rate=self.lr, seed=self.seed)
 
     def plant(self) -> data.PlantSpec:
         spec = data.PlantSpec(
@@ -354,15 +356,10 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:
-    tc = model_mod.TrainConfig(
-        hidden=cfg.hidden, epochs=cfg.epochs, batch=cfg.batch,
-        learning_rate=cfg.lr, seed=cfg.seed,
-    )
-    tc.validate()  # before the data is read
     record = _run_record(cfg)
     # the training samples are dropped here: only correlate reads them
     stats, train_w, test_w = _prepare_windows(cfg, record)[1:]
-    net, history = model_mod.train(train_w, tc)
+    net, history = model_mod.train(train_w, cfg.train_config())
 
     record = dataclasses.replace(
         record, norm_stats=stats, feature_names=FEATURE_NAMES, untrained=cfg.epochs == 0
@@ -430,11 +427,14 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
     _, _, train_w, test_w = _prepare_windows(cfg, record)
 
     ids = test_w.sample_ids
+    digits = cfg.sample_id.lstrip("0") or "0"
     if cfg.sample_id in ids:
         index = ids.index(cfg.sample_id)
-    # isdecimal, not isdigit: "²" is a digit that int() rejects
-    elif cfg.sample_id.isdecimal() and int(cfg.sample_id) < len(ids):
-        index = int(cfg.sample_id)
+    # isdecimal, not isdigit: "²" is a digit that int() rejects; an index has no
+    # more significant digits than len(ids), and int() takes at most 4,300
+    elif (cfg.sample_id.isdecimal() and len(digits) <= len(str(len(ids)))
+          and int(digits) < len(ids)):
+        index = int(digits)
     else:
         raise InputError(
             f"unknown sample-id {cfg.sample_id!r}; expected a test window id "

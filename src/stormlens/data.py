@@ -316,25 +316,23 @@ def write_csv(path, samples: Samples) -> None:
                                                        samples.features, samples.labels))
 
 
-def dumps_json(obj) -> str:
+def dumps_json(obj, path=None) -> str:
     """``obj`` in the JSON form of every file the package writes: sorted
     keys, a two-space indent and a final newline, numpy arrays as lists.
-    NaN and infinity, which JSON cannot hold, raise a StormlensError."""
+    NaN and infinity, which JSON cannot hold, raise a StormlensError whose
+    message starts with ``path``, the file the text is for, when given."""
     try:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
                           default=np.ndarray.tolist) + "\n"
     except ValueError as exc:
-        raise StormlensError(f"cannot write as JSON: {exc}") from None
+        where = "" if path is None else f"{path}: "
+        raise StormlensError(f"{where}cannot write as JSON: {exc}") from None
 
 
 def write_json(path, obj) -> None:
-    """Write ``dumps_json(obj)`` to ``path``. The text is built before the
-    file is opened, so a value JSON cannot hold leaves no file; its error
-    names ``path``."""
-    try:
-        text = dumps_json(obj)
-    except StormlensError as exc:
-        raise StormlensError(f"{path}: {exc}") from None
+    """Write ``dumps_json(obj, path)`` to ``path``. The text is built before
+    the file is opened, so a value JSON cannot hold leaves no file."""
+    text = dumps_json(obj, path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

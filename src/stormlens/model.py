@@ -63,17 +63,18 @@ at B = 100 and K = 16. Smaller calls (B = 10 gives 160 rows) and other
 widths get other last bits than the unpadded product would give.
 
 Both passes take an optional ``work`` dict and then keep their large arrays
-in it, reused by the next call with that dict instead of allocated anew. A
-cache built with a ``work`` dict, and the input gradients read from it, are
-valid only until the next call with that dict. ``LstmModel`` keeps one such
-dict, in which every tile of ``predict_proba`` and every
-``input_gradient_batch`` call runs (the latter also returns its result in
-it), so one model must not run them from two threads at once; ``train``
-keeps another for its batches. The explainers hand the model no whole batch:
-they build one tile of their rows at a time in the same dict (a group of
-coalition rows, or through ``walk_tiles`` gradient path points and LIME
-rows) and run it, so the dict holds at most one tile of model input and one
-of input gradients.
+in it, reused by the next call with that dict instead of allocated anew;
+``_forward_arrays`` and ``_backward_arrays`` list them. A cache built with a
+``work`` dict, and the input gradients read from it, are valid only until
+the next call with that dict. ``LstmModel`` keeps one such dict, sized by
+``reserve`` for a walk's largest tile before its first, in which every tile
+of ``predict_proba`` and every ``input_gradient_batch`` call runs (the
+latter also returns its result in it), so one model must not run them from
+two threads at once; ``train`` keeps another for its batches. The
+explainers hand the model no whole batch: they build one tile of their rows
+at a time in the same dict (a group of coalition rows, or through
+``walk_tiles`` gradient path points and LIME rows) and run it, so the dict
+holds at most one tile of model input and one of input gradients.
 
 Additive attention over the hidden states:
 
@@ -151,31 +152,19 @@ def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool 
     is yielded, where ``out`` is the model's ``predict_proba`` of X, or with
     ``gradients`` its ``input_gradient_batch``, valid until the next tile.
     Each tile is one call of either method: ``predict_proba`` cuts no batch
-    of fewer than ``2 * TILE_ROWS`` rows, and ``input_gradient_batch`` none.
+    of fewer than ``2 * TILE_ROWS`` rows, and ``input_gradient_batch`` none;
+    ``model.reserve`` sizes the workspace of either for the largest tile.
     """
     work = getattr(model, "work", None)
     call = model.input_gradient_batch if gradients else model.predict_proba
     bounds = _tile_bounds(n)
     if work is not None:  # sized for the last tile, the largest, before the first
         work_buffer(work, "rows", (bounds[-1] - bounds[-2], *row_shape))
-        if not gradients:
-            model.reserve(bounds[-1] - bounds[-2], row_shape[0])
+        model.reserve(bounds[-1] - bounds[-2], row_shape[0], gradients)
     for lo, hi in zip(bounds, bounds[1:]):
         X = work_buffer(work, "rows", (hi - lo, *row_shape))
         fill(X, lo, hi)
         yield lo, hi, call(X)
-
-
-def _padded(work: dict | None, key: str, w: np.ndarray) -> np.ndarray:
-    """``w`` (k, m) zero-padded on the right to a multiple of 8 columns:
-    ``w`` itself when m is one already, else a ``work`` array."""
-    k, m = w.shape
-    if m % 8 == 0:
-        return w
-    padded = work_buffer(work, key, (k, -(-m // 8) * 8))
-    padded[:, m:] = 0.0
-    padded[:, :m] = w
-    return padded
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -270,6 +259,35 @@ def _forward_arrays(work: dict | None, n: int, T: int, H: int, keep_cache: bool)
             work_buffer(work, "A", (kept, 4, n, H)),
             work_buffer(work, "C", (kept + 1, n, H)),
             work_buffer(work, "Hs", (T + 1, n, H)))
+
+
+def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int, input_grads: bool):
+    """The weights w_x, w_h, w_att of ``backward_batch`` on n rows of T steps,
+    then its arrays dx, dU, dH_ext, sq, dG, da, bptt and dh_w. With
+    ``input_grads`` the weights and the products dx, dH_ext and dh_w are
+    zero-padded to a multiple of 8 columns, so that no row's bits depend on
+    the call's row count (see the module docstring); without, dx is None."""
+    weights = {"w_x": params.w_x, "w_h": params.w_h, "w_att": params.w_att}
+    if input_grads:
+        for key, w in weights.items():
+            k, m = w.shape
+            if m % 8:  # a width of a multiple of 8 is used as it is
+                weights[key] = padded = work_buffer(work, key + "8", (k, -(-m // 8) * 8))
+                padded[:, m:] = 0.0
+                padded[:, :m] = w
+    w_x, w_h, w_att = weights.values()
+    H = params.hidden
+    dH_ext = work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
+    return (w_x, w_h, w_att,
+            work_buffer(work, "dx", (n, w_x.shape[1])) if input_grads else None,
+            work_buffer(work, "dU", (T, n, H)),
+            dH_ext,
+            # sq (1 - S**2) is dead once dU has it, so dH_ext may overwrite it
+            dH_ext.reshape(-1)[: T * n * H].reshape(T, n, H),
+            work_buffer(work, "dG", (4, n, H)),
+            work_buffer(work, "da", (n, 4 * H)),
+            work_buffer(work, "bptt", (5, n, H)),
+            work_buffer(work, "dh_next", (n, w_h.shape[1])))
 
 
 def forward_batch(
@@ -374,15 +392,8 @@ def backward_batch(
     H = params.hidden
     A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
     Hs_T = Hs[:T]
-
-    w_x, w_h, w_att = params.w_x, params.w_h, params.w_att
-    if out is not None:
-        # every weight product runs against the weight zero-padded to a
-        # multiple of 8 columns and keeps the first ones, so that no row's bits
-        # depend on how many rows the call has (see the module docstring)
-        w_x, w_h, w_att = (_padded(work, key + "8", w) for key, w in
-                           (("w_x", w_x), ("w_h", w_h), ("w_att", w_att)))
-        dx = work_buffer(work, "dx", (n, w_x.shape[1]))
+    w_x, w_h, w_att, dx, dU, dH_ext, sq, dG, da, bptt, dh_w = _backward_arrays(
+        work, params, n, T, out is not None)
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
     if grads is not None:
@@ -394,11 +405,8 @@ def backward_batch(
     dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     # dS, then dS * (1 - S**2); (T, n, H)
-    dU = np.multiply(de.T[:, :, None], params.v_att, out=work_buffer(work, "dU", (T, n, H)))
-    # sq is dead once dU has it, so dH_ext may overwrite it
-    dH_ext = work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
-    sq = np.square(S, out=work_buffer(work, "dH_ext", (T, n, H)))
-    dU *= np.subtract(1.0, sq, out=sq)
+    np.multiply(de.T[:, :, None], params.v_att, out=dU)
+    dU *= np.subtract(1.0, np.square(S, out=sq), out=sq)
     if grads is not None:
         grads["v_att"] += np.einsum("tnh,nt->h", S, de)
         grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
@@ -408,10 +416,7 @@ def backward_batch(
 
     # backprop through time; dG holds the gate gradients [i, f, o, g] gate-major,
     # da the same values in the (n, 4H) layout that w_x and w_h multiply
-    dG = work_buffer(work, "dG", (4, n, H))
-    da = work_buffer(work, "da", (n, 4 * H))
-    tc, u, dh, dc, dc_next = work_buffer(work, "bptt", (5, n, H))
-    dh_w = work_buffer(work, "dh_next", (n, w_h.shape[1]))
+    tc, u, dh, dc, dc_next = bptt
     dh_next = dh_w[:, :H]
     dh_next.fill(0.0)  # the others are written before they are read
     dc_next.fill(0.0)
@@ -463,9 +468,13 @@ class LstmModel:
         self.params = params
         self.work: dict[str, np.ndarray] = {}
 
-    def reserve(self, n: int, T: int) -> None:
-        """Size ``work`` for forward-only tiles of up to n rows of T steps."""
-        _forward_arrays(self.work, n, T, self.params.hidden, False)
+    def reserve(self, n: int, T: int, gradients: bool = False) -> None:
+        """Size ``work`` for forward-only tiles of up to n rows of T steps, or
+        with ``gradients`` for ``input_gradient_batch``'s (both passes)."""
+        _forward_arrays(self.work, n, T, self.params.hidden, gradients)
+        if gradients:
+            _backward_arrays(self.work, self.params, n, T, True)
+            work_buffer(self.work, "grad", (n, T, self.params.input_dim))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed

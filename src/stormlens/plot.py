@@ -29,17 +29,6 @@ COLOR_NEGATIVE = "#1f77e0"
 COLOR_POSITIVE = "#e01f5f"
 
 
-def _assert_finite_payload(value, where: str = "data") -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _assert_finite_payload(v, f"{where}.{k}")
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _assert_finite_payload(v, f"{where}[{i}]")
-    elif isinstance(value, float) and not np.isfinite(value):
-        raise InputError(f"plot payload contains a non-finite value at {where}")
-
-
 @dataclass
 class PlotSpec:
     """Renderer-independent plot description; serialized as the sidecar."""
@@ -50,11 +39,8 @@ class PlotSpec:
     height: int
     data: dict
 
-    def __post_init__(self):
-        _assert_finite_payload(self.data)
-
-    def to_json(self) -> str:
-        return dumps_json({"schema": PLOTSPEC_SCHEMA, **dataclasses.asdict(self)})
+    def to_json(self, path=None) -> str:
+        return dumps_json({"schema": PLOTSPEC_SCHEMA, **dataclasses.asdict(self)}, path)
 
 
 def diverging_color(t: float) -> str:
@@ -441,9 +427,12 @@ def render(spec: PlotSpec) -> str:
 
 
 def write_pair(out_dir, name: str, spec: PlotSpec) -> list[str]:
-    """Write <name>.svg plus <name>.json; returns the two file names."""
+    """Write <name>.svg plus <name>.json; returns the two file names. The
+    sidecar's text comes first: it refuses NaN and infinity, which ``render``
+    cannot draw, naming its file, before either file is opened."""
     svg_name, json_name = f"{name}.svg", f"{name}.json"
-    for file_name, text in ((svg_name, render(spec)), (json_name, spec.to_json())):
+    sidecar = spec.to_json(f"{out_dir}/{json_name}")
+    for file_name, text in ((svg_name, render(spec)), (json_name, sidecar)):
         with open(f"{out_dir}/{file_name}", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return [svg_name, json_name]

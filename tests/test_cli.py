@@ -155,6 +155,24 @@ class TestTrain:
         assert run(train_args(trained) + flags) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--hidden", "0", "hidden size must be >= 1"),
+        ("--epochs", "-1", "epochs must be >= 0"),
+        ("--batch", "0", "batch size must be >= 1"),
+        ("--seed", "-1", "seed must be nonnegative"),
+    ], ids=["hidden", "epochs", "batch", "seed"])
+    def test_training_rule_applies_on_a_command_that_does_not_train(
+            self, tiny_checkpoint, capsys, flag, value, message):
+        # evaluate trains nothing, but every command checks the training
+        # settings by model.train's rules before any file is read
+        out = tiny_checkpoint / "training-rules" / f"{flag[2:]}{value}"
+        code = run(["evaluate", "--data", str(tiny_checkpoint / "data.csv"),
+                    "--model", str(tiny_checkpoint / "model.json"), "--out", str(out),
+                    f"{flag}={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_training_setting_reported_before_the_data_is_read(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run(synth_args(out, spa=8)) == 0
@@ -885,6 +903,19 @@ class TestExplainLocal:
         ])
         assert code == 2
         assert f"error: unknown sample-id {sample_id!r}" in capsys.readouterr().err
+
+    def test_index_longer_than_int_converts_exit_2(self, trained, capsys):
+        # int() refuses a string of more than 4,300 digits
+        sample_id = "9" * 5000
+        code = run([
+            "explain-local", "--data", str(trained / "data.csv"),
+            "--model", str(trained / "model.json"), "--out", str(trained),
+            "--sample-id", sample_id,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: unknown sample-id {sample_id!r}")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("flags, field", [
         (["--lime-width", "1e-200"], "lime_width"),  # the square underflows to 0

@@ -542,6 +542,26 @@ class TestGradientTiles:
         assert peak < untiled_A
         assert max(arr.nbytes for arr in net.work.values()) < untiled_A
 
+    def test_cold_walk_sizes_its_workspace_once(self):
+        # tiles of 400, 400 and 500 rows: the forward-with-cache, backward and
+        # result arrays are sized for the last, the largest, before the first
+        T, d, H, n = 10, 12, 16, 1300
+        net = model.LstmModel(model.init_params(d, H, seed=0))
+        X = np.random.default_rng(0).normal(size=(n, T, d))
+
+        def fill(rows, lo, hi):
+            rows[:] = X[lo:hi]
+
+        tracemalloc.start()
+        try:
+            for _ in model.walk_tiles(net, n, (T, d), fill, gradients=True):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work = sum(arr.nbytes for arr in net.work.values())
+        assert peak - work < 0.5 * 2**20
+
 
 class TestSigmoid:
     SPECIAL = [0.0, 5e-324, 1e-300, 36.0, 709.8, 745.0, 1e308, np.inf]

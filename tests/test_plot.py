@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stormlens import analysis, lime, plot, shapley
+from stormlens.errors import InputError, StormlensError
 from stormlens.features import FEATURE_NAMES
 
 
@@ -90,12 +91,26 @@ class TestRenderBasics:
 
 
 class TestPayloadValidation:
-    def test_non_finite_payload_rejected(self):
-        from stormlens.errors import InputError
+    """A value JSON cannot hold is an internal error (the CLI exits 1) that
+    names the sidecar, found before either file of the pair is written."""
 
-        with pytest.raises(InputError, match="non-finite"):
-            plot.PlotSpec(kind="bar", title="t", width=10, height=10,
-                          data={"bars": [{"name": "x", "value": float("nan")}]})
+    @pytest.mark.parametrize("kind", ["bar", "decision"])
+    def test_non_finite_payload_names_the_sidecar_and_writes_nothing(self, tmp_path, kind):
+        if kind == "bar":
+            spec = plot.PlotSpec(kind="bar", title="t", width=10, height=10,
+                                 data={"bars": [{"name": "x", "value": float("nan")}]})
+        else:
+            exps, _, imp = beeswarm_inputs()
+            paths, bottom_up = shapley.decision_path(exps, imp, base=0.4)
+            fx = [float("nan")] + [e.fx for e in exps[1:]]
+            spec = plot.spec_decision(paths, bottom_up, 0.4, fx, FEATURE_NAMES)
+            with pytest.raises(ValueError):  # the NaN line colour, were it drawn first
+                plot.render(spec)
+        with pytest.raises(StormlensError) as exc:
+            plot.write_pair(tmp_path, kind, spec)
+        assert not isinstance(exc.value, InputError)
+        assert str(exc.value).startswith(f"{tmp_path}/{kind}.json: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestColorScale:

@@ -147,11 +147,73 @@ def test_against_alternates_pairs_and_keeps_failed_runs(record_tool, tmp_path, m
         assert len(entry["parent"]["runs"]) == 3
     train = bench["workloads"]["train"]
     assert train["parent"]["failed"] == 1
-    assert train["parent"]["runs"][1] == {"rc": 1, "correct": False, "metrics": {}}
+    assert train["parent"]["runs"][1] == {"rc": 1, "correct": False, "metrics": {},
+                                          "stages": None}
     assert train["parent"]["end_to_end"]["wall_s"]["n"] == 2
     assert train["wins"] == {"pairs": 2, "this_better": {
         "setup_s": 0, "wall_s": 2, "peak_rss_mb": 0, "tss": 0}}
     assert bench["workloads"][workloads[0]]["wins"]["pairs"] == 3
+
+
+def canned_results(explain_global_s, cpu):
+    """The record perfbench/run.py writes to .perfbench/results/: an
+    end_to_end block with two of BENCHMARK.json's metrics and one stage
+    metric, and one untraced cycle per ``cpu`` value plus a traced one."""
+    block = {name: {"median": v, "q1": v, "q3": v, "n": 1, "unit": "s"} for name, v in
+             {"wall_s": 1.0, "setup_s": 2.0, "explain_global_s": explain_global_s}.items()}
+    cycles = [{"cpu_s": c, "traced": False, "wall_s": 1.0} for c in cpu]
+    return json.dumps({"end_to_end": block, "cycles": cycles + [
+        {"cpu_s": 99.0, "traced": True, "wall_s": 1.5}]})
+
+
+class StageRuns(FakeRuns):
+    """FakeRuns that also writes the results record of each --trace 0 run:
+    a correct one on the parent; on this checkout none in the first pair, a
+    malformed one in the second and a correct one in the third."""
+
+    def __call__(self, root, workload, seed, seconds, trace):
+        rc, stdout = super().__call__(root, workload, seed, seconds, trace)
+        side = "parent" if root == self.parent_root else "this"
+        k = sum(c[:2] == (workload, side) and c[2] == 0 for c in self.calls)
+        path = Path(root) / ".perfbench" / "results" / f"{workload}-seed3-trace{trace}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if trace:
+            path.write_text("{}", encoding="utf-8")  # never read
+        elif side == "parent":
+            path.write_text(canned_results(0.25 * k, [k, k + 1.0, k + 2.0]), encoding="utf-8")
+        elif k == 2:
+            path.write_text('{"end_to_end": {"explain_global_s": 0.5}}', encoding="utf-8")
+        elif k == 3:
+            path.write_text(canned_results(0.5, [3.0, 5.0]), encoding="utf-8")
+        return rc, stdout
+
+
+def test_stage_figures_read_from_each_runs_results_file(record_tool, tmp_path, monkeypatch):
+    parent, this = tmp_path / "parent", tmp_path / "this"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("", encoding="utf-8")
+    # a record left from an earlier run must not stand in for the first pair's
+    stale = this / ".perfbench" / "results" / "train-seed3-trace0.json"
+    stale.parent.mkdir(parents=True)
+    stale.write_text(canned_results(9.0, [9.0]), encoding="utf-8")
+    monkeypatch.setattr(record_tool, "ROOT", str(this))
+    shutil.copy(tmp_path / "BENCHMARK.json", this / "BENCHMARK.json")
+    monkeypatch.setattr(record_tool, "run_once", StageRuns(str(parent)))
+    monkeypatch.setattr(record_tool, "PAIRS", 3)
+    assert record_tool.main(["--label", "t", "--against", str(parent)]) == 1
+
+    bench = json.loads((this / "BENCH_t.json").read_text(encoding="utf-8"))
+    for name, entry in bench["workloads"].items():
+        assert [r["stages"] for r in entry["this"]["runs"]] == [
+            None, None, {"explain_global_s": 0.5, "cpu_s": 4.0}], name
+        assert entry["this"]["stages"] == {
+            "explain_global_s": record_tool.quartiles([0.5]),
+            "cpu_s": record_tool.quartiles([4.0])}
+        ks = [1, 3] if name == "train" else [1, 2, 3]  # the parent's second train run failed
+        assert entry["parent"]["stages"] == {
+            "explain_global_s": record_tool.quartiles([0.25 * k for k in ks]),
+            "cpu_s": record_tool.quartiles([k + 1.0 for k in ks])}
+        assert entry["this"]["end_to_end"]["wall_s"]["n"] == 3
 
 
 @pytest.mark.parametrize("argv", [["--label", "a/b", "--against", "parent"],

@@ -12,17 +12,24 @@ of both checkouts ``PAIRS`` times, each run in a process of its own, the
 parent first in even pairs and this checkout first in odd ones, so that a
 drift of the machine's speed reaches both sides alike; then each side once
 with ``--trace 1`` for the per-layer figures. It reads the JSON result on
-the last line of each run's stdout.
+the last line of each run's stdout and, after each ``--trace 0`` run, the
+stage figures of the record that run.py writes to
+``.perfbench/results/<workload>-seed<SEED>-trace0.json`` in its checkout.
 
 BENCH_<label>.json, at the root of this checkout, holds for each side
 (``this`` checkout and the ``parent``) its commit, the environment that
 run.py reports, and per workload every run, the median and quartiles of
-each end-to-end metric over the runs that succeeded, and the traced run's
-per-layer figures; the parent side is the baseline. A run that exits
-non-zero or reports ``"correct": false`` is kept as a failed run and left
-out of the medians. Each workload also records, per end-to-end metric, in
-how many pairs this checkout read better than the parent (ties count for
-neither) and how many pairs had no failed side.
+each end-to-end metric over the runs that succeeded, the same for each
+stage metric (``stages``: each metric of the record's ``end_to_end`` block
+that BENCHMARK.json does not list, such as ``explain_global_s``, and
+``cpu_s`` over the untraced cycles), and the traced run's per-layer
+figures; the parent side is the baseline. A run that exits non-zero or
+reports ``"correct": false`` is kept as a failed run and left out of the
+medians. A run whose record is missing or malformed keeps
+``"stages": null`` and is left out of the stage medians. Each workload also
+records, per end-to-end metric, in how many pairs this checkout read better
+than the parent (ties count for neither) and how many pairs had no failed
+side.
 """
 
 from __future__ import annotations
@@ -54,6 +61,28 @@ def run_once(root: str, workload: str, seed: int, seconds: float, trace: int) ->
     return proc.returncode, proc.stdout
 
 
+def results_path(root: str, workload: str) -> str:
+    """The record that ``perfbench/run.py --trace 0`` writes in ``root``."""
+    return os.path.join(root, ".perfbench", "results", f"{workload}-seed{SEED}-trace0.json")
+
+
+def read_stages(path: str, end_to_end: list[str]) -> dict | None:
+    """The median of each stage metric of the record at ``path``: each entry
+    of its ``end_to_end`` block not named in ``end_to_end``, and ``cpu_s``
+    over the untraced cycles. None when the file is missing or malformed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            result = json.load(fh)
+        stages = {name: float(m["median"]) for name, m in result["end_to_end"].items()
+                  if name not in end_to_end}
+        cpu = [float(c["cpu_s"]) for c in result["cycles"] if not c["traced"]]
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    if cpu:
+        stages["cpu_s"] = statistics.median(cpu)
+    return stages
+
+
 def parse_run(rc: int, stdout: str) -> dict:
     """One run's record: its exit code, whether it was correct, its metric
     values and the environment run.py printed."""
@@ -81,11 +110,10 @@ def commit(root: str) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
 
 
-def summarize(runs: list[dict], metrics: list[str]) -> dict:
-    """Median and quartiles of each metric over the correct runs."""
-    good = [r["metrics"] for r in runs if r["correct"]]
-    return {name: quartiles([m[name] for m in good]) for name in metrics
-            if good and all(name in m for m in good)}
+def summarize(records: list[dict], metrics) -> dict:
+    """Median and quartiles of each metric that every record holds."""
+    return {name: quartiles([r[name] for r in records]) for name in metrics
+            if records and all(name in r for r in records)}
 
 
 def wins(this: list[dict], parent: list[dict], better: dict[str, str]) -> dict:
@@ -116,7 +144,11 @@ def record(label: str, sides: dict[str, str], log=sys.stderr) -> dict:
         for i in range(PAIRS):
             order = list(sides)[::-1] if i % 2 == 0 else list(sides)  # parent first in even pairs
             for side in order:
+                path = results_path(sides[side], workload)
+                if os.path.exists(path):  # a stale record must not be read as this run's
+                    os.remove(path)
                 run = parse_run(*run_once(sides[side], workload, SEED, seconds, 0))
+                run["stages"] = read_stages(path, list(better)) if run["correct"] else None
                 runs[side].append(run)
                 print(f"{workload} pair {i} {side}: rc={run['rc']} {run['metrics']}", file=log)
         entry = {}
@@ -127,9 +159,12 @@ def record(label: str, sides: dict[str, str], log=sys.stderr) -> dict:
                 (r["environment"] for r in runs[side] if r["environment"]), None))
             for run in runs[side]:
                 del run["environment"]
+            good = [r for r in runs[side] if r["correct"]]
+            stages = [r["stages"] for r in good if r["stages"] is not None]
             entry[side] = {
                 "failed": sum(not r["correct"] for r in runs[side]),
-                "end_to_end": summarize(runs[side], list(better)),
+                "end_to_end": summarize([r["metrics"] for r in good], list(better)),
+                "stages": summarize(stages, sorted({name for s in stages for name in s})),
                 "per_layer": traced["metrics"] if traced["correct"] else None,
                 "traced_run": {k: traced[k] for k in ("rc", "correct")},
                 "runs": runs[side],
