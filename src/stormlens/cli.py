@@ -95,8 +95,6 @@ class RunConfig:
             raise InputError(f"lime_k must be in 1..{len(FEATURE_NAMES)}")
         if self.lime_width is not None:
             lime.kernel_scale(self.lime_width)
-        if not (math.isfinite(self.lime_lambda) and self.lime_lambda >= 0):
-            raise InputError("lime_lambda must be finite and nonnegative")
         if not 0.0 < self.threshold < 1.0:
             raise InputError("threshold must be in (0, 1)")
         if self.horizon_hours < 1:
@@ -106,21 +104,22 @@ class RunConfig:
         for name, value in vars(self).items():
             if type(value) is float and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value}")
+        if self.lime_lambda < 0:
+            raise InputError(f"lime_lambda must be nonnegative, got {self.lime_lambda}")
+        self.plant().validate()
 
     def train_config(self) -> model_mod.TrainConfig:
         return model_mod.TrainConfig(hidden=self.hidden, epochs=self.epochs, batch=self.batch,
                                      learning_rate=self.lr, seed=self.seed)
 
     def plant(self) -> data.PlantSpec:
-        spec = data.PlantSpec(
+        return data.PlantSpec(
             dominant=self.dominant,
             correlate=self.correlate,
             rho=self.rho,
             label_noise=self.label_noise,
             trend_window=self.window,
         )
-        spec.validate()
-        return spec
 
 
 def _optional(parse, none_words: tuple[str, ...]):
@@ -218,19 +217,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(
-    cfg: RunConfig, command: str, inputs: list[str], artifacts: list[str],
-    record: model_mod.TrainingRecord | None = None,
-) -> None:
-    """``record`` is the training record of the checkpoint the command read."""
+def _write_manifest(cfg: RunConfig, command: str, inputs: list[str], artifacts: list[str]) -> None:
     doc = {
         "command": command,
         "config": dataclasses.asdict(cfg),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "artifacts": sorted(artifacts),
     }
-    if record is not None and record.norm_stats is None:
-        doc["norm_stats_refit"] = True  # refitted on the training split
     data.write_json(os.path.join(cfg.out, f"run_manifest_{command.replace('-', '_')}.json"), doc)
 
 
@@ -245,8 +238,8 @@ def _sanitize(identifier: str) -> str:
 
 
 def _run_record(cfg: RunConfig) -> model_mod.TrainingRecord:
-    """The record of ``cfg``'s settings, without norm stats or feature names;
-    a checkpoint's record takes each field it lacks from here."""
+    """The record that ``train`` starts from: ``cfg``'s settings, without
+    norm stats or feature names."""
     return model_mod.TrainingRecord(
         window_length=cfg.window, train_fraction=cfg.train_fraction,
         split_seed=cfg.seed, horizon_hours=cfg.horizon_hours,
@@ -255,17 +248,13 @@ def _run_record(cfg: RunConfig) -> model_mod.TrainingRecord:
 
 def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, model_mod.TrainingRecord]:
     """The checkpoint's model and training record, both checked before any
-    data is read. Stats absent from the record are refitted on the training
-    split, with a warning."""
+    data is read."""
     _require(cfg, "model")
-    net, record = model_mod.load_checkpoint(cfg.model, _run_record(cfg))
+    net, record = model_mod.load_checkpoint(cfg.model)
     if net.params.input_dim != len(FEATURE_NAMES):
         raise InputError(f"checkpoint input_dim {net.params.input_dim} does not match the "
                          f"{len(FEATURE_NAMES)} dataset features")
-    if record.norm_stats is None:
-        print(f"warning: model checkpoint {cfg.model} has no 'extra.norm_stats'; "
-              "refitting them on the training split", file=sys.stderr)
-    if record.feature_names not in (None, FEATURE_NAMES):
+    if record.feature_names != FEATURE_NAMES:
         raise InputError("checkpoint/dataset mismatch in feature order: checkpoint has "
                          + ",".join(record.feature_names))
     return net, record
@@ -274,8 +263,8 @@ def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, model_mod.Training
 def _prepare_windows(cfg: RunConfig, record: model_mod.TrainingRecord):
     """Make the out directory, then return (train samples, norm stats, train
     windows, test windows) of ``cfg``'s data, windowed and split as
-    ``record`` says; stats that the record lacks are fitted on the training
-    split."""
+    ``record`` says; ``train``'s record has no stats yet, so they are
+    fitted on the training split."""
     os.makedirs(cfg.out, exist_ok=True)
     _require(cfg, "data")
     samples = data.load_csv(cfg.data)
@@ -390,7 +379,7 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
     data.write_json(os.path.join(cfg.out, "metrics.json"),
                     _evaluation_metrics(cfg, net, record, train_w, test_w))
     artifacts = ["metrics.json"]
-    _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts, record)
+    _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts)
     return artifacts
 
 
@@ -417,7 +406,7 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
         "decision",
         plot.spec_decision(paths, bottom_up, base, [e.fx for e in explanations], FEATURE_NAMES),
     )
-    _write_manifest(cfg, "explain-global", [cfg.data, cfg.model], artifacts, record)
+    _write_manifest(cfg, "explain-global", [cfg.data, cfg.model], artifacts)
     return artifacts
 
 
@@ -458,7 +447,7 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
     data.write_json(os.path.join(cfg.out, f"{stem}.json"), explanation.to_dict())
     artifacts = [f"{stem}.json"]
     artifacts += plot.write_pair(cfg.out, f"{stem}_plot", plot.spec_lime(explanation))
-    _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts, record)
+    _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts)
     return artifacts
 
 
@@ -480,7 +469,7 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     for stem, feature in (("dependence_top", top), ("dependence_bottom", bottom)):
         dep = analysis.dependence_data(feature, explanations, test_w.values, matrix)
         artifacts += plot.write_pair(cfg.out, stem, plot.spec_dependence(dep))
-    _write_manifest(cfg, "correlate", [cfg.data, cfg.model], artifacts, record)
+    _write_manifest(cfg, "correlate", [cfg.data, cfg.model], artifacts)
     return artifacts
 
 

@@ -411,8 +411,6 @@ class PlantSpec:
             raise InputError(
                 f"label noise must be in [0, 0.02], got {self.label_noise}"
             )
-        if self.trend_window < 2:
-            raise InputError("trend window must be >= 2")
 
 
 # Affine maps from the unit-scale latent processes to plausible physical
@@ -469,6 +467,8 @@ def synth_generate(n_ars: int, samples_per_ar: int, seed: int, plant: PlantSpec)
     dominant = np.zeros((n_ars, L))
     labels = np.zeros((n_ars, L), dtype=bool)
     steps = np.arange(L)
+    if plant.trend_window < 2:  # the trend is a difference of two steps
+        raise InputError("trend window must be >= 2")
     lookback = np.maximum(0, steps - (plant.trend_window - 1))
 
     for a in range(n_ars):

@@ -688,9 +688,10 @@ _RECORD_RULES = {
 @dataclass(frozen=True)
 class TrainingRecord:
     """A checkpoint's ``extra`` block: the windowing, split and z-scores that
-    later commands rebuild, and what reports say of the training. Without
-    ``norm_stats`` they are refitted; without ``feature_names`` the feature
-    order goes unchecked."""
+    later commands rebuild, and what reports say of the training. ``train``
+    builds one from its settings before it has fitted the stats, so
+    ``norm_stats`` and ``feature_names`` default to None; a checkpoint holds
+    every field."""
 
     window_length: int
     train_fraction: float
@@ -701,29 +702,24 @@ class TrainingRecord:
     untrained: bool = False
 
     def to_dict(self) -> dict:
-        """The JSON form; a field that is None is left out."""
-        doc = {name: value for name, value in vars(self).items() if value is not None}
-        if self.norm_stats is not None:
-            doc["norm_stats"] = self.norm_stats.to_dict()
-        if self.feature_names is not None:
-            doc["feature_names"] = list(self.feature_names)
-        return doc
+        """The JSON form; every field must be set."""
+        return {**vars(self), "norm_stats": self.norm_stats.to_dict(),
+                "feature_names": list(self.feature_names)}
 
     @classmethod
-    def from_dict(cls, d: dict, fallback: "TrainingRecord") -> "TrainingRecord":
-        """The inverse of :meth:`to_dict`: absent fields keep ``fallback``'s
-        values and other keys are ignored. A bad field raises an InputError
-        naming it as ``extra.<field>``."""
-        values = {name: d[name] for name in _RECORD_RULES if name in d}
+    def from_dict(cls, d: dict) -> "TrainingRecord":
+        """The inverse of :meth:`to_dict`; other keys are ignored. A missing
+        or bad field raises an InputError naming it as ``extra.<field>``."""
+        for f in dataclasses.fields(cls):
+            if f.name not in d:
+                raise InputError(f"field 'extra.{f.name}' is missing")
+        values = {name: d[name] for name in _RECORD_RULES}
         for name, value in values.items():
             ok, want = _RECORD_RULES[name]
             if not ok(value):
                 raise InputError(f"field 'extra.{name}' must be {want}, got {value!r}")
-        if "feature_names" in values:
-            values["feature_names"] = tuple(values["feature_names"])
-        if "norm_stats" in d:
-            values["norm_stats"] = NormStats.from_dict(d["norm_stats"])
-        return dataclasses.replace(fallback, **values)
+        values["feature_names"] = tuple(values["feature_names"])
+        return cls(**values, norm_stats=NormStats.from_dict(d["norm_stats"]))
 
 
 def save_checkpoint(path, model: LstmModel, record: TrainingRecord) -> None:
@@ -738,11 +734,10 @@ def save_checkpoint(path, model: LstmModel, record: TrainingRecord) -> None:
     write_json(path, doc)
 
 
-def load_checkpoint(path, fallback: TrainingRecord) -> tuple[LstmModel, TrainingRecord]:
+def load_checkpoint(path) -> tuple[LstmModel, TrainingRecord]:
     """Load a checkpoint written by :func:`save_checkpoint`. The parameters'
     names, shapes and finiteness are checked, and ``extra`` is read as a
-    TrainingRecord whose absent fields keep ``fallback``'s values. A bad
-    field raises an InputError naming it."""
+    TrainingRecord. A missing or bad field raises an InputError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -781,7 +776,7 @@ def load_checkpoint(path, fallback: TrainingRecord) -> tuple[LstmModel, Training
             raise bad(field, "contains non-finite values")
         arrays[name] = arr
     try:
-        record = TrainingRecord.from_dict(extra, fallback)
+        record = TrainingRecord.from_dict(extra)
     except InputError as exc:
         raise InputError(f"model checkpoint {path}: {exc}") from None
     return LstmModel(LstmParams(**arrays)), record

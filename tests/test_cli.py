@@ -173,6 +173,32 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rho", "2", "target correlation must satisfy |rho| <= 1, got 2.0"),
+        ("--dominant", "FOO", "unknown feature 'FOO'; expected one of "
+                              + ", ".join(FEATURE_NAMES)),
+        ("--correlate", "TOTPOT", "dominant and correlate features must differ"),
+        ("--label-noise", "0.5", "label noise must be in [0, 0.02], got 0.5"),
+    ], ids=["rho", "dominant", "correlate", "label-noise"])
+    def test_synth_rule_applies_on_a_command_that_does_not_synthesize(
+            self, tiny_checkpoint, capsys, flag, value, message):
+        # each run manifest records the synth settings, so every command checks them
+        out = tiny_checkpoint / "synth-rules" / flag[2:]
+        code = run(["evaluate", "--data", str(tiny_checkpoint / "data.csv"),
+                    "--model", str(tiny_checkpoint / "model.json"), "--out", str(out),
+                    flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_synth_rule_reported_before_the_data_is_read(self, tmp_path, capsys):
+        code = run(["train", "--data", str(tmp_path / "absent.csv"),
+                    "--out", str(tmp_path / "o"), "--rho", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: target correlation must satisfy |rho| <= 1, got 2.0\n")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_training_setting_reported_before_the_data_is_read(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert run(synth_args(out, spa=8)) == 0
@@ -546,16 +572,45 @@ class TestCheckpoint:
         assert self.evaluate_edited(trained, spoil) == 2
         assert message in capsys.readouterr().err
 
-    def test_missing_norm_stats_warned_and_recorded(self, trained, capsys):
-        assert self.evaluate_edited(trained, lambda doc: doc) == 0
-        manifest = json.loads((trained / "eval" / "run_manifest_evaluate.json").read_text())
-        assert "norm_stats_refit" not in manifest
-        assert "warning" not in capsys.readouterr().err
+    @staticmethod
+    def evaluate_without(checkpoint, key, *flags):
+        """Evaluate the checkpoint with ``key`` deleted from its extra block,
+        or the whole block when ``key`` is None, against a data file that does
+        not exist; returns the exit code and the out directory."""
+        doc = json.loads((checkpoint / "model.json").read_text(encoding="utf-8"))
+        if key is None:
+            del doc["extra"]
+        else:
+            del doc["extra"][key]
+        bad, out = checkpoint / "missing.json", checkpoint / "missing-out"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["evaluate", "--data", str(checkpoint / "absent.csv"), "--model", str(bad),
+                    "--out", str(out), *flags])
+        return code, out
 
-        assert self.evaluate_edited(trained, lambda doc: doc["extra"].pop("norm_stats")) == 0
-        assert "has no 'extra.norm_stats'; refitting" in capsys.readouterr().err
-        manifest = json.loads((trained / "eval" / "run_manifest_evaluate.json").read_text())
-        assert manifest["norm_stats_refit"] is True
+    @pytest.mark.parametrize("key", [
+        "window_length", "train_fraction", "split_seed", "norm_stats", "feature_names",
+        "horizon_hours", "untrained", pytest.param(None, id="extra"),
+    ])
+    def test_missing_extra_field_exit_2(self, tiny_checkpoint, capsys, key):
+        # the checkpoint is rejected before the data file, which does not exist;
+        # without an extra block, its first field is the one missing
+        field = key or "window_length"
+        capsys.readouterr()
+        code, out = self.evaluate_without(tiny_checkpoint, key)
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: model checkpoint "
+                                           f"{tiny_checkpoint / 'missing.json'}: "
+                                           f"field 'extra.{field}' is missing\n")
+        assert not out.exists()
+
+    def test_missing_split_seed_is_not_taken_from_the_flags(self, tiny_checkpoint, capsys):
+        # a split drawn with another seed would hold training ARs out
+        capsys.readouterr()
+        code, out = self.evaluate_without(tiny_checkpoint, "split_seed", "--seed", "7")
+        assert code == 2
+        assert capsys.readouterr().err.endswith("field 'extra.split_seed' is missing\n")
+        assert not out.exists()
 
     def test_non_utf8_checkpoint_exit_2(self, trained, capsys):
         text = (trained / "model.json").read_bytes()
@@ -603,7 +658,8 @@ def evaluate_edited_extra(checkpoint, edits) -> None:
     """Evaluate the checkpoint with its extra block edited, each edit a
     (target, index, value) triple: a field or a norm_stats list is deleted or
     replaced, or one element of the list at ``index`` is replaced. The run must
-    exit 0 with well-typed metrics, or 2 with one error line."""
+    exit 0 with well-typed metrics, or 2 with one error line; an edit that
+    deletes a field must exit 2."""
     doc = json.loads((checkpoint / "model.json").read_text(encoding="utf-8"))
     extra = doc["extra"]
     # list elements first, then whole keys, so no edit meets a removed key
@@ -629,6 +685,8 @@ def evaluate_edited_extra(checkpoint, edits) -> None:
         code = run(["evaluate", "--data", str(checkpoint / "data.csv"),
                     "--model", str(bad), "--out", str(out)])
     errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if any(target in EXTRA_FIELDS and value is DELETE for target, _, value in edits):
+        assert code == 2
     if code == 0:
         assert errors == []
         metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
@@ -934,6 +992,21 @@ class TestExplainLocal:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err and "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "lime_lambda must be finite, got nan"),
+        ("inf", "lime_lambda must be finite, got inf"),
+        ("-inf", "lime_lambda must be finite, got -inf"),
+        ("-1", "lime_lambda must be nonnegative, got -1.0"),
+    ], ids=["nan", "inf", "-inf", "-1"])
+    def test_lime_lambda_messages(self, tiny_checkpoint, capsys, value, message):
+        out = tiny_checkpoint / "lime-lambda" / value
+        code = run(["evaluate", "--data", str(tiny_checkpoint / "data.csv"),
+                    "--model", str(tiny_checkpoint / "model.json"), "--out", str(out),
+                    f"--lime-lambda={value}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_lime_plot_of_an_id_with_markup_parses(self, tmp_path):
         out = tmp_path / "o"

@@ -730,11 +730,6 @@ class TestParamTable:
         assert [f.name for f in dataclasses.fields(model.LstmParams)] == table
 
 
-# The run settings that a checkpoint's absent extra fields fall back to.
-FALLBACK = model.TrainingRecord(window_length=5, train_fraction=0.7, split_seed=3,
-                                horizon_hours=12)
-
-
 def full_record() -> model.TrainingRecord:
     rng = np.random.default_rng(4)
     stats = NormStats(mean=rng.normal(size=12), std=rng.uniform(0.5, 2.0, size=12),
@@ -760,31 +755,33 @@ class TestCheckpoint:
         net = model.LstmModel(model.init_params(12, 6, seed=21))
         path = tmp_path / "model.json"
         model.save_checkpoint(path, net, full_record())
-        loaded, record = model.load_checkpoint(path, FALLBACK)
+        loaded, record = model.load_checkpoint(path)
         assert_same_record(record, full_record())
         X = np.random.default_rng(2).normal(size=(7, 4, 12))
         assert np.array_equal(net.predict_proba(X), loaded.predict_proba(X))
 
-    def test_absent_fields_round_trip_or_take_the_fallback(self, tmp_path):
+    def test_every_field_is_required_and_other_keys_ignored(self, tmp_path):
         net = model.LstmModel(model.init_params(12, 2, seed=0))
         path = tmp_path / "model.json"
-        sparse = dataclasses.replace(full_record(), norm_stats=None, feature_names=None)
-        model.save_checkpoint(path, net, sparse)
+        model.save_checkpoint(path, net, full_record())
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert sorted(doc["extra"]) == [
-            "horizon_hours", "split_seed", "train_fraction", "untrained", "window_length"]
-        assert_same_record(model.load_checkpoint(path, FALLBACK)[1], sparse)
-        # keys that are not fields are ignored
-        doc["extra"] = {"split_seed": 9, "note": 1}
+        fields = [f.name for f in dataclasses.fields(model.TrainingRecord)]
+        assert sorted(doc["extra"]) == sorted(fields)
+        doc["extra"]["note"] = 1
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert_same_record(model.load_checkpoint(path, FALLBACK)[1],
-                           dataclasses.replace(FALLBACK, split_seed=9))
+        assert_same_record(model.load_checkpoint(path)[1], full_record())
+        for name in fields:
+            edited = {**doc, "extra": {k: v for k, v in doc["extra"].items() if k != name}}
+            path.write_text(json.dumps(edited), encoding="utf-8")
+            with pytest.raises(InputError, match=rf"field 'extra\.{name}' is missing$"):
+                model.load_checkpoint(path)
         del doc["extra"]
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert_same_record(model.load_checkpoint(path, FALLBACK)[1], FALLBACK)
+        with pytest.raises(InputError, match=r"field 'extra\.window_length' is missing$"):
+            model.load_checkpoint(path)
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"schema": "nope"}', encoding="utf-8")
         with pytest.raises(InputError, match="schema"):
-            model.load_checkpoint(path, FALLBACK)
+            model.load_checkpoint(path)

@@ -54,6 +54,18 @@ def test_against_a_saved_listing(digests_tool, tmp_path, capsys):
         "synth/data.csv", "synth/run_manifest_synth.json"]
 
 
+def test_listing_does_not_depend_on_the_out_directory(digests_tool, tmp_path, capsys):
+    # the run manifests record the paths the commands were given
+    cwd = os.getcwd()
+    assert digests_tool.main(["--out", str(tmp_path / "a")]) == 0
+    first = capsys.readouterr().out
+    assert digests_tool.main(["--out", str(tmp_path / "deeper" / "b")]) == 0
+    assert capsys.readouterr().out == first
+    assert os.getcwd() == cwd
+    manifest = json.loads((tmp_path / "a" / "synth" / "run_manifest_synth.json").read_text())
+    assert manifest["config"]["out"] == "synth"
+
+
 def test_unreadable_saved_listing_exits_2(digests_tool, tmp_path):
     assert digests_tool.main(["--out", str(tmp_path / "out"),
                               "--against", str(tmp_path / "missing.txt")]) == 2

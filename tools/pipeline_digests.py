@@ -8,22 +8,22 @@ Runs synth (60 ARs x 14 samples), train with the README desk flags,
 evaluate, explain-global with gradient (B=100, K=16), exact (B=10) and
 kernel (B=10, 2048 coalitions), explain-local for window 0 and correlate,
 each command in-process through ``stormlens.cli.main`` with its own
-directory under ``--out``, which must be empty or absent. Then it prints
+directory under ``--out``, which must be empty or absent. The commands run
+in ``--out`` and name every file relative to it, so the run manifests,
+which record paths, do not depend on where ``--out`` is. Then it prints
 ``sha256  path`` for every file under ``--out``, manifests included, with
 paths relative to it.
 
 A change meant to keep every artifact's bytes is checked by running this at
-the parent commit and at the change with the same ``--out`` (the run
-manifests record input paths) and comparing the two listings. ``--src``
+the parent commit and at the change and comparing the two listings. ``--src``
 imports the package from another source tree, e.g. the ``src`` of a second
 checkout at the parent commit. ``--against FILE`` does the comparison: it
 prints, in place of the listing, the paths whose digests differ from those
 in FILE, a saved listing, or that only one of the two has, and exits 1 if
 there are any:
 
-    python3 tools/pipeline_digests.py --out /tmp/d --src ../parent/src > before.txt
-    rm -r /tmp/d
-    python3 tools/pipeline_digests.py --out /tmp/d --against before.txt
+    python3 tools/pipeline_digests.py --out /tmp/a --src ../parent/src > before.txt
+    python3 tools/pipeline_digests.py --out /tmp/b --against before.txt
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ DESK_FLAGS = ["--window", "10", "--hidden", "16", "--epochs", "40", "--batch", "
 
 
 def pipeline(out: str) -> list[list[str]]:
-    """The CLI commands of the pipeline, in order."""
+    """The CLI commands of the pipeline, in order, with their paths under
+    ``out`` ("" for the working directory)."""
     data = os.path.join(out, "synth", "data.csv")
     checkpoint = os.path.join(out, "train", "model.json")
     inputs = ["--data", data, "--model", checkpoint, "--seed", "42"]
@@ -111,13 +112,19 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from stormlens import cli
 
-    for argv_ in pipeline(out):
-        # the commands' own output goes to stderr; stdout carries only digests
-        with contextlib.redirect_stdout(sys.stderr):
-            rc = cli.main(argv_)
-        if rc != 0:
-            print(f"error: `stormlens {' '.join(argv_)}` exited {rc}", file=sys.stderr)
-            return 1
+    cwd = os.getcwd()
+    os.makedirs(out, exist_ok=True)
+    os.chdir(out)  # contextlib.chdir needs Python 3.11
+    try:
+        for argv_ in pipeline(""):
+            # the commands' own output goes to stderr; stdout carries only digests
+            with contextlib.redirect_stdout(sys.stderr):
+                rc = cli.main(argv_)
+            if rc != 0:
+                print(f"error: `stormlens {' '.join(argv_)}` exited {rc}", file=sys.stderr)
+                return 1
+    finally:
+        os.chdir(cwd)
     listing = digests(out)
     if saved is None:
         print("\n".join(listing))
