@@ -20,8 +20,8 @@ def digests_tool(monkeypatch):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     # a one-command pipeline keeps the test fast
-    monkeypatch.setattr(tool, "pipeline", lambda out: [[
-        "synth", "--out", os.path.join(out, "synth"), "--n-ars", "3",
+    monkeypatch.setattr(tool, "pipeline", lambda: [[
+        "synth", "--out", "synth", "--n-ars", "3",
         "--samples-per-ar", "4", "--seed", "1",
     ]])
     return tool

@@ -44,11 +44,11 @@ DESK_FLAGS = ["--window", "10", "--hidden", "16", "--epochs", "40", "--batch", "
               "--lr", "3e-3", "--seed", "42"]
 
 
-def pipeline(out: str) -> list[list[str]]:
-    """The CLI commands of the pipeline, in order, with their paths under
-    ``out`` ("" for the working directory)."""
-    data = os.path.join(out, "synth", "data.csv")
-    checkpoint = os.path.join(out, "train", "model.json")
+def pipeline() -> list[list[str]]:
+    """The CLI commands of the pipeline, in order, with paths relative to
+    the directory they run in."""
+    data = os.path.join("synth", "data.csv")
+    checkpoint = os.path.join("train", "model.json")
     inputs = ["--data", data, "--model", checkpoint, "--seed", "42"]
     explain = [
         ("gradient", ["--method", "gradient", "--background", "100", "--n-steps", "16"]),
@@ -56,14 +56,13 @@ def pipeline(out: str) -> list[list[str]]:
         ("kernel", ["--method", "kernel", "--background", "10", "--n-coalitions", "2048"]),
     ]
     return [
-        ["synth", "--out", os.path.join(out, "synth"), "--n-ars", "60",
-         "--samples-per-ar", "14", "--seed", "42"],
-        ["train", "--data", data, "--out", os.path.join(out, "train"), *DESK_FLAGS],
-        ["evaluate", "--data", data, "--model", checkpoint, "--out", os.path.join(out, "evaluate")],
-        *(["explain-global", *inputs, "--out", os.path.join(out, f"explain-{name}"), *flags]
+        ["synth", "--out", "synth", "--n-ars", "60", "--samples-per-ar", "14", "--seed", "42"],
+        ["train", "--data", data, "--out", "train", *DESK_FLAGS],
+        ["evaluate", "--data", data, "--model", checkpoint, "--out", "evaluate"],
+        *(["explain-global", *inputs, "--out", f"explain-{name}", *flags]
           for name, flags in explain),
-        ["explain-local", *inputs, "--out", os.path.join(out, "local"), "--sample-id", "0"],
-        ["correlate", *inputs, "--out", os.path.join(out, "correlate"), "--method", "gradient"],
+        ["explain-local", *inputs, "--out", "local", "--sample-id", "0"],
+        ["correlate", *inputs, "--out", "correlate", "--method", "gradient"],
     ]
 
 
@@ -116,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(out, exist_ok=True)
     os.chdir(out)  # contextlib.chdir needs Python 3.11
     try:
-        for argv_ in pipeline(""):
+        for argv_ in pipeline():
             # the commands' own output goes to stderr; stdout carries only digests
             with contextlib.redirect_stdout(sys.stderr):
                 rc = cli.main(argv_)
