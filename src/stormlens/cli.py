@@ -3,8 +3,8 @@ explain-local, correlate.
 
 Every command is a pure function of (config file, flags, input files):
 re-running with the same inputs reproduces every artifact byte-for-byte.
-Each run writes a ``run_manifest_<command>.json`` with the resolved
-config, input digests, and artifact list.
+``main`` writes a ``run_manifest_<command>.json`` with the resolved
+config, input digests, and artifact list once the command succeeds.
 
 Exit codes: 0 success, 1 internal/numeric failure, 2 user/input error.
 """
@@ -70,6 +70,8 @@ class RunConfig:
     label_noise: float = 0.01
 
     def validate(self) -> None:
+        if not self.out:
+            raise InputError("--out must not be empty")
         for name, value in vars(self).items():
             if type(value) is int and value > MAX_INT_SETTING:
                 raise InputError(f"--{name.replace('_', '-')} must be at most "
@@ -184,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="solar-storm prediction with global and local explanations",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, helptext) in _COMMANDS.items():
+    for name, (_, _, helptext) in _COMMANDS.items():
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", help="flat KEY=VALUE config file")
         for f in dataclasses.fields(RunConfig):
@@ -209,19 +211,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # shared plumbing
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _write_manifest(cfg: RunConfig, command: str, inputs: list[str], artifacts: list[str]) -> None:
+    digests = {}
+    for path in inputs:
+        h = hashlib.sha256()
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                h.update(block)
+        digests[path] = h.hexdigest()
     doc = {
         "command": command,
         "config": dataclasses.asdict(cfg),
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": digests,
         "artifacts": sorted(artifacts),
     }
     data.write_json(os.path.join(cfg.out, f"run_manifest_{command.replace('-', '_')}.json"), doc)
@@ -249,7 +250,6 @@ def _run_record(cfg: RunConfig) -> model_mod.TrainingRecord:
 def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, model_mod.TrainingRecord]:
     """The checkpoint's model and training record, both checked before any
     data is read."""
-    _require(cfg, "model")
     net, record = model_mod.load_checkpoint(cfg.model)
     if net.params.input_dim != len(FEATURE_NAMES):
         raise InputError(f"checkpoint input_dim {net.params.input_dim} does not match the "
@@ -261,12 +261,9 @@ def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, model_mod.Training
 
 
 def _prepare_windows(cfg: RunConfig, record: model_mod.TrainingRecord):
-    """Make the out directory, then return (train samples, norm stats, train
-    windows, test windows) of ``cfg``'s data, windowed and split as
-    ``record`` says; ``train``'s record has no stats yet, so they are
-    fitted on the training split."""
-    os.makedirs(cfg.out, exist_ok=True)
-    _require(cfg, "data")
+    """(train samples, norm stats, train windows, test windows) of ``cfg``'s
+    data, windowed and split as ``record`` says; ``train``'s record has no
+    stats yet, so they are fitted on the training split."""
     samples = data.load_csv(cfg.data)
     train_s, test_s = data.split(samples, record.train_fraction, record.split_seed)
     stats = record.norm_stats or data.NormStats.fit(train_s.features)
@@ -325,7 +322,6 @@ def _predict_last_step(net, window: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def cmd_synth(cfg: RunConfig) -> list[str]:
     plant = cfg.plant()
     samples = data.synth_generate(cfg.n_ars, cfg.samples_per_ar, cfg.seed, plant)
-    os.makedirs(cfg.out, exist_ok=True)
     csv_path = cfg.data or os.path.join(cfg.out, "data.csv")
     data.write_csv(csv_path, samples)
     n_pos = int(samples.labels.sum())
@@ -339,9 +335,8 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
         "csv": str(csv_path),
     }
     data.write_json(os.path.join(cfg.out, "data_manifest.json"), manifest)
-    artifacts = [os.path.basename(csv_path), "data_manifest.json"]
-    _write_manifest(cfg, "synth", [], artifacts)
-    return artifacts
+    # relative to --out, so that a --data CSV elsewhere is found from it too
+    return [os.path.relpath(csv_path, cfg.out), "data_manifest.json"]
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:
@@ -368,9 +363,7 @@ def cmd_train(cfg: RunConfig) -> list[str]:
         "n_dropped_test": test_w.n_dropped,
     }
     data.write_json(os.path.join(cfg.out, "metrics.json"), metrics)
-    artifacts = ["model.json", "metrics.json"]
-    _write_manifest(cfg, "train", [cfg.data], artifacts)
-    return artifacts
+    return ["model.json", "metrics.json"]
 
 
 def cmd_evaluate(cfg: RunConfig) -> list[str]:
@@ -378,9 +371,7 @@ def cmd_evaluate(cfg: RunConfig) -> list[str]:
     _, _, train_w, test_w = _prepare_windows(cfg, record)
     data.write_json(os.path.join(cfg.out, "metrics.json"),
                     _evaluation_metrics(cfg, net, record, train_w, test_w))
-    artifacts = ["metrics.json"]
-    _write_manifest(cfg, "evaluate", [cfg.data, cfg.model], artifacts)
-    return artifacts
+    return ["metrics.json"]
 
 
 def cmd_explain_global(cfg: RunConfig) -> list[str]:
@@ -406,12 +397,10 @@ def cmd_explain_global(cfg: RunConfig) -> list[str]:
         "decision",
         plot.spec_decision(paths, bottom_up, base, [e.fx for e in explanations], FEATURE_NAMES),
     )
-    _write_manifest(cfg, "explain-global", [cfg.data, cfg.model], artifacts)
     return artifacts
 
 
 def cmd_explain_local(cfg: RunConfig) -> list[str]:
-    _require(cfg, "sample_id")
     net, record = _load_model(cfg)
     _, _, train_w, test_w = _prepare_windows(cfg, record)
 
@@ -447,7 +436,6 @@ def cmd_explain_local(cfg: RunConfig) -> list[str]:
     data.write_json(os.path.join(cfg.out, f"{stem}.json"), explanation.to_dict())
     artifacts = [f"{stem}.json"]
     artifacts += plot.write_pair(cfg.out, f"{stem}_plot", plot.spec_lime(explanation))
-    _write_manifest(cfg, "explain-local", [cfg.data, cfg.model], artifacts)
     return artifacts
 
 
@@ -457,7 +445,7 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
 
     matrix = analysis.correlation_matrix(train_s.features)
     del train_s  # only the matrix reads the training samples
-    with open(os.path.join(cfg.out, "corr.csv"), "w", encoding="utf-8", newline="\n") as fh:
+    with data.open_artifact(os.path.join(cfg.out, "corr.csv")) as fh:
         fh.write(matrix.to_csv())
     data.write_json(os.path.join(cfg.out, "corr.json"), matrix.to_dict())
     artifacts = ["corr.csv", "corr.json"]
@@ -469,28 +457,32 @@ def cmd_correlate(cfg: RunConfig) -> list[str]:
     for stem, feature in (("dependence_top", top), ("dependence_bottom", bottom)):
         dep = analysis.dependence_data(feature, explanations, test_w.values, matrix)
         artifacts += plot.write_pair(cfg.out, stem, plot.spec_dependence(dep))
-    _write_manifest(cfg, "correlate", [cfg.data, cfg.model], artifacts)
     return artifacts
 
 
-# Each command's function and its --help line, in --help order.
+# Each command's function, required settings and --help line, in --help order.
 _COMMANDS = {
-    "synth": (cmd_synth, "generate a synthetic dataset with planted ground truth"),
-    "train": (cmd_train, "train the classifier and report held-out skill"),
-    "evaluate": (cmd_evaluate, "evaluate a checkpoint on the held-out split"),
-    "explain-global": (cmd_explain_global,
+    "synth": (cmd_synth, (), "generate a synthetic dataset with planted ground truth"),
+    "train": (cmd_train, ("data",), "train the classifier and report held-out skill"),
+    "evaluate": (cmd_evaluate, ("model", "data"), "evaluate a checkpoint on the held-out split"),
+    "explain-global": (cmd_explain_global, ("model", "data"),
                        "attribution over the test set plus beeswarm/bar/decision plots"),
-    "explain-local": (cmd_explain_local, "local surrogate explanation for one test sample"),
-    "correlate": (cmd_correlate, "correlation matrix and dependence plots"),
+    "explain-local": (cmd_explain_local, ("model", "data", "sample_id"),
+                      "local surrogate explanation for one test sample"),
+    "correlate": (cmd_correlate, ("model", "data"), "correlation matrix and dependence plots"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command, required, _ = _COMMANDS[args.command]
     try:
         cfg = resolve_config(args)
-        _COMMANDS[args.command][0](cfg)
+        _require(cfg, *required)
+        artifacts = command(cfg)
+        inputs = [getattr(cfg, name) for name in required if name in ("data", "model")]
+        _write_manifest(cfg, args.command, inputs, artifacts)
         return 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Dataset handling: one sorted, columnar ``Samples`` record and its CSV IO,
-z-scores (``NormStats``), windowing, splits, a planted synthetic generator
-and the one JSON writer.
+z-scores (``NormStats``), windowing, splits, a planted synthetic generator,
+the one JSON writer and the one function that opens a file for writing.
 
 CSV schema (header order-insensitive, catalog order recommended)::
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import sys
 from array import array
@@ -304,11 +305,17 @@ def load_csv(path) -> Samples:
     return samples
 
 
+def open_artifact(path):
+    """``path`` opened for UTF-8 text with ``\n`` line ends; its directory is made if missing."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_csv(path, samples: Samples) -> None:
     """Write samples to CSV in catalog column order, one row at a time, quoting
     a cell only where ``load_csv`` needs it to read the cell back. The writer
     prints a float with ``str``, which is its shortest round-trip form."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_artifact(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("ar_id", "timestamp") + FEATURE_NAMES + ("label",))
         writer.writerows([ar, ts.isoformat(), *row.tolist(), "P" if label else "N"]
@@ -333,7 +340,7 @@ def write_json(path, obj) -> None:
     """Write ``dumps_json(obj, path)`` to ``path``. The text is built before
     the file is opened, so a value JSON cannot hold leaves no file."""
     text = dumps_json(obj, path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_artifact(path) as fh:
         fh.write(text)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import DependenceData
-from .data import dumps_json
+from .data import dumps_json, open_artifact
 from .errors import InputError
 from .lime import LimeExplanation
 from .shapley import GlobalImportance, ShapExplanation
@@ -433,6 +433,6 @@ def write_pair(out_dir, name: str, spec: PlotSpec) -> list[str]:
     svg_name, json_name = f"{name}.svg", f"{name}.json"
     sidecar = spec.to_json(f"{out_dir}/{json_name}")
     for file_name, text in ((svg_name, render(spec)), (json_name, sidecar)):
-        with open(f"{out_dir}/{file_name}", "w", encoding="utf-8", newline="\n") as fh:
+        with open_artifact(f"{out_dir}/{file_name}") as fh:
             fh.write(text)
     return [svg_name, json_name]

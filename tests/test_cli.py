@@ -1131,3 +1131,106 @@ class TestCorrelate:
         ]) == 0
         doc = json.loads((out / "corr.json").read_text())
         assert doc["constant"][7] is True
+
+
+REQUIRED_SETTINGS = [(command, setting) for command, (_, required, _) in cli._COMMANDS.items()
+                     for setting in required]
+
+
+class TestRunFiles:
+    """``main`` checks each command's required settings and writes its run
+    manifest; ``--out`` exists once a command has written a file to it."""
+
+    def test_required_settings_per_command(self):
+        assert {command: required for command, (_, required, _) in cli._COMMANDS.items()} == {
+            "synth": (), "train": ("data",), "evaluate": ("model", "data"),
+            "explain-global": ("model", "data"), "correlate": ("model", "data"),
+            "explain-local": ("model", "data", "sample_id"),
+        }
+
+    @pytest.mark.parametrize("command,setting", REQUIRED_SETTINGS,
+                             ids=[f"{c}-{s}" for c, s in REQUIRED_SETTINGS])
+    def test_missing_required_setting_exit_2_leaves_no_out(
+            self, tiny_checkpoint, tmp_path, capsys, command, setting):
+        values = {"data": str(tiny_checkpoint / "data.csv"),
+                  "model": str(tiny_checkpoint / "model.json"), "sample_id": "0"}
+        _, required, _ = cli._COMMANDS[command]
+        flags = [arg for name in required if name != setting
+                 for arg in (f"--{name.replace('_', '-')}", values[name])]
+        out = tmp_path / "o"
+        assert run([command, *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --{setting.replace('_', '-')} is required for this command\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_missing_data_file_leaves_no_out(self, tiny_checkpoint, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run([command, "--data", str(tmp_path / "nope.csv"), "--model",
+                    str(tiny_checkpoint / "model.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read data file ")
+        assert not out.exists()
+
+    def test_csv_without_windows_leaves_no_out(self, tiny_checkpoint, tmp_path, capsys):
+        # the tiny set has 8 samples per AR
+        out = tmp_path / "o"
+        assert run(["train", "--data", str(tiny_checkpoint / "data.csv"), "--window", "9",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "left no windows" in err[0]
+        assert not out.exists()
+
+    def test_unknown_sample_id_leaves_no_out(self, tiny_checkpoint, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["explain-local", "--data", str(tiny_checkpoint / "data.csv"), "--model",
+                    str(tiny_checkpoint / "model.json"), "--sample-id", "nosuch",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown sample-id 'nosuch'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_rejected_before_data_is_generated(
+            self, tmp_path, monkeypatch, capsys, source):
+        monkeypatch.chdir(tmp_path)
+        generated = []
+        monkeypatch.setattr(data, "synth_generate", lambda *args: generated.append(args))
+        if source == "flag":
+            argv = ["synth", "--out", ""]
+        else:
+            (tmp_path / "run.cfg").write_text("out=\n", encoding="utf-8")
+            argv = ["synth", "--config", "run.cfg"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: --out must not be empty\n"
+        assert generated == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if source == "config"
+                                                              else [])
+
+    def test_synth_makes_the_csv_directory_and_lists_it_from_out(self, tmp_path):
+        out, csv_path = tmp_path / "o2", tmp_path / "elsewhere" / "new" / "foo.csv"
+        assert run(synth_args(out) + ["--data", str(csv_path)]) == 0
+        assert csv_path.is_file()
+        manifest = json.loads((out / "run_manifest_synth.json").read_text(encoding="utf-8"))
+        assert manifest["artifacts"] == ["../elsewhere/new/foo.csv", "data_manifest.json"]
+        assert all((out / name).is_file() for name in manifest["artifacts"])
+        assert manifest["inputs"] == {}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "data_manifest.json", "run_manifest_synth.json"]
+
+    def test_synth_lists_its_own_csv_by_name(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(synth_args(out)) == 0
+        manifest = json.loads((out / "run_manifest_synth.json").read_text(encoding="utf-8"))
+        assert manifest["artifacts"] == ["data.csv", "data_manifest.json"]
+
+    def test_manifest_inputs_are_the_required_files(self, tiny_checkpoint, tmp_path):
+        out = tmp_path / "o"
+        csv_path, model_path = str(tiny_checkpoint / "data.csv"), str(tiny_checkpoint / "model.json")
+        assert run(["explain-local", "--data", csv_path, "--model", model_path,
+                    "--sample-id", "0", "--lime-n", "50", "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest_explain_local.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == sorted([csv_path, model_path])
+        assert all(len(digest) == 64 for digest in manifest["inputs"].values())
+        assert sorted(manifest["artifacts"]) == sorted(p.name for p in out.iterdir()
+                                                       if not p.name.startswith("run_manifest"))

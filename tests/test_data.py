@@ -529,6 +529,25 @@ class TestWriteJson:
         assert not path.exists()
 
 
+class TestOpenArtifact:
+    def test_makes_the_directory_and_writes_utf8_with_newlines(self, tmp_path):
+        path = tmp_path / "new" / "deeper" / "x.txt"
+        with data.open_artifact(path) as fh:
+            fh.write("é\nb\r\n")
+        assert path.read_bytes() == "é\nb\r\n".encode("utf-8")
+
+    def test_bare_name_opens_in_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with data.open_artifact("x.txt") as fh:
+            fh.write("a\n")
+        assert (tmp_path / "x.txt").read_bytes() == b"a\n"
+
+    def test_json_that_cannot_be_written_makes_no_directory(self, tmp_path):
+        with pytest.raises(StormlensError):
+            data.write_json(tmp_path / "new" / "doc.json", {"bad": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSynth:
     def test_planted_correlation_hit(self):
         plant = data.PlantSpec(dominant="TOTPOT", correlate="SAVNCPP", rho=0.95)

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,7 +162,7 @@ def test_against_alternates_pairs_and_keeps_failed_runs(record_tool, tmp_path, m
     train = bench["workloads"]["train"]
     assert train["parent"]["failed"] == 1
     assert train["parent"]["runs"][1] == {"rc": 1, "correct": False, "metrics": {},
-                                          "stages": None}
+                                          "stages": None, "minor_faults": 0}
     assert train["parent"]["end_to_end"]["wall_s"]["n"] == 2
     assert train["wins"] == {"pairs": 2, "this_better": {
         "setup_s": 0, "wall_s": 2, "peak_rss_mb": 0, "tss": 0}}
@@ -226,6 +228,49 @@ def test_stage_figures_read_from_each_runs_results_file(record_tool, tmp_path, m
             "explain_global_s": record_tool.quartiles([0.25 * k for k in ks]),
             "cpu_s": record_tool.quartiles([k + 1.0 for k in ks])}
         assert entry["this"]["end_to_end"]["wall_s"]["n"] == 3
+
+
+class FaultRuns(FakeRuns):
+    """FakeRuns that also counts minor page faults for the finished children:
+    each --trace 0 run adds 1,000 times its pair number on the parent and
+    100 times it on this checkout; the traced runs add none."""
+
+    faults = 0
+
+    def __call__(self, root, workload, seed, seconds, trace):
+        rc, stdout = super().__call__(root, workload, seed, seconds, trace)
+        side = "parent" if root == self.parent_root else "this"
+        k = sum(c[:2] == (workload, side) and c[2] == 0 for c in self.calls)
+        if not trace:
+            self.faults += (1000 if side == "parent" else 100) * k
+        return rc, stdout
+
+
+def test_minor_faults_kept_per_run_and_summarized_per_side(record_tool, tmp_path, monkeypatch):
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").write_text("", encoding="utf-8")
+    fake = FaultRuns(str(parent))
+    monkeypatch.setattr(record_tool, "run_once", fake)
+    monkeypatch.setattr(record_tool, "child_minor_faults", lambda: fake.faults)
+    monkeypatch.setattr(record_tool, "PAIRS", 3)
+    assert record_tool.main(["--label", "t", "--against", str(parent)]) == 1
+
+    bench = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    for name, entry in bench["workloads"].items():
+        assert [r["minor_faults"] for r in entry["this"]["runs"]] == [100, 200, 300]
+        assert [r["minor_faults"] for r in entry["parent"]["runs"]] == [1000, 2000, 3000]
+        assert entry["this"]["minor_faults"] == record_tool.quartiles([100, 200, 300])
+        # the parent's second train run failed, so its faults are left out
+        parent_ok = [1000, 3000] if name == "train" else [1000, 2000, 3000]
+        assert entry["parent"]["minor_faults"] == record_tool.quartiles(parent_ok)
+
+
+def test_child_minor_faults_count_a_finished_child(record_tool):
+    before = record_tool.child_minor_faults()
+    subprocess.run([sys.executable, "-c", "b'x' * (8 << 20)"], check=True)
+    # a Python start alone touches well over a hundred pages
+    assert record_tool.child_minor_faults() - before > 100
 
 
 @pytest.mark.parametrize("argv", [["--label", "a/b", "--against", "parent"],

@@ -14,7 +14,10 @@ drift of the machine's speed reaches both sides alike; then each side once
 with ``--trace 1`` for the per-layer figures. It reads the JSON result on
 the last line of each run's stdout and, after each ``--trace 0`` run, the
 stage figures of the record that run.py writes to
-``.perfbench/results/<workload>-seed<SEED>-trace0.json`` in its checkout.
+``.perfbench/results/<workload>-seed<SEED>-trace0.json`` in its checkout,
+and the minor page faults of the run's process: the ``ru_minflt`` of this
+process's finished children (``resource.getrusage(RUSAGE_CHILDREN)``) after
+the run less the same before it.
 
 BENCH_<label>.json, at the root of this checkout, holds for each side
 (``this`` checkout and the ``parent``) its commit, the environment that
@@ -22,14 +25,14 @@ run.py reports, and per workload every run, the median and quartiles of
 each end-to-end metric over the runs that succeeded, the same for each
 stage metric (``stages``: each metric of the record's ``end_to_end`` block
 that BENCHMARK.json does not list, such as ``explain_global_s``, and
-``cpu_s`` over the untraced cycles), and the traced run's per-layer
-figures; the parent side is the baseline. A run that exits non-zero or
-reports ``"correct": false`` is kept as a failed run and left out of the
-medians. A run whose record is missing or malformed keeps
-``"stages": null`` and is left out of the stage medians. Each workload also
-records, per end-to-end metric, in how many pairs this checkout read better
-than the parent (ties count for neither) and how many pairs had no failed
-side.
+``cpu_s`` over the untraced cycles), the same for the minor page faults
+(``minor_faults``), and the traced run's per-layer figures; the parent side
+is the baseline. A run that exits non-zero or reports ``"correct": false``
+is kept as a failed run and left out of the medians. A run whose record is
+missing or malformed keeps ``"stages": null`` and is left out of the stage
+medians. Each workload also records, per end-to-end metric, in how many
+pairs this checkout read better than the parent (ties count for neither)
+and how many pairs had no failed side.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -81,6 +85,11 @@ def read_stages(path: str, end_to_end: list[str]) -> dict | None:
     if cpu:
         stages["cpu_s"] = statistics.median(cpu)
     return stages
+
+
+def child_minor_faults() -> int:
+    """The minor page faults of every finished child of this process."""
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
 
 
 def parse_run(rc: int, stdout: str) -> dict:
@@ -147,7 +156,9 @@ def record(label: str, sides: dict[str, str], log=sys.stderr) -> dict:
                 path = results_path(sides[side], workload)
                 if os.path.exists(path):  # a stale record must not be read as this run's
                     os.remove(path)
+                faults = child_minor_faults()
                 run = parse_run(*run_once(sides[side], workload, SEED, seconds, 0))
+                run["minor_faults"] = child_minor_faults() - faults
                 run["stages"] = read_stages(path, list(better)) if run["correct"] else None
                 runs[side].append(run)
                 print(f"{workload} pair {i} {side}: rc={run['rc']} {run['metrics']}", file=log)
@@ -165,6 +176,7 @@ def record(label: str, sides: dict[str, str], log=sys.stderr) -> dict:
                 "failed": sum(not r["correct"] for r in runs[side]),
                 "end_to_end": summarize([r["metrics"] for r in good], list(better)),
                 "stages": summarize(stages, sorted({name for s in stages for name in s})),
+                "minor_faults": summarize(good, ["minor_faults"]).get("minor_faults"),
                 "per_layer": traced["metrics"] if traced["correct"] else None,
                 "traced_run": {k: traced[k] for k in ("rc", "correct")},
                 "runs": runs[side],
