@@ -72,6 +72,13 @@ class RunConfig:
     def validate(self) -> None:
         if not self.out:
             raise InputError("--out must not be empty")
+        # the first file written makes --out, which fails where the nearest
+        # existing path among --out and its parents is not a directory
+        path = os.path.normpath(self.out)
+        while not os.path.lexists(path) and os.path.dirname(path) != path:
+            path = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(path):
+            raise InputError(f"--out {self.out}: {path} is not a directory")
         for name, value in vars(self).items():
             if type(value) is int and value > MAX_INT_SETTING:
                 raise InputError(f"--{name.replace('_', '-')} must be at most "

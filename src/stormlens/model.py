@@ -12,17 +12,26 @@ exp(-z) overflows (z below about -709.78).
 
 The activated gates of all steps live in one gate-major (T, 4, n, H) array
 ``A``, so each gate of a step is one contiguous (n, H) block and the
-elementwise work runs over whole blocks. Step t computes x_t W_x' and
-h_{t-1} W_h' into two (n, 4H) buffers that every step reuses, adds them and
-then b in that order, copies the sum gate-major into ``A[t]`` and activates
-it in place; the first buffer also serves as the cell update's scratch.
-They share one step scratch array with the attention scores ``S``,
-which are computed after the loop, when the buffers are dead. The cell
-states ``C`` and hidden states ``Hs`` are (T + 1, n, H) arrays whose last
-row is zero, so step 0 reads its initial state at index t - 1 = -1 like any
-other step. Finiteness is checked once per call, on the output: a NaN in
-any hidden state reaches its row's probability, and only then are the
-steps scanned for the first one that overflowed.
+elementwise work runs over whole blocks. Each call first copies w_x, w_h
+and b with the rows of the i, f and o gates negated. Step t computes
+x_t W_x' and h_{t-1} W_h' with these weights into two (n, 4H) buffers that
+every step reuses, adds them and then b in that order, and copies the sum
+gate-major into ``A[t]``. Negating every product of a sum negates the sum
+exactly, so the i, f, o rows hold -z with the bits of z, up to the sign of
+a zero, which exp does not see: their sigmoid is exp, + 1 and reciprocal in
+place, ``1 / (1 + exp(-z))`` as written with no negation pass. Step 0 skips
+h_{-1} W_h' and its add: a product of zeros is +0 in the BLAS builds
+tested, and adding +0 changes no sum but -0, which such a product never is.
+It keeps f * c_{-1}: where i * g is -0, as when a closed input gate meets
+g < 0, only adding f * c_{-1} = +0 makes c_0 the +0 of the formula. The first
+buffer also serves as the cell update's scratch. Both buffers and the
+negated weights share one step scratch array (``_step_scratch``) with the
+attention scores ``S``, which are computed after the loop, when the buffers
+are dead. The cell states ``C`` and hidden states ``Hs`` are (T + 1, n, H)
+arrays whose last row is zero, so step 0 reads its initial state at index
+t - 1 = -1 like any other step. Finiteness is checked once per call, on the
+output: a NaN in any hidden state reaches its row's probability, and only
+then are the steps scanned for the first one that overflowed.
 
 ``forward_batch`` runs in one of two modes of the same loop and layout:
 ``A`` keeps ``kept`` steps of gates and ``C`` ``kept + 1`` rows of cell
@@ -66,7 +75,8 @@ Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew;
 ``_forward_arrays`` and ``_backward_arrays`` list them. A cache built with a
 ``work`` dict, and the input gradients read from it, are valid only until
-the next call with that dict. ``LstmModel`` keeps one such dict, sized by
+the next call with that dict; the backward call is one, as its step arrays
+take the forward pass's step scratch, where ``S`` lives. ``LstmModel`` keeps one such dict, sized by
 ``reserve`` for a walk's largest tile before its first, in which every tile
 of ``predict_proba`` and every ``input_gradient_batch`` call runs (the
 latter also returns its result in it), so one model must not run them from
@@ -86,9 +96,11 @@ Additive attention over the hidden states:
 
 The backward pass is exact reverse-mode differentiation of this graph and
 serves both training (parameter gradients) and attribution (input
-gradients). It reads the gates from ``A``, writes the four gate gradients
-of a step into one contiguous (4, n, H) buffer and copies them once into the
-(n, 4H) layout that every weight matmul reads.
+gradients). It reads the gates from ``A`` and computes the four gate
+gradients of a step in one contiguous (4, n, H) buffer, whose last product
+writes them into the (n, 4H) layout that every weight matmul reads; tanh(c_t)
+of every step is computed before the loop, in an array that is dead by
+then. Step 0 computes no dh_{-1} or dc_{-1}, which nothing reads.
 """
 
 from __future__ import annotations
@@ -248,14 +260,29 @@ def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
     return LstmParams(**arrays)
 
 
-def _forward_arrays(work: dict | None, n: int, T: int, H: int, keep_cache: bool):
+def _step_scratch(work: dict | None, n: int, T: int, d: int, H: int):
+    """The step scratch of both passes on n rows of T steps of d inputs: a
+    flat array whose first 8 n H entries hold the forward loop's two (n, 4H)
+    products x_t W_x' and h_{t-1} W_h', or the backward loop's eight (n, H)
+    arrays; then, shaped as w_x, w_h and b, the forward pass's negated
+    weights or one backward step's terms of their gradients (see
+    ``_gate_views``). After the forward loop its first T n H entries hold
+    the attention scores S, which the backward pass reads before its loop."""
+    return work_buffer(work, "step", (max(8 * n * H + 4 * H * (d + H + 1), T * n * H),))
+
+
+def _gate_views(step: np.ndarray, n: int, d: int, H: int) -> tuple[np.ndarray, ...]:
+    """The (4H, d), (4H, H) and (4H,) arrays of the step scratch ``step``."""
+    shapes = {"w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,)}
+    return tuple(_views(step[8 * n * H :], shapes).values())
+
+
+def _forward_arrays(work: dict | None, n: int, T: int, d: int, H: int, keep_cache: bool):
     """The step scratch, ``A`` (``kept`` steps of gates), ``C`` (``kept + 1``
-    rows of cell state) and ``Hs`` of ``forward_batch`` on n rows, where
-    ``kept`` is T with a cache and 1 without."""
+    rows of cell state) and ``Hs`` of ``forward_batch`` on n rows of T steps
+    of d inputs, where ``kept`` is T with a cache and 1 without."""
     kept = T if keep_cache else 1
-    # the step scratch holds one step's x_t W_x' and h_{t-1} W_h', and after
-    # the loop the attention scores S
-    return (work_buffer(work, "step", (max(8, T) * n * H,)),
+    return (_step_scratch(work, n, T, d, H),
             work_buffer(work, "A", (kept, 4, n, H)),
             work_buffer(work, "C", (kept + 1, n, H)),
             work_buffer(work, "Hs", (T + 1, n, H)))
@@ -263,7 +290,9 @@ def _forward_arrays(work: dict | None, n: int, T: int, H: int, keep_cache: bool)
 
 def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int, input_grads: bool):
     """The weights w_x, w_h, w_att of ``backward_batch`` on n rows of T steps,
-    then its arrays dx, dU, dH_ext, sq, dG, da, bptt and dh_w. With
+    then its arrays dx, dU, dH_ext, sq, dG, da, bptt (eight (n, H) arrays of
+    the step scratch), dh_w, and the three products that each step adds to
+    the w_x, w_h and b gradients (in the step scratch too). With
     ``input_grads`` the weights and the products dx, dH_ext and dh_w are
     zero-padded to a multiple of 8 columns, so that no row's bits depend on
     the call's row count (see the module docstring); without, dx is None."""
@@ -276,7 +305,9 @@ def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int, inpu
                 padded[:, m:] = 0.0
                 padded[:, :m] = w
     w_x, w_h, w_att = weights.values()
-    H = params.hidden
+    d, H = params.input_dim, params.hidden
+    # the forward pass's step scratch, where S is dead once dU has it
+    step = _step_scratch(work, n, T, d, H)
     dH_ext = work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
     return (w_x, w_h, w_att,
             work_buffer(work, "dx", (n, w_x.shape[1])) if input_grads else None,
@@ -286,8 +317,9 @@ def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int, inpu
             dH_ext.reshape(-1)[: T * n * H].reshape(T, n, H),
             work_buffer(work, "dG", (4, n, H)),
             work_buffer(work, "da", (n, 4 * H)),
-            work_buffer(work, "bptt", (5, n, H)),
-            work_buffer(work, "dh_next", (n, w_h.shape[1])))
+            step[: 8 * n * H].reshape(8, n, H),
+            work_buffer(work, "dh_next", (n, w_h.shape[1])),
+            _gate_views(step, n, d, H))
 
 
 def forward_batch(
@@ -320,28 +352,43 @@ def forward_batch(
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
-    step, A, C, Hs = _forward_arrays(work, n, T, H, keep_cache)
+    step, A, C, Hs = _forward_arrays(work, n, T, d, H, keep_cache)
     kept = A.shape[0]  # steps of gates kept
     xw, hw = step[: 8 * n * H].reshape(2, n, 4 * H)
+    wx, wh, bn = _gate_views(step, n, d, H)
+    # w_x, w_h and b with their i, f, o rows negated
+    for neg, w in ((wx, params.w_x), (wh, params.w_h), (bn, params.b)):
+        np.negative(w[: 3 * H], neg[: 3 * H])
+        neg[3 * H :] = w[3 * H :]
+    ig = step[: n * H].reshape(n, H)  # xw is dead once A[t] holds the step's sum
+    xw_gates = xw.reshape(n, 4, H).transpose(1, 0, 2)
+    wx_t, wh_t, X_steps = wx.T, wh.T, X.transpose(1, 0, 2)
     # the initial state; every other row is written before it is read
     C[-1] = Hs[T] = 0.0
     for t in range(T):
-        np.matmul(X[:, t, :], params.w_x.T, out=xw)
-        np.matmul(Hs[t - 1], params.w_h.T, out=hw)
-        xw += hw
-        xw += params.b
+        # x_t W_x' + h_{t-1} W_h' + b with its i, f, o rows negated, copied
+        # gate-major into A[t]; h_{-1} W_h' is zero, and adding it changes no bit
+        np.matmul(X_steps[t], wx_t, xw)
+        if t:
+            np.matmul(Hs[t - 1], wh_t, hw)
+            np.add(xw, hw, xw)
+        np.add(xw, bn, xw)
         a = A[t % kept]
-        np.copyto(a, xw.reshape(n, 4, H).transpose(1, 0, 2))
-        _sigmoid(a[:3], out=a[:3])
-        np.tanh(a[3], out=a[3])
+        np.copyto(a, xw_gates)
+        ifo = a[:3]  # 1 / (1 + exp(-z)) of the negated sums -z
+        with np.errstate(over="ignore"):
+            np.exp(ifo, ifo)
+        np.add(ifo, 1.0, ifo)
+        np.reciprocal(ifo, ifo)
         i, f, o, g = a
-        ig = xw.reshape(4, n, H)[0]
-        np.multiply(i, g, out=ig)
+        np.tanh(g, g)
+        np.multiply(i, g, ig)
         c = C[t % (kept + 1)]
-        np.multiply(f, C[(t - 1) % (kept + 1)], out=c)
-        c += ig
-        np.tanh(c, out=Hs[t])
-        Hs[t] *= o
+        np.multiply(f, C[(t - 1) % (kept + 1)], c)
+        np.add(c, ig, c)
+        h = Hs[t]
+        np.tanh(c, h)
+        np.multiply(h, o, h)
     Hs_T = Hs[:T]
 
     # additive attention over hidden states
@@ -392,8 +439,8 @@ def backward_batch(
     H = params.hidden
     A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
     Hs_T = Hs[:T]
-    w_x, w_h, w_att, dx, dU, dH_ext, sq, dG, da, bptt, dh_w = _backward_arrays(
-        work, params, n, T, out is not None)
+    (w_x, w_h, w_att, dx, dU, dH_ext, sq, dG, da, bptt, dh_w,
+     step_grads) = _backward_arrays(work, params, n, T, out is not None)
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
     if grads is not None:
@@ -413,44 +460,58 @@ def backward_batch(
         grads["b_att"] += dU.sum(axis=(0, 1))
     dH_ext = np.matmul(dU, w_att, out=dH_ext)[:, :, :H]  # (T, n, H)
     dH_ext += np.multiply(alpha.T[:, :, None], dctx, out=dU)
+    tanh_C = np.tanh(C[:T], out=dU)  # tanh(c_t) of every step, in the dead dU
 
-    # backprop through time; dG holds the gate gradients [i, f, o, g] gate-major,
-    # da the same values in the (n, 4H) layout that w_x and w_h multiply
-    tc, u, dh, dc, dc_next = bptt
+    # backprop through time; dG holds the gate gradients [i, f, o, g]
+    # gate-major, and their last factors go straight into da, the (n, 4H)
+    # layout that w_x and w_h multiply
+    dh, dc, dc_next = bptt[:3]
+    factors = bptt[3:]  # 1 - i, 1 - f, 1 - o, then 1 - g**2 and 1 - tc**2
+    ifo_1m, sq_1m, tc_1m = factors[:3], factors[3:], factors[4]
+    da_gates, da_t = da.reshape(n, 4, H).transpose(1, 0, 2), da.T
+    dG_gi, dG_f, dG_o = dG[::3], dG[1], dG[2]  # dG_gi: the i and g rows
     dh_next = dh_w[:, :H]
     dh_next.fill(0.0)  # the others are written before they are read
     dc_next.fill(0.0)
+    if grads is not None:
+        g_wx, g_wh, g_b = grads["w_x"], grads["w_h"], grads["b"]
+        dw_x, dw_h, db = step_grads  # one step's terms of g_wx, g_wh, g_b
+        X_steps = X.transpose(1, 0, 2)
+    if out is not None:
+        dx_d, out_steps = dx[:, :d], out.transpose(1, 0, 2)
     for t in range(T - 1, -1, -1):
-        i, f, o, g = A[t]
-        np.tanh(C[t], out=tc)
-        np.add(dH_ext[t], dh_next, out=dh)
+        a = A[t]
+        f, o, g = a[1:]
+        tc = tanh_C[t]
+        np.add(dH_ext[t], dh_next, dh)
+        np.subtract(1.0, a[:3], ifo_1m)
+        np.square(g, sq_1m[0])
+        np.square(tc, tc_1m)
+        np.subtract(1.0, sq_1m, sq_1m)
         # dc = dc_next + dh * o * (1 - tc**2)
-        np.subtract(1.0, np.square(tc, out=u), out=u)
-        np.multiply(dh, o, out=dc)
-        dc *= u
-        dc += dc_next
-        # each gate gradient keeps the operation order ((a * b) * c) * d
-        np.multiply(dc, g, out=dG[0])
-        dG[0] *= i
-        dG[0] *= np.subtract(1.0, i, out=u)
-        np.multiply(dc, C[t - 1], out=dG[1])
-        dG[1] *= f
-        dG[1] *= np.subtract(1.0, f, out=u)
-        np.multiply(dh, tc, out=dG[2])
-        dG[2] *= o
-        dG[2] *= np.subtract(1.0, o, out=u)
-        np.multiply(dc, i, out=dG[3])
-        dG[3] *= np.subtract(1.0, np.square(g, out=u), out=u)
-        np.copyto(da.reshape(n, 4, H), dG.transpose(1, 0, 2))
+        np.multiply(dh, o, dc)
+        np.multiply(dc, tc_1m, dc)
+        np.add(dc, dc_next, dc)
+        # each gate gradient keeps the operation order ((a * b) * c) * d:
+        # dc g i (1 - i), dc c_{t-1} f (1 - f), dh tc o (1 - o), dc i (1 - g**2)
+        np.multiply(dc, a[3::-3], dG_gi)
+        np.multiply(dc, C[t - 1], dG_f)
+        np.multiply(dh, tc, dG_o)
+        np.multiply(dG[:3], a[:3], dG[:3])
+        np.multiply(dG, factors[:4], da_gates)
         if grads is not None:
-            grads["w_x"] += da.T @ X[:, t, :]
-            grads["w_h"] += da.T @ Hs[t - 1]
-            grads["b"] += da.sum(axis=0)
+            np.matmul(da_t, X_steps[t], dw_x)
+            np.add(g_wx, dw_x, g_wx)
+            np.matmul(da_t, Hs[t - 1], dw_h)
+            np.add(g_wh, dw_h, g_wh)
+            np.add.reduce(da, 0, None, db)  # da.sum(axis=0)
+            np.add(g_b, db, g_b)
         if out is not None:
-            np.matmul(da, w_x, out=dx)
-            out[:, t, :] = dx[:, :d]
-        np.matmul(da, w_h, out=dh_w)
-        np.multiply(dc, f, out=dc_next)
+            np.matmul(da, w_x, dx)
+            np.copyto(out_steps[t], dx_d)
+        if t:  # dh_{-1} and dc_{-1} are never read
+            np.matmul(da, w_h, dh_w)
+            np.multiply(dc, f, dc_next)
 
     return grads, out
 
@@ -471,7 +532,7 @@ class LstmModel:
     def reserve(self, n: int, T: int, gradients: bool = False) -> None:
         """Size ``work`` for forward-only tiles of up to n rows of T steps, or
         with ``gradients`` for ``input_gradient_batch``'s (both passes)."""
-        _forward_arrays(self.work, n, T, self.params.hidden, gradients)
+        _forward_arrays(self.work, n, T, self.params.input_dim, self.params.hidden, gradients)
         if gradients:
             _backward_arrays(self.work, self.params, n, T, True)
             work_buffer(self.work, "grad", (n, T, self.params.input_dim))

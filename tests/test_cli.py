@@ -1207,6 +1207,17 @@ class TestRunFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if source == "config"
                                                               else [])
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_under_a_regular_file_rejected_before_the_data_is_read(
+            self, tmp_path, monkeypatch, capsys, out):
+        # the data file is missing too: the --out error comes first
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_bytes(b"a regular file\n")
+        assert run(["train", "--data", "missing.csv", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: afile is not a directory\n"
+        assert (tmp_path / "afile").read_bytes() == b"a regular file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
     def test_synth_makes_the_csv_directory_and_lists_it_from_out(self, tmp_path):
         out, csv_path = tmp_path / "o2", tmp_path / "elsewhere" / "new" / "foo.csv"
         assert run(synth_args(out) + ["--data", str(csv_path)]) == 0

@@ -183,7 +183,6 @@ class TestForward:
         assert err.value.step == 2
 
 
-
 class TestInputGradient:
     def test_dead_output_path(self):
         params = model.init_params(12, 4, seed=7)
@@ -242,6 +241,13 @@ def zero_grads(params):
     return {name: np.zeros_like(arr) for name, arr in params.items()}
 
 
+def same_bits(got, want):
+    """Equal shapes and bits, so that +0 and -0 differ."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+
+
 class TestBackwardProperties:
     """backward_batch against central finite differences (criterion 5's
     h and bound) on random shapes, parameters and inputs."""
@@ -289,6 +295,8 @@ class TestBitsAgainstReference:
     @example(n=9, T=1, d=3, H=5, seed=2)
     @example(n=1, T=4, d=12, H=16, seed=3)
     @example(n=37, T=10, d=12, H=16, seed=4)
+    @example(n=64, T=1, d=12, H=16, seed=5)  # step 0 alone, at training batch size
+    @example(n=400, T=10, d=12, H=16, seed=6)  # one whole tile
     def test_forward_and_backward_match_reference(self, n, T, d, H, seed):
         rng = np.random.default_rng(seed)
         params = model.init_params(d, H, seed=0)
@@ -300,17 +308,63 @@ class TestBitsAgainstReference:
         p, alpha, cache = model.forward_batch(params, X)
         want_p, want_alpha, want = lstm_reference.forward_batch(params, X)
         assert np.array_equal(p, want_p) and np.array_equal(alpha, want_alpha)
+        assert same_bits(p, want_p) and same_bits(alpha, want_alpha)
         for key in ("C", "Hs", "S", "alpha", "ctx", "z", "p"):
             assert np.array_equal(cache[key], want[key]), key
+            assert same_bits(cache[key], want[key]), key
         gates = cache["A"].transpose(0, 2, 1, 3).reshape(T, n, 4 * H)
-        assert np.array_equal(gates, want["A"])
+        assert np.array_equal(gates, want["A"]) and same_bits(gates, want["A"])
 
         grads, dX = model.backward_batch(params, cache, dz, grads=zero_grads(params),
                                          out=np.empty(X.shape))
         want_grads, want_dX = lstm_reference.backward_batch(params, want, dz, True, True)
-        assert np.array_equal(dX, want_dX)
+        assert np.array_equal(dX, want_dX) and same_bits(dX, want_dX)
         for name, grad in want_grads.items():
             assert np.array_equal(grads[name], grad), name
+            assert same_bits(grads[name], grad), name
+
+
+    def test_closed_input_gate_keeps_the_sign_of_the_cell_state(self):
+        # i = 1 / (1 + exp(800)) is exactly 0 and g < 0, so i * g is -0, and
+        # c_0 = f * c_{-1} + i * g is +0 only because f * c_{-1} is added
+        params = model.init_params(1, 1, seed=0)
+        params.w_x[:, 0] = [-800.0, 0.5, 0.5, -1.0]
+        params.b[:] = 0.0
+        X = np.ones((1, 2, 1))
+        _, _, cache = model.forward_batch(params, X)
+        _, _, want = lstm_reference.forward_batch(params, X)
+        assert np.signbit(want["C"][:2]).sum() == 0
+        for key in ("C", "Hs", "S", "alpha", "ctx", "z", "p"):
+            assert same_bits(cache[key], want[key]), key
+
+
+class TestParamsUnchanged:
+    """Both passes read the parameters and never write them: the negated
+    gate rows of the forward pass are copies."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 40), T=st.integers(1, 5), d=st.integers(1, 12),
+        H=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), input_grads=st.booleans(),
+    )
+    @example(n=64, T=10, d=12, H=16, seed=0, input_grads=False)
+    @example(n=64, T=10, d=12, H=16, seed=0, input_grads=True)
+    def test_calls_leave_every_parameter_bit_identical(self, n, T, d, H, seed, input_grads):
+        rng = np.random.default_rng(seed)
+        params = _random_params(d, H, rng, scale=1.5)
+        before = {name: arr.copy() for name, arr in params.items()}
+        X = rng.normal(size=(n, T, d))
+        work = {}
+        model.forward_batch(params, X, keep_cache=False, work=work)
+        p, _, cache = model.forward_batch(params, X, work=work)
+        if input_grads:  # as LstmModel.input_gradient_batch calls it
+            model.backward_batch(params, cache, p * (1.0 - p), work=work,
+                                 out=np.empty(X.shape))
+        else:  # as train calls it
+            model.backward_batch(params, cache, rng.normal(size=n), work=work,
+                                 grads=zero_grads(params))
+        for name, arr in params.items():
+            assert same_bits(arr, before[name]), name
 
 
 def _random_params(d, H, rng, scale):

@@ -1,5 +1,6 @@
 """tools/pipeline_digests.py: the listing and its comparison with a saved one;
-tools/bench_record.py: its BENCH record, on canned benchmark output."""
+tools/bench_record.py: its BENCH record, on canned benchmark output;
+tools/layer_bench.py: its record, at tiny repetition counts."""
 
 import importlib.util
 import json
@@ -283,4 +284,56 @@ def test_bad_arguments_exit_2(record_tool, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(record_tool, "run_once", None)  # nothing may run
     with pytest.raises(SystemExit) as exc:
         record_tool.main(argv)
+    assert exc.value.code == 2
+
+
+LAYER_TOOL = TOOL.parent / "layer_bench.py"
+SRC = TOOL.parent.parent / "src"
+
+
+@pytest.fixture
+def layer_tool(monkeypatch):
+    # the tool sets BLAS thread variables on import; keep them out of os.environ
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    spec = importlib.util.spec_from_file_location("layer_bench", LAYER_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_layer_record_times_each_call_type_on_both_sides(layer_tool, capsys):
+    assert layer_tool.main(["--src", str(SRC), "--rounds", "3", "--reps", "1"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["shape"] == {"T": 10, "d": 12, "H": 16}
+    assert (record["rounds"], record["reps"]) == (3, 1)
+    assert list(record["calls"]) == ["forward_400", "train_step_64", "input_gradient_400"]
+    for name, call in record["calls"].items():
+        for side in ("this", "other"):
+            q = call[side]
+            assert 0 < q["q1"] <= q["median"] <= q["q3"], (name, side)
+        assert call["ratio"] == call["this"]["median"] / call["other"]["median"]
+        assert 0 <= call["this_faster"] <= 3
+
+
+def test_layer_record_refuses_trees_whose_outputs_differ(layer_tool, tmp_path, capsys):
+    # the other tree's forward pass moves every probability by one ulp
+    other = tmp_path / "src"
+    shutil.copytree(SRC / "stormlens", other / "stormlens",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(other / "stormlens" / "model.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_forward_batch = forward_batch\n\n\n"
+                 "def forward_batch(*args, **kwargs):\n"
+                 "    p, alpha, cache = _forward_batch(*args, **kwargs)\n"
+                 "    return np.nextafter(p, 2.0), alpha, cache\n")
+    assert layer_tool.main(["--src", str(other), "--rounds", "1", "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: forward_400 outputs differ between the two trees\n"
+
+
+@pytest.mark.parametrize("argv", [["--src", "missing-tree"], ["--rounds", "1"],
+                                  ["--src", str(SRC), "--reps", "0"]])
+def test_layer_bad_arguments_exit_2(layer_tool, argv):
+    with pytest.raises(SystemExit) as exc:
+        layer_tool.main(argv)
     assert exc.value.code == 2
