@@ -183,6 +183,7 @@ class TestForward:
         assert err.value.step == 2
 
 
+
 class TestInputGradient:
     def test_dead_output_path(self):
         params = model.init_params(12, 4, seed=7)
@@ -323,7 +324,6 @@ class TestBitsAgainstReference:
             assert np.array_equal(grads[name], grad), name
             assert same_bits(grads[name], grad), name
 
-
     def test_closed_input_gate_keeps_the_sign_of_the_cell_state(self):
         # i = 1 / (1 + exp(800)) is exactly 0 and g < 0, so i * g is -0, and
         # c_0 = f * c_{-1} + i * g is +0 only because f * c_{-1} is added
@@ -355,16 +355,22 @@ class TestParamsUnchanged:
         before = {name: arr.copy() for name, arr in params.items()}
         X = rng.normal(size=(n, T, d))
         work = {}
+
+        def unchanged(call):  # checked after each call: two negations would cancel
+            for name, arr in params.items():
+                assert same_bits(arr, before[name]), (call, name)
+
         model.forward_batch(params, X, keep_cache=False, work=work)
+        unchanged("forward-only")
         p, _, cache = model.forward_batch(params, X, work=work)
+        unchanged("forward")
         if input_grads:  # as LstmModel.input_gradient_batch calls it
             model.backward_batch(params, cache, p * (1.0 - p), work=work,
                                  out=np.empty(X.shape))
         else:  # as train calls it
             model.backward_batch(params, cache, rng.normal(size=n), work=work,
                                  grads=zero_grads(params))
-        for name, arr in params.items():
-            assert same_bits(arr, before[name]), name
+        unchanged("backward")
 
 
 def _random_params(d, H, rng, scale):

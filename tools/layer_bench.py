@@ -40,6 +40,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from bench_record import quartiles  # noqa: E402
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 T, D, H = 10, 12, 16  # the desk model of the README and the benchmark
 ROUNDS, REPS = 30, 50
@@ -90,12 +93,6 @@ def cpu_per_call(call, reps: int) -> float:
     for _ in range(reps):
         call()
     return (time.process_time() - start) / reps
-
-
-def quartiles(values: list[float]) -> dict:
-    med = statistics.median(values)
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
-    return {"median": med, "q1": q1, "q3": q3}
 
 
 def compare(sides: dict, rounds: int, reps: int) -> dict:
