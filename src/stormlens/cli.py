@@ -331,6 +331,8 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
     samples = data.synth_generate(cfg.n_ars, cfg.samples_per_ar, cfg.seed, plant)
     csv_path = cfg.data or os.path.join(cfg.out, "data.csv")
     data.write_csv(csv_path, samples)
+    # relative to --out, so that a --data CSV elsewhere is found from it too
+    csv_name = os.path.relpath(csv_path, cfg.out)
     n_pos = int(samples.labels.sum())
     manifest = {
         "seed": cfg.seed,
@@ -339,11 +341,10 @@ def cmd_synth(cfg: RunConfig) -> list[str]:
         "samples_per_ar": cfg.samples_per_ar,
         "n_samples": len(samples),
         "class_counts": {"P": n_pos, "N": len(samples) - n_pos},
-        "csv": str(csv_path),
+        "csv": csv_name,
     }
     data.write_json(os.path.join(cfg.out, "data_manifest.json"), manifest)
-    # relative to --out, so that a --data CSV elsewhere is found from it too
-    return [os.path.relpath(csv_path, cfg.out), "data_manifest.json"]
+    return [csv_name, "data_manifest.json"]
 
 
 def cmd_train(cfg: RunConfig) -> list[str]:

@@ -101,6 +101,17 @@ gradients of a step in one contiguous (4, n, H) buffer, whose last product
 writes them into the (n, 4H) layout that every weight matmul reads; tanh(c_t)
 of every step is computed before the loop, in an array that is dead by
 then. Step 0 computes no dh_{-1} or dc_{-1}, which nothing reads.
+
+With parameter gradients, the gate gradients da of step t go to row t of a
+(T, n, 4H) array ``DA``, and each weight's gradient is one product over all
+T n rows after the loop: DA' X for w_x, with X taken time-major; DA[1:]'
+Hs[:T-1] for w_h, as h_{-1} is zero and step 0 adds no term; the column
+sums of DA for b. The attention's w_att and v_att gradients are one matmul
+each over the (T n, H) rows too. Without parameter gradients ``DA`` keeps
+one step, as ``A`` keeps one without a cache. A sum over all rows at once
+runs in another order than a sum of per-step products, so the trained
+weights' last bits depend on this order; the forward pass and the input
+gradients do not.
 """
 
 from __future__ import annotations
@@ -264,17 +275,10 @@ def _step_scratch(work: dict | None, n: int, T: int, d: int, H: int):
     """The step scratch of both passes on n rows of T steps of d inputs: a
     flat array whose first 8 n H entries hold the forward loop's two (n, 4H)
     products x_t W_x' and h_{t-1} W_h', or the backward loop's eight (n, H)
-    arrays; then, shaped as w_x, w_h and b, the forward pass's negated
-    weights or one backward step's terms of their gradients (see
-    ``_gate_views``). After the forward loop its first T n H entries hold
-    the attention scores S, which the backward pass reads before its loop."""
+    arrays; then the forward pass's negated w_x, w_h and b. After the
+    forward loop its first T n H entries hold the attention scores S, which
+    the backward pass reads before its loop."""
     return work_buffer(work, "step", (max(8 * n * H + 4 * H * (d + H + 1), T * n * H),))
-
-
-def _gate_views(step: np.ndarray, n: int, d: int, H: int) -> tuple[np.ndarray, ...]:
-    """The (4H, d), (4H, H) and (4H,) arrays of the step scratch ``step``."""
-    shapes = {"w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,)}
-    return tuple(_views(step[8 * n * H :], shapes).values())
 
 
 def _forward_arrays(work: dict | None, n: int, T: int, d: int, H: int, keep_cache: bool):
@@ -288,14 +292,18 @@ def _forward_arrays(work: dict | None, n: int, T: int, d: int, H: int, keep_cach
             work_buffer(work, "Hs", (T + 1, n, H)))
 
 
-def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int, input_grads: bool):
+def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int,
+                     input_grads: bool, param_grads: bool):
     """The weights w_x, w_h, w_att of ``backward_batch`` on n rows of T steps,
-    then its arrays dx, dU, dH_ext, sq, dG, da, bptt (eight (n, H) arrays of
-    the step scratch), dh_w, and the three products that each step adds to
-    the w_x, w_h and b gradients (in the step scratch too). With
-    ``input_grads`` the weights and the products dx, dH_ext and dh_w are
-    zero-padded to a multiple of 8 columns, so that no row's bits depend on
-    the call's row count (see the module docstring); without, dx is None."""
+    then its arrays dx, dU, dH_ext, sq, dG, DA, bptt (eight (n, H) arrays of
+    the step scratch), dh_w and X_tm. ``DA`` holds the gate gradients of
+    ``kept`` steps, step t in ``DA[t % kept]``: with ``param_grads``
+    ``kept = T``, and the weight gradients are products of all T steps after
+    the loop, which read X time-major from the (T, n, d) array X_tm; without,
+    ``kept = 1`` and X_tm is None. With ``input_grads`` the weights and the
+    products dx, dH_ext and dh_w are zero-padded to a multiple of 8 columns,
+    so that no row's bits depend on the call's row count (see the module
+    docstring); without, dx is None."""
     weights = {"w_x": params.w_x, "w_h": params.w_h, "w_att": params.w_att}
     if input_grads:
         for key, w in weights.items():
@@ -306,8 +314,6 @@ def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int, inpu
                 padded[:, :m] = w
     w_x, w_h, w_att = weights.values()
     d, H = params.input_dim, params.hidden
-    # the forward pass's step scratch, where S is dead once dU has it
-    step = _step_scratch(work, n, T, d, H)
     dH_ext = work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
     return (w_x, w_h, w_att,
             work_buffer(work, "dx", (n, w_x.shape[1])) if input_grads else None,
@@ -316,10 +322,11 @@ def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int, inpu
             # sq (1 - S**2) is dead once dU has it, so dH_ext may overwrite it
             dH_ext.reshape(-1)[: T * n * H].reshape(T, n, H),
             work_buffer(work, "dG", (4, n, H)),
-            work_buffer(work, "da", (n, 4 * H)),
-            step[: 8 * n * H].reshape(8, n, H),
+            work_buffer(work, "da", (T if param_grads else 1, n, 4 * H)),
+            # the forward pass's step scratch, where S is dead once dU has it
+            _step_scratch(work, n, T, d, H)[: 8 * n * H].reshape(8, n, H),
             work_buffer(work, "dh_next", (n, w_h.shape[1])),
-            _gate_views(step, n, d, H))
+            work_buffer(work, "X_tm", (T, n, d)) if param_grads else None)
 
 
 def forward_batch(
@@ -355,7 +362,8 @@ def forward_batch(
     step, A, C, Hs = _forward_arrays(work, n, T, d, H, keep_cache)
     kept = A.shape[0]  # steps of gates kept
     xw, hw = step[: 8 * n * H].reshape(2, n, 4 * H)
-    wx, wh, bn = _gate_views(step, n, d, H)
+    wx, wh, bn = _views(step[8 * n * H :],
+                        {"w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,)}).values()
     # w_x, w_h and b with their i, f, o rows negated
     for neg, w in ((wx, params.w_x), (wh, params.w_h), (bn, params.b)):
         np.negative(w[: 3 * H], neg[: 3 * H])
@@ -439,8 +447,8 @@ def backward_batch(
     H = params.hidden
     A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
     Hs_T = Hs[:T]
-    (w_x, w_h, w_att, dx, dU, dH_ext, sq, dG, da, bptt, dh_w,
-     step_grads) = _backward_arrays(work, params, n, T, out is not None)
+    w_x, w_h, w_att, dx, dU, dH_ext, sq, dG, DA, bptt, dh_w, X_tm = _backward_arrays(
+        work, params, n, T, out is not None, grads is not None)
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
     if grads is not None:
@@ -455,32 +463,29 @@ def backward_batch(
     np.multiply(de.T[:, :, None], params.v_att, out=dU)
     dU *= np.subtract(1.0, np.square(S, out=sq), out=sq)
     if grads is not None:
-        grads["v_att"] += np.einsum("tnh,nt->h", S, de)
-        grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
+        grads["v_att"] += de.T.reshape(T * n) @ S.reshape(T * n, H)
+        grads["w_att"] += dU.reshape(T * n, H).T @ Hs_T.reshape(T * n, H)
         grads["b_att"] += dU.sum(axis=(0, 1))
     dH_ext = np.matmul(dU, w_att, out=dH_ext)[:, :, :H]  # (T, n, H)
     dH_ext += np.multiply(alpha.T[:, :, None], dctx, out=dU)
     tanh_C = np.tanh(C[:T], out=dU)  # tanh(c_t) of every step, in the dead dU
 
     # backprop through time; dG holds the gate gradients [i, f, o, g]
-    # gate-major, and their last factors go straight into da, the (n, 4H)
-    # layout that w_x and w_h multiply
+    # gate-major, and their last factors go straight into da = DA[t % kept],
+    # the (n, 4H) layout that w_x and w_h multiply
     dh, dc, dc_next = bptt[:3]
     factors = bptt[3:]  # 1 - i, 1 - f, 1 - o, then 1 - g**2 and 1 - tc**2
     ifo_1m, sq_1m, tc_1m = factors[:3], factors[3:], factors[4]
-    da_gates, da_t = da.reshape(n, 4, H).transpose(1, 0, 2), da.T
+    kept = DA.shape[0]
+    DA_gates = DA.reshape(kept, n, 4, H).transpose(0, 2, 1, 3)
     dG_gi, dG_f, dG_o = dG[::3], dG[1], dG[2]  # dG_gi: the i and g rows
     dh_next = dh_w[:, :H]
     dh_next.fill(0.0)  # the others are written before they are read
     dc_next.fill(0.0)
-    if grads is not None:
-        g_wx, g_wh, g_b = grads["w_x"], grads["w_h"], grads["b"]
-        dw_x, dw_h, db = step_grads  # one step's terms of g_wx, g_wh, g_b
-        X_steps = X.transpose(1, 0, 2)
     if out is not None:
         dx_d, out_steps = dx[:, :d], out.transpose(1, 0, 2)
     for t in range(T - 1, -1, -1):
-        a = A[t]
+        a, da = A[t], DA[t % kept]
         f, o, g = a[1:]
         tc = tanh_C[t]
         np.add(dH_ext[t], dh_next, dh)
@@ -498,14 +503,7 @@ def backward_batch(
         np.multiply(dc, C[t - 1], dG_f)
         np.multiply(dh, tc, dG_o)
         np.multiply(dG[:3], a[:3], dG[:3])
-        np.multiply(dG, factors[:4], da_gates)
-        if grads is not None:
-            np.matmul(da_t, X_steps[t], dw_x)
-            np.add(g_wx, dw_x, g_wx)
-            np.matmul(da_t, Hs[t - 1], dw_h)
-            np.add(g_wh, dw_h, g_wh)
-            np.add.reduce(da, 0, None, db)  # da.sum(axis=0)
-            np.add(g_b, db, g_b)
+        np.multiply(dG, factors[:4], DA_gates[t % kept])
         if out is not None:
             np.matmul(da, w_x, dx)
             np.copyto(out_steps[t], dx_d)
@@ -513,6 +511,13 @@ def backward_batch(
             np.matmul(da, w_h, dh_w)
             np.multiply(dc, f, dc_next)
 
+    if grads is not None:  # one product per weight over the T n rows of every step
+        rows = DA.reshape(T * n, 4 * H)
+        np.copyto(X_tm, X.transpose(1, 0, 2))
+        grads["w_x"] += rows.T @ X_tm.reshape(T * n, d)
+        # step 0 adds no term: h_{-1} is zero
+        grads["w_h"] += rows[n:].T @ Hs[: T - 1].reshape((T - 1) * n, H)
+        grads["b"] += rows.sum(axis=0)
     return grads, out
 
 
@@ -534,7 +539,7 @@ class LstmModel:
         with ``gradients`` for ``input_gradient_batch``'s (both passes)."""
         _forward_arrays(self.work, n, T, self.params.input_dim, self.params.hidden, gradients)
         if gradients:
-            _backward_arrays(self.work, self.params, n, T, True)
+            _backward_arrays(self.work, self.params, n, T, True, False)
             work_buffer(self.work, "grad", (n, T, self.params.input_dim))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

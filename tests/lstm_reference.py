@@ -128,14 +128,16 @@ def backward_batch(
     dS = de.T[:, :, None] * params.v_att[None, None, :]  # (T, n, H)
     dU = dS * (1.0 - S**2)
     if want_param_grads:
-        grads["v_att"] += np.einsum("tnh,nt->h", S, de)
-        grads["w_att"] += np.einsum("tnh,tnk->hk", dU, Hs_T)
+        grads["v_att"] += de.T.reshape(T * n) @ S.reshape(T * n, H)
+        grads["w_att"] += dU.reshape(T * n, H).T @ Hs_T.reshape(T * n, H)
         grads["b_att"] += dU.sum(axis=(0, 1))
     times = _times_padded if want_input_grads else np.matmul
     dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + times(dU, params.w_att)  # (T, n, H)
 
     # backprop through time; da holds the gate gradients [i, f, o, g]
     da = np.empty((n, 4 * H))
+    if want_param_grads:
+        DA = np.empty((T, n, 4 * H))  # every step's da
     dh_next = np.zeros((n, H))
     dc_next = np.zeros((n, H))
     for t in range(T - 1, -1, -1):
@@ -148,13 +150,16 @@ def backward_batch(
         da[:, 2 * H : 3 * H] = dh * tc * o * (1.0 - o)
         da[:, 3 * H :] = dc * i * (1.0 - g**2)
         if want_param_grads:
-            grads["w_x"] += da.T @ X[:, t, :]
-            grads["w_h"] += da.T @ Hs[t - 1]
-            grads["b"] += da.sum(axis=0)
+            DA[t] = da
         if want_input_grads:
             dX[:, t, :] = _times_padded(da, params.w_x)
         dh_next = times(da, params.w_h)
         dc_next = dc * f
+    if want_param_grads:  # all T n rows in one product; h_{-1} = 0 adds no w_h term
+        rows = DA.reshape(T * n, 4 * H)
+        grads["w_x"] += rows.T @ X.transpose(1, 0, 2).reshape(T * n, d)
+        grads["w_h"] += rows[n:].T @ Hs[: T - 1].reshape((T - 1) * n, H)
+        grads["b"] += rows.sum(axis=0)
 
     return grads, dX
 

@@ -1229,6 +1229,15 @@ class TestRunFiles:
         assert sorted(p.name for p in out.iterdir()) == [
             "data_manifest.json", "run_manifest_synth.json"]
 
+    @pytest.mark.parametrize("data, want", [(None, "data.csv"),
+                                            ("elsewhere/x.csv", "../elsewhere/x.csv")])
+    def test_data_manifest_names_the_csv_from_out(self, tmp_path, monkeypatch, data, want):
+        monkeypatch.chdir(tmp_path)
+        assert run(synth_args("o2") + ([] if data is None else ["--data", data])) == 0
+        manifest = json.loads((tmp_path / "o2" / "data_manifest.json").read_text(encoding="utf-8"))
+        assert manifest["csv"] == want
+        assert (tmp_path / "o2" / want).is_file()
+
     def test_synth_lists_its_own_csv_by_name(self, tmp_path):
         out = tmp_path / "o"
         assert run(synth_args(out)) == 0

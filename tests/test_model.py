@@ -338,6 +338,47 @@ class TestBitsAgainstReference:
             assert same_bits(cache[key], want[key]), key
 
 
+class TestBackwardOutputs:
+    """Parameter gradients keep the gate gradients of every step, input
+    gradients alone those of one; a call that asks for both gives the bits
+    of the two calls that ask for one each."""
+
+    # H a multiple of 8: the input-gradient products then multiply w_h and
+    # w_att unpadded, as training does, so both calls have the same da
+    @pytest.mark.parametrize("n, T, d, H, seed", [
+        (1, 1, 1, 8, 0), (13, 4, 3, 8, 1), (64, 10, 12, 16, 2), (400, 10, 12, 16, 3)])
+    def test_both_outputs_match_the_calls_with_one(self, n, T, d, H, seed):
+        rng = np.random.default_rng(seed)
+        params = _random_params(d, H, rng, scale=1.5)
+        X = rng.normal(size=(n, T, d))
+        dz = rng.normal(size=n)
+        cache = model.forward_batch(params, X)[2]
+        work = {}  # shared: the input-only call sizes DA for one step, the next for T
+        _, want_dX = model.backward_batch(params, cache, dz, work=work, out=np.empty(X.shape))
+        want_dX = want_dX.copy()
+        grads, dX = model.backward_batch(params, cache, dz, work=work, grads=zero_grads(params),
+                                         out=np.empty(X.shape))
+        want_grads, _ = model.backward_batch(params, cache, dz, work=work,
+                                             grads=zero_grads(params))
+        assert same_bits(dX, want_dX)
+        for name, grad in want_grads.items():
+            assert same_bits(grads[name], grad), name
+
+    def test_one_step_gives_w_h_an_exactly_zero_gradient(self):
+        # h_{-1} is zero, so w_h takes no term; the other weights do
+        rng = np.random.default_rng(0)
+        params = _random_params(3, 4, rng, scale=1.5)
+        X = rng.normal(size=(5, 1, 3))
+        cache = model.forward_batch(params, X)[2]
+        grads, _ = model.backward_batch(params, cache, rng.normal(size=5),
+                                        grads=zero_grads(params))
+        assert same_bits(grads["w_h"], np.zeros_like(params.w_h))
+        # c_{-1} is zero too, so of w_x and b only the forget gate's rows are
+        for name in ("w_x", "b"):
+            forget = grads[name][4:8]
+            assert not forget.any() and np.count_nonzero(grads[name]) == 3 * forget.size, name
+
+
 class TestParamsUnchanged:
     """Both passes read the parameters and never write them: the negated
     gate rows of the forward pass are copies."""
