@@ -21,7 +21,13 @@ in even rounds and the other first in odd ones, and keeps the CPU seconds
 per call. The JSON printed holds, per call type, the median and quartiles
 of both sides, the ratio of the medians (this over other) and in how many
 rounds this tree was faster. Both sides get the same inputs, and the tool
-exits 1 if their outputs differ in any bit.
+exits 1 if their outputs differ in any bit. So it compares only trees
+whose outputs agree bit for bit: it refuses, at ``train_step_64``, two trees
+whose training steps sum the weight gradients in different orders, such as
+one that sums them in one product per weight after the time loop and one
+that sums them step by step. A change like that takes its layer figures
+from the ``--trace 1`` runs of ``tools/bench_record.py``
+(``model.backward.self_s``, ``model.train.self_s``).
 """
 
 from __future__ import annotations
