@@ -50,7 +50,6 @@ class RunConfig:
     batch: int = 32
     lr: float = 1e-3
     threshold: float = 0.5
-    horizon_hours: int = 24
     # explainers
     method: str = "gradient"
     background: int = 100
@@ -106,8 +105,6 @@ class RunConfig:
             lime.kernel_scale(self.lime_width)
         if not 0.0 < self.threshold < 1.0:
             raise InputError("threshold must be in (0, 1)")
-        if self.horizon_hours < 1:
-            raise InputError("horizon_hours must be >= 1")
         # every command writes every setting into its manifest, and JSON
         # cannot hold NaN or infinity
         for name, value in vars(self).items():
@@ -248,10 +245,8 @@ def _sanitize(identifier: str) -> str:
 def _run_record(cfg: RunConfig) -> model_mod.TrainingRecord:
     """The record that ``train`` starts from: ``cfg``'s settings, without
     norm stats or feature names."""
-    return model_mod.TrainingRecord(
-        window_length=cfg.window, train_fraction=cfg.train_fraction,
-        split_seed=cfg.seed, horizon_hours=cfg.horizon_hours,
-    )
+    return model_mod.TrainingRecord(window_length=cfg.window,
+                                    train_fraction=cfg.train_fraction, split_seed=cfg.seed)
 
 
 def _load_model(cfg: RunConfig) -> tuple[model_mod.LstmModel, model_mod.TrainingRecord]:
@@ -288,7 +283,6 @@ def _evaluation_metrics(cfg: RunConfig, net, record, train_w, test_w) -> dict:
         "threshold": cfg.threshold,
         "n_test_windows": len(test_w),
         "train_base_value": shapley.base_value(net, train_w.values),
-        "horizon_hours": record.horizon_hours,
         "untrained": record.untrained,
     }
 

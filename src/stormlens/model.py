@@ -2,42 +2,39 @@
 
 Forward pass, per step t on input x_t (batch, d):
 
-    a    = x_t W_x' + h_{t-1} W_h' + b          gates stacked [i, f, o, g]
+    a    = [x_t, h_{t-1}, 1] W'                 W = [w_x, w_h, b], gates stacked [i, f, o, g]
     i, f, o = sigmoid(a_i), sigmoid(a_f), sigmoid(a_o);  g = tanh(a_g)
     c_t  = f * c_{t-1} + i * g
     h_t  = o * tanh(c_t)
 
-with sigmoid(z) = 1 / (1 + exp(-z)) computed as written, which is 0 where
-exp(-z) overflows (z below about -709.78).
+with sigmoid(z) = 1/2 + tanh(z / 2) / 2, which never overflows and is
+exactly 0 or 1 once |z| is above about 38.
 
-The activated gates of all steps live in one gate-major (T, 4, n, H) array
-``A``, so each gate of a step is one contiguous (n, H) block and the
-elementwise work runs over whole blocks. Each call first copies w_x, w_h
-and b with the rows of the i, f and o gates negated. Step t computes
-x_t W_x' and h_{t-1} W_h' with these weights into two (n, 4H) buffers that
-every step reuses, adds them and then b in that order, and copies the sum
-gate-major into ``A[t]``. Negating every product of a sum negates the sum
-exactly, so the i, f, o rows hold -z with the bits of z, up to the sign of
-a zero, which exp does not see: their sigmoid is exp, + 1 and reciprocal in
-place, ``1 / (1 + exp(-z))`` as written with no negation pass. Step 0 skips
-h_{-1} W_h' and its add: a product of zeros is +0 in the BLAS builds
-tested, and adding +0 changes no sum but -0, which such a product never is.
-It keeps f * c_{-1}: where i * g is -0, as when a closed input gate meets
-g < 0, only adding f * c_{-1} = +0 makes c_0 the +0 of the formula. The first
-buffer also serves as the cell update's scratch. Both buffers and the
-negated weights share one step scratch array (``_step_scratch``) with the
-attention scores ``S``, which are computed after the loop, when the buffers
-are dead. The cell states ``C`` and hidden states ``Hs`` are (T + 1, n, H)
-arrays whose last row is zero, so step 0 reads its initial state at index
-t - 1 = -1 like any other step. Finiteness is checked once per call, on the
-output: a NaN in any hidden state reaches its row's probability, and only
-then are the steps scanned for the first one that overflowed.
+The rows [x_t, h_{t-1}, 1] of all steps live in one time-major
+(T + 1, n, d + H + 1) array ``XH``: each call copies X into its x slots,
+zeroes the h slot of row 0 (h_{-1}) and puts 1 in the last column, and step
+t writes h_t into the h slot of row t + 1. So the hidden states ``Hs`` are a
+view of ``XH``, and step 0 is a step like any other. Each call builds W with
+the rows of the i, f and o gates halved, which is exact unless a weight is
+subnormal, so a step is one product ``XH[t]`` W' into an (n, 4H) buffer, one
+tanh of it into ``A[t]``, and * 1/2, + 1/2 on i, f and o. ``A`` holds the
+gates gate-major, (T, 4, n, H), so that the elementwise work runs over whole
+contiguous (n, H) blocks. The buffer (also the cell update's scratch) and W
+share one step scratch array (``_step_scratch``) with the attention scores
+``S``, computed after the loop. The cell states ``C`` are a (T + 1, n, H)
+array whose last row is zero, so step 0 reads c_{-1} at index t - 1 = -1.
+
+Finiteness is checked once per call, on the output: a NaN in any hidden
+state, or an infinite attention score, reaches its row's probability, and
+only then are the steps scanned for the first one with either. (A gate's
+sum of finite terms overflows to inf, not NaN, in a BLAS product that fuses
+its multiply-adds, so diverged weights show first in the attention.)
 
 ``forward_batch`` runs in one of two modes of the same loop and layout:
 ``A`` keeps ``kept`` steps of gates and ``C`` ``kept + 1`` rows of cell
 state, step t using ``A[t % kept]`` and ``C[t % (kept + 1)]``. With
 ``keep_cache=True`` (training and gradients) ``kept = T`` and the cache
-returns ``A``, ``C`` and ``Hs`` for :func:`backward_batch`; with
+returns ``XH``, ``A``, ``C`` and ``Hs`` for :func:`backward_batch`; with
 ``keep_cache=False`` (every forward-only call) ``kept = 1`` and no cache is
 returned.
 
@@ -54,22 +51,17 @@ masks of B background windows (at least one), and each group is one
 Output bits depend on the numpy/BLAS build and on the batch a row is
 computed in, not on the layout of ``A`` or on the mode: the tests compare
 both passes bit for bit with a reference cell that keeps ``A`` as
-(T, n, 4H), and tiled calls with the whole batch in one call. In the
-builds tested, once a call has a few hundred rows, a row's bits depend only
-on its offset mod 4 in the call, for every forward product and for the
-backward pass's three weight products as it computes them for input
-gradients: da W_x (the input gradients), da W_h and dU W_att then each
-multiply by the weight zero-padded to a multiple of 8 columns and keep the
-first columns. Unpadded, these products change BLAS kernel with the row
-count (in OpenBLAS 0.3.31, (n, 4H) @ (4H, 12) below about 1,310 rows;
-da W_h and dU W_att at some H between 9 and 28 at every size), so a tile's
-rows would not match the whole batch. A backward pass without input
-gradients (training) multiplies by the weights as they are. The padded
-product has the unpadded bits where the width is a multiple of 8 already
-(H = 16 or 32 for da W_h and dU W_att), and at d = 12 in calls of about
-1,310 rows or more, such as the 1,600 path points of an explained window
-at B = 100 and K = 16. Smaller calls (B = 10 gives 160 rows) and other
-widths get other last bits than the unpadded product would give.
+(T, n, 4H) and concatenates each step's row, and tiled calls with the
+whole batch in one call. In the builds tested, once a call has a few
+hundred rows, a row's bits depend only on its offset mod 4 in the call,
+for every forward product and for the two backward products that input
+gradients need, da [w_x, w_h] (dx_t and dh_{t-1} at once) and dU w_att, as
+they compute them: against the weights zero-padded to a multiple of 8
+columns, keeping the first columns. Unpadded, such products change BLAS
+kernel with the row count (in OpenBLAS 0.3.31, (n, 4H) @ (4H, 12) did below
+about 1,310 rows, and dU w_att at some H between 9 and 28 at every size),
+so a tile's rows would not match the whole batch. Training computes no
+input gradients and multiplies da by w_h and dU by w_att as they are.
 
 Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew;
@@ -94,20 +86,23 @@ Additive attention over the hidden states:
     ctx  = sum_t alpha_t h_t
     p    = sigmoid(ctx . w_out + b_out)         probability of class P
 
+where this sigmoid is ``1 / (1 + exp(-z))`` as written (``_sigmoid``), so
+that p keeps its relative precision near 0.
+
 The backward pass is exact reverse-mode differentiation of this graph and
 serves both training (parameter gradients) and attribution (input
 gradients). It reads the gates from ``A`` and computes the four gate
 gradients of a step in one contiguous (4, n, H) buffer, whose last product
 writes them into the (n, 4H) layout that every weight matmul reads; tanh(c_t)
 of every step is computed before the loop, in an array that is dead by
-then. Step 0 computes no dh_{-1} or dc_{-1}, which nothing reads.
+then. Without input gradients step 0 computes no dh_{-1}, which nothing
+reads.
 
 With parameter gradients, the gate gradients da of step t go to row t of a
-(T, n, 4H) array ``DA``, and each weight's gradient is one product over all
-T n rows after the loop: DA' X for w_x, with X taken time-major; DA[1:]'
-Hs[:T-1] for w_h, as h_{-1} is zero and step 0 adds no term; the column
-sums of DA for b. The attention's w_att and v_att gradients are one matmul
-each over the (T n, H) rows too. Without parameter gradients ``DA`` keeps
+(T, n, 4H) array ``DA``, and the gradient of W = [w_x, w_h, b] is one
+product over the T n rows [x_t, h_{t-1}, 1] of ``XH``. Likewise that of
+[w_att, b_att] is one product over the rows [h_t, 1] of ``XH[1:]``, and that
+of v_att one over the rows of ``S``. Without parameter gradients ``DA`` keeps
 one step, as ``A`` keeps one without a cache. A sum over all rows at once
 runs in another order than a sum of per-step products, so the trained
 weights' last bits depend on this order; the forward pass and the input
@@ -273,50 +268,58 @@ def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
 
 def _step_scratch(work: dict | None, n: int, T: int, d: int, H: int):
     """The step scratch of both passes on n rows of T steps of d inputs: a
-    flat array whose first 8 n H entries hold the forward loop's two (n, 4H)
-    products x_t W_x' and h_{t-1} W_h', or the backward loop's eight (n, H)
-    arrays; then the forward pass's negated w_x, w_h and b. After the
-    forward loop its first T n H entries hold the attention scores S, which
-    the backward pass reads before its loop."""
-    return work_buffer(work, "step", (max(8 * n * H + 4 * H * (d + H + 1), T * n * H),))
+    flat array whose first 4 n H entries hold the forward loop's (n, 4H)
+    product [x_t, h_{t-1}, 1] W', and the next 4 H (d + H + 1) the weights W
+    of the forward pass; or the backward loop's eight (n, H) arrays. After
+    the forward loop its first T n H entries hold the attention scores S,
+    which the backward pass reads before its loop."""
+    return work_buffer(work, "step", (max(4 * H * (n + d + H + 1), 8 * n * H, T * n * H),))
 
 
 def _forward_arrays(work: dict | None, n: int, T: int, d: int, H: int, keep_cache: bool):
     """The step scratch, ``A`` (``kept`` steps of gates), ``C`` (``kept + 1``
-    rows of cell state) and ``Hs`` of ``forward_batch`` on n rows of T steps
-    of d inputs, where ``kept`` is T with a cache and 1 without."""
+    rows of cell state) and ``XH`` (T + 1 rows of [x_t, h_{t-1}, 1]) of
+    ``forward_batch`` on n rows of T steps of d inputs, where ``kept`` is T
+    with a cache and 1 without."""
     kept = T if keep_cache else 1
     return (_step_scratch(work, n, T, d, H),
             work_buffer(work, "A", (kept, 4, n, H)),
             work_buffer(work, "C", (kept + 1, n, H)),
-            work_buffer(work, "Hs", (T + 1, n, H)))
+            work_buffer(work, "XH", (T + 1, n, d + H + 1)))
+
+
+def _padded(work: dict | None, key: str, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The 2-D ``blocks`` side by side, zero-padded on the right to a
+    multiple of 8 columns, in ``work[key]``."""
+    m = sum(w.shape[1] for w in blocks)
+    out = work_buffer(work, key, (blocks[0].shape[0], -(-m // 8) * 8))
+    out[:, m:] = 0.0
+    np.concatenate(blocks, axis=1, out=out[:, :m])
+    return out
 
 
 def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int,
                      input_grads: bool, param_grads: bool):
-    """The weights w_x, w_h, w_att of ``backward_batch`` on n rows of T steps,
-    then its arrays dx, dU, dH_ext, sq, dG, DA, bptt (eight (n, H) arrays of
-    the step scratch), dh_w and X_tm. ``DA`` holds the gate gradients of
-    ``kept`` steps, step t in ``DA[t % kept]``: with ``param_grads``
-    ``kept = T``, and the weight gradients are products of all T steps after
-    the loop, which read X time-major from the (T, n, d) array X_tm; without,
-    ``kept = 1`` and X_tm is None. With ``input_grads`` the weights and the
-    products dx, dH_ext and dh_w are zero-padded to a multiple of 8 columns,
-    so that no row's bits depend on the call's row count (see the module
-    docstring); without, dx is None."""
-    weights = {"w_x": params.w_x, "w_h": params.w_h, "w_att": params.w_att}
+    """The weights w_back and w_att of ``backward_batch``'s two products on
+    n rows of T steps, da w_back per step and dU w_att once, then its arrays
+    back (da w_back), dU, dH_ext, sq, dG, DA and bptt (eight (n, H) arrays
+    of the step scratch). With ``input_grads`` w_back is [w_x, w_h], so that
+    one product gives [dx_t, dh_{t-1}], and both weights are zero-padded to a
+    multiple of 8 columns, so that no row's bits depend on the call's row
+    count (see the module docstring); without, w_back is w_h and both are
+    used as they are. ``DA`` holds the gate gradients of ``kept`` steps, step
+    t in ``DA[t % kept]``: with ``param_grads`` ``kept = T``, and the weight
+    gradients are one product of all T steps after the loop; without,
+    ``kept = 1``."""
     if input_grads:
-        for key, w in weights.items():
-            k, m = w.shape
-            if m % 8:  # a width of a multiple of 8 is used as it is
-                weights[key] = padded = work_buffer(work, key + "8", (k, -(-m // 8) * 8))
-                padded[:, m:] = 0.0
-                padded[:, :m] = w
-    w_x, w_h, w_att = weights.values()
+        w_back = _padded(work, "w_xh8", (params.w_x, params.w_h))
+        w_att = _padded(work, "w_att8", (params.w_att,))
+    else:
+        w_back, w_att = params.w_h, params.w_att
     d, H = params.input_dim, params.hidden
     dH_ext = work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
-    return (w_x, w_h, w_att,
-            work_buffer(work, "dx", (n, w_x.shape[1])) if input_grads else None,
+    return (w_back, w_att,
+            work_buffer(work, "back", (n, w_back.shape[1])),
             work_buffer(work, "dU", (T, n, H)),
             dH_ext,
             # sq (1 - S**2) is dead once dU has it, so dH_ext may overwrite it
@@ -324,9 +327,7 @@ def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int,
             work_buffer(work, "dG", (4, n, H)),
             work_buffer(work, "da", (T if param_grads else 1, n, 4 * H)),
             # the forward pass's step scratch, where S is dead once dU has it
-            _step_scratch(work, n, T, d, H)[: 8 * n * H].reshape(8, n, H),
-            work_buffer(work, "dh_next", (n, w_h.shape[1])),
-            work_buffer(work, "X_tm", (T, n, d)) if param_grads else None)
+            _step_scratch(work, n, T, d, H)[: 8 * n * H].reshape(8, n, H))
 
 
 def forward_batch(
@@ -359,37 +360,32 @@ def forward_batch(
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
-    step, A, C, Hs = _forward_arrays(work, n, T, d, H, keep_cache)
+    step, A, C, XH = _forward_arrays(work, n, T, d, H, keep_cache)
     kept = A.shape[0]  # steps of gates kept
-    xw, hw = step[: 8 * n * H].reshape(2, n, 4 * H)
-    wx, wh, bn = _views(step[8 * n * H :],
-                        {"w_x": (4 * H, d), "w_h": (4 * H, H), "b": (4 * H,)}).values()
-    # w_x, w_h and b with their i, f, o rows negated
-    for neg, w in ((wx, params.w_x), (wh, params.w_h), (bn, params.b)):
-        np.negative(w[: 3 * H], neg[: 3 * H])
-        neg[3 * H :] = w[3 * H :]
-    ig = step[: n * H].reshape(n, H)  # xw is dead once A[t] holds the step's sum
+    xw = step[: 4 * n * H].reshape(n, 4 * H)
+    W = step[4 * n * H : 4 * H * (n + d + H + 1)].reshape(4 * H, d + H + 1)
+    # W = [w_x, w_h, b] with its i, f, o rows halved, so that those gates'
+    # tanh gives sigmoid(z) = 1/2 + tanh(z / 2) / 2
+    W[:, :d] = params.w_x
+    W[:, d:-1] = params.w_h
+    W[:, -1] = params.b
+    W[: 3 * H] *= 0.5
+    np.copyto(XH[:T, :, :d], X.transpose(1, 0, 2))
+    XH[0, :, d:-1] = 0.0  # h_{-1}
+    XH[:, :, -1] = 1.0
+    Hs = XH[1:, :, d:-1]  # h_t, written by step t into row t + 1
+    C[-1] = 0.0  # c_{-1}; every other row is written before it is read
+    ig = step[: n * H].reshape(n, H)  # xw is dead once A[t] holds its tanh
     xw_gates = xw.reshape(n, 4, H).transpose(1, 0, 2)
-    wx_t, wh_t, X_steps = wx.T, wh.T, X.transpose(1, 0, 2)
-    # the initial state; every other row is written before it is read
-    C[-1] = Hs[T] = 0.0
+    Wt = W.T
     for t in range(T):
-        # x_t W_x' + h_{t-1} W_h' + b with its i, f, o rows negated, copied
-        # gate-major into A[t]; h_{-1} W_h' is zero, and adding it changes no bit
-        np.matmul(X_steps[t], wx_t, xw)
-        if t:
-            np.matmul(Hs[t - 1], wh_t, hw)
-            np.add(xw, hw, xw)
-        np.add(xw, bn, xw)
+        np.matmul(XH[t], Wt, xw)
         a = A[t % kept]
-        np.copyto(a, xw_gates)
-        ifo = a[:3]  # 1 / (1 + exp(-z)) of the negated sums -z
-        with np.errstate(over="ignore"):
-            np.exp(ifo, ifo)
-        np.add(ifo, 1.0, ifo)
-        np.reciprocal(ifo, ifo)
+        np.tanh(xw_gates, a)  # gate-major
+        ifo = a[:3]
+        np.multiply(ifo, 0.5, ifo)
+        np.add(ifo, 0.5, ifo)
         i, f, o, g = a
-        np.tanh(g, g)
         np.multiply(i, g, ig)
         c = C[t % (kept + 1)]
         np.multiply(f, C[(t - 1) % (kept + 1)], c)
@@ -397,10 +393,9 @@ def forward_batch(
         h = Hs[t]
         np.tanh(c, h)
         np.multiply(h, o, h)
-    Hs_T = Hs[:T]
 
     # additive attention over hidden states
-    S = np.matmul(Hs_T, params.w_att.T, out=step[: T * n * H].reshape(T, n, H))
+    S = np.matmul(Hs, params.w_att.T, out=step[: T * n * H].reshape(T, n, H))
     S += params.b_att
     np.tanh(S, out=S)
     # softmax over t, in place in the (n, T) transposed view of S v_att
@@ -408,20 +403,22 @@ def forward_batch(
     alpha -= alpha.max(axis=1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=1, keepdims=True)
-    ctx = np.einsum("nt,tnh->nh", alpha, Hs_T)
+    ctx = np.einsum("nt,tnh->nh", alpha, Hs)
     z = ctx @ params.w_out + params.b_out[0]
     p = _sigmoid(z)
     # A NaN in any h_t (o * tanh(c_t) is never infinite) reaches its row's p
-    # through the attention, so the steps are scanned only when p has one.
+    # through the attention, and so does an infinite attention score s_t .
+    # v_att through the softmax, so the steps are scanned only when p has one.
     if not np.isfinite(p).all():
-        finite = np.isfinite(Hs_T).all(axis=(1, 2))
+        finite = np.isfinite(Hs).all(axis=(1, 2)) & np.isfinite(S @ params.v_att).all(axis=1)
         if not finite.all():
             raise ModelOverflowError(int(np.argmin(finite)))
 
     if not keep_cache:
         return p, alpha, None
     cache = {
-        "X": X, "A": A, "C": C, "Hs": Hs, "S": S, "alpha": alpha, "ctx": ctx, "z": z, "p": p,
+        "X": X, "XH": XH, "A": A, "C": C, "Hs": Hs, "S": S, "alpha": alpha, "ctx": ctx,
+        "z": z, "p": p,
     }
     return p, alpha, cache
 
@@ -442,12 +439,11 @@ def backward_batch(
     are computed only when ``out``, an (n, T, d) array, is given: they are
     written into it and returned, else None is.
     """
-    X = cache["X"]
-    n, T, d = X.shape
+    n, T, d = cache["X"].shape
     H = params.hidden
-    A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
-    Hs_T = Hs[:T]
-    w_x, w_h, w_att, dx, dU, dH_ext, sq, dG, DA, bptt, dh_w, X_tm = _backward_arrays(
+    XH, A, C, Hs, S = cache["XH"], cache["A"], cache["C"], cache["Hs"], cache["S"]
+    alpha = cache["alpha"]
+    w_back, w_att, back, dU, dH_ext, sq, dG, DA, bptt = _backward_arrays(
         work, params, n, T, out is not None, grads is not None)
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
@@ -457,33 +453,38 @@ def backward_batch(
     dctx = dz[:, None] * params.w_out[None, :]  # (n, H)
 
     # attention backward
-    dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
+    dalpha = np.einsum("nh,tnh->nt", dctx, Hs)  # (n, T)
     de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
     # dS, then dS * (1 - S**2); (T, n, H)
     np.multiply(de.T[:, :, None], params.v_att, out=dU)
     dU *= np.subtract(1.0, np.square(S, out=sq), out=sq)
     if grads is not None:
         grads["v_att"] += de.T.reshape(T * n) @ S.reshape(T * n, H)
-        grads["w_att"] += dU.reshape(T * n, H).T @ Hs_T.reshape(T * n, H)
-        grads["b_att"] += dU.sum(axis=(0, 1))
+        # [w_att, b_att]: one product over the T n rows [h_t, 1] of XH[1:],
+        # copied contiguous, as at H = 1 BLAS sums a strided column in another order
+        h1 = np.ascontiguousarray(XH[1:, :, d:]).reshape(T * n, H + 1)
+        g_att = dU.reshape(T * n, H).T @ h1
+        grads["w_att"] += g_att[:, :H]
+        grads["b_att"] += g_att[:, H]
     dH_ext = np.matmul(dU, w_att, out=dH_ext)[:, :, :H]  # (T, n, H)
     dH_ext += np.multiply(alpha.T[:, :, None], dctx, out=dU)
     tanh_C = np.tanh(C[:T], out=dU)  # tanh(c_t) of every step, in the dead dU
 
     # backprop through time; dG holds the gate gradients [i, f, o, g]
     # gate-major, and their last factors go straight into da = DA[t % kept],
-    # the (n, 4H) layout that w_x and w_h multiply
+    # the (n, 4H) layout that w_back multiplies
     dh, dc, dc_next = bptt[:3]
     factors = bptt[3:]  # 1 - i, 1 - f, 1 - o, then 1 - g**2 and 1 - tc**2
     ifo_1m, sq_1m, tc_1m = factors[:3], factors[3:], factors[4]
     kept = DA.shape[0]
     DA_gates = DA.reshape(kept, n, 4, H).transpose(0, 2, 1, 3)
     dG_gi, dG_f, dG_o = dG[::3], dG[1], dG[2]  # dG_gi: the i and g rows
-    dh_next = dh_w[:, :H]
+    if out is not None:  # back = da [w_x, w_h] = [dx_t, dh_{t-1}]
+        dx, dh_next, out_steps = back[:, :d], back[:, d : d + H], out.transpose(1, 0, 2)
+    else:  # back = da w_h = dh_{t-1}
+        dh_next = back
     dh_next.fill(0.0)  # the others are written before they are read
     dc_next.fill(0.0)
-    if out is not None:
-        dx_d, out_steps = dx[:, :d], out.transpose(1, 0, 2)
     for t in range(T - 1, -1, -1):
         a, da = A[t], DA[t % kept]
         f, o, g = a[1:]
@@ -505,19 +506,17 @@ def backward_batch(
         np.multiply(dG[:3], a[:3], dG[:3])
         np.multiply(dG, factors[:4], DA_gates[t % kept])
         if out is not None:
-            np.matmul(da, w_x, dx)
-            np.copyto(out_steps[t], dx_d)
-        if t:  # dh_{-1} and dc_{-1} are never read
-            np.matmul(da, w_h, dh_w)
-            np.multiply(dc, f, dc_next)
+            np.matmul(da, w_back, back)
+            np.copyto(out_steps[t], dx)
+        elif t:  # dh_{-1} is never read
+            np.matmul(da, w_back, back)
+        np.multiply(dc, f, dc_next)
 
-    if grads is not None:  # one product per weight over the T n rows of every step
-        rows = DA.reshape(T * n, 4 * H)
-        np.copyto(X_tm, X.transpose(1, 0, 2))
-        grads["w_x"] += rows.T @ X_tm.reshape(T * n, d)
-        # step 0 adds no term: h_{-1} is zero
-        grads["w_h"] += rows[n:].T @ Hs[: T - 1].reshape((T - 1) * n, H)
-        grads["b"] += rows.sum(axis=0)
+    if grads is not None:  # W = [w_x, w_h, b]: one product over the T n rows [x_t, h_{t-1}, 1]
+        g_Wt = XH[:T].reshape(T * n, d + H + 1).T @ DA.reshape(T * n, 4 * H)
+        grads["w_x"] += g_Wt[:d].T
+        grads["w_h"] += g_Wt[d:-1].T
+        grads["b"] += g_Wt[-1]
     return grads, out
 
 
@@ -746,7 +745,6 @@ _RECORD_RULES = {
     "split_seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "feature_names": (lambda v: type(v) is list and all(type(s) is str for s in v),
                       "a list of strings"),
-    "horizon_hours": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "untrained": (lambda v: type(v) is bool, "true or false"),
 }
 
@@ -762,7 +760,6 @@ class TrainingRecord:
     window_length: int
     train_fraction: float
     split_seed: int
-    horizon_hours: int
     norm_stats: NormStats | None = None
     feature_names: tuple[str, ...] | None = None
     untrained: bool = False

@@ -5,10 +5,14 @@ reproduce every output, cache entry and gradient of these, bit for bit, and
 one Adam state array per parameter.
 
 Here the gate array ``A`` is (T, n, 4H), with the gates [i, f, o, g] side by
-side in the last axis; ``stormlens.model`` keeps it as (T, 4, n, H). When
-input gradients are wanted, both compute the backward pass's three weight
-products against the weights zero-padded to a multiple of 8 columns (see
-:func:`_times_padded`).
+side in the last axis; ``stormlens.model`` keeps it as (T, 4, n, H). Each
+step concatenates its row [x_t, h_{t-1}, 1] and multiplies it by
+W = [w_x, w_h, b] as it is, and the i, f and o gates take
+sigmoid(z) = 1/2 + tanh(z / 2) / 2; ``stormlens.model`` halves those rows
+of W instead, which gives z / 2 with the same bits. When input gradients
+are wanted, both compute the backward pass's two weight products, da
+[w_x, w_h] and dU w_att, against the weights zero-padded to a multiple of 8
+columns (see :func:`_times_padded`).
 """
 
 from __future__ import annotations
@@ -56,15 +60,16 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("input contains non-finite values")
     H = params.hidden
 
+    W = np.concatenate([params.w_x, params.w_h, params.b[:, None]], axis=1)
     A = np.empty((T, n, 4 * H))
-    np.matmul(X.transpose(1, 0, 2), params.w_x.T, out=A)
+    XH = np.empty((T, n, d + H + 1))  # row t is [x_t, h_{t-1}, 1]
     C = np.zeros((T + 1, n, H))
     Hs = np.zeros((T + 1, n, H))
     for t in range(T):
+        XH[t] = np.concatenate([X[:, t], Hs[t - 1], np.ones((n, 1))], axis=1)
         a = A[t]
-        a += Hs[t - 1] @ params.w_h.T
-        a += params.b
-        a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
+        a[...] = XH[t] @ W.T
+        a[:, : 3 * H] = 0.5 + 0.5 * np.tanh(a[:, : 3 * H] / 2)  # sigmoid
         a[:, 3 * H :] = np.tanh(a[:, 3 * H :])
         i, f, o, g = (a[:, k * H : (k + 1) * H] for k in range(4))
         C[t] = f * C[t - 1] + i * g
@@ -86,7 +91,8 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
     p = _sigmoid(z)
 
     cache = {
-        "X": X, "A": A, "C": C, "Hs": Hs, "S": S, "alpha": alpha, "ctx": ctx, "z": z, "p": p,
+        "X": X, "XH": XH, "A": A, "C": C, "Hs": Hs_T, "S": S, "alpha": alpha, "ctx": ctx,
+        "z": z, "p": p,
     }
     return p, alpha, cache
 
@@ -106,8 +112,7 @@ def backward_batch(
     X = cache["X"]
     n, T, d = X.shape
     H = params.hidden
-    A, C, Hs, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
-    Hs_T = Hs[:T]
+    A, C, Hs_T, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
 
     grads = (
         {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -129,8 +134,11 @@ def backward_batch(
     dU = dS * (1.0 - S**2)
     if want_param_grads:
         grads["v_att"] += de.T.reshape(T * n) @ S.reshape(T * n, H)
-        grads["w_att"] += dU.reshape(T * n, H).T @ Hs_T.reshape(T * n, H)
-        grads["b_att"] += dU.sum(axis=(0, 1))
+        # [w_att, b_att]: all T n rows [h_t, 1] in one product
+        HO = np.concatenate([Hs_T, np.ones((T, n, 1))], axis=2)
+        g_att = dU.reshape(T * n, H).T @ HO.reshape(T * n, H + 1)
+        grads["w_att"] += g_att[:, :H]
+        grads["b_att"] += g_att[:, H]
     times = _times_padded if want_input_grads else np.matmul
     dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + times(dU, params.w_att)  # (T, n, H)
 
@@ -151,15 +159,17 @@ def backward_batch(
         da[:, 3 * H :] = dc * i * (1.0 - g**2)
         if want_param_grads:
             DA[t] = da
-        if want_input_grads:
-            dX[:, t, :] = _times_padded(da, params.w_x)
-        dh_next = times(da, params.w_h)
+        if want_input_grads:  # [dx_t, dh_{t-1}] = da [w_x, w_h]
+            dxh = _times_padded(da, np.concatenate([params.w_x, params.w_h], axis=1))
+            dX[:, t, :], dh_next = dxh[:, :d], dxh[:, d:]
+        else:
+            dh_next = da @ params.w_h
         dc_next = dc * f
-    if want_param_grads:  # all T n rows in one product; h_{-1} = 0 adds no w_h term
-        rows = DA.reshape(T * n, 4 * H)
-        grads["w_x"] += rows.T @ X.transpose(1, 0, 2).reshape(T * n, d)
-        grads["w_h"] += rows[n:].T @ Hs[: T - 1].reshape((T - 1) * n, H)
-        grads["b"] += rows.sum(axis=0)
+    if want_param_grads:  # [w_x, w_h, b]: all T n rows [x_t, h_{t-1}, 1] in one product
+        g_Wt = cache["XH"].reshape(T * n, d + H + 1).T @ DA.reshape(T * n, 4 * H)
+        grads["w_x"] += g_Wt[:d].T
+        grads["w_h"] += g_Wt[d : d + H].T
+        grads["b"] += g_Wt[d + H]
 
     return grads, dX
 

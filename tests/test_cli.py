@@ -84,7 +84,6 @@ class TestTrain:
         assert "tss" in metrics["evaluation"]
         assert len(metrics["loss_history"]) == 2
         assert not metrics["untrained"]
-        assert metrics["horizon_hours"] == 24
         checkpoint = json.loads((trained / "model.json").read_text())
         assert checkpoint["schema"] == "stormlens-model/1"
         assert checkpoint["extra"]["feature_names"] == list(FEATURE_NAMES)
@@ -148,9 +147,7 @@ class TestTrain:
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "inf"], "learning rate must be positive and finite"),
         (["--lr", "nan"], "learning rate must be positive and finite"),
-        (["--horizon-hours", "-5"], "horizon_hours must be >= 1"),
-        (["--horizon-hours", "0"], "horizon_hours must be >= 1"),
-    ], ids=["lr-inf", "lr-nan", "horizon-negative", "horizon-zero"])
+    ], ids=["lr-inf", "lr-nan"])
     def test_bad_setting_exit_2(self, trained, capsys, flags, message):
         assert run(train_args(trained) + flags) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -380,7 +377,7 @@ class TestConfigFile:
 # command is valid, so a value that got past validation would reach it.
 INT_SETTING_COMMANDS = {
     "seed": "synth", "window": "synth", "n_ars": "synth", "samples_per_ar": "synth",
-    "hidden": "train", "epochs": "train", "batch": "train", "horizon_hours": "train",
+    "hidden": "train", "epochs": "train", "batch": "train",
     "background": "explain-global", "n_coalitions": "explain-global",
     "n_steps": "explain-global", "lime_n": "explain-local", "lime_k": "explain-local",
 }
@@ -512,18 +509,6 @@ class TestCheckpoint:
                 id="feature_names-string",
             ),
             pytest.param(
-                "horizon_hours", "x", "'extra.horizon_hours' must be an integer >= 1, got 'x'",
-                id="horizon_hours-string",
-            ),
-            pytest.param(
-                "horizon_hours", -5, "'extra.horizon_hours' must be an integer >= 1, got -5",
-                id="horizon_hours-negative",
-            ),
-            pytest.param(
-                "horizon_hours", True, "'extra.horizon_hours' must be an integer >= 1, got True",
-                id="horizon_hours-bool",
-            ),
-            pytest.param(
                 "untrained", "yes", "'extra.untrained' must be true or false, got 'yes'",
                 id="untrained-string",
             ),
@@ -590,7 +575,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key", [
         "window_length", "train_fraction", "split_seed", "norm_stats", "feature_names",
-        "horizon_hours", "untrained", pytest.param(None, id="extra"),
+        "untrained", pytest.param(None, id="extra"),
     ])
     def test_missing_extra_field_exit_2(self, tiny_checkpoint, capsys, key):
         # the checkpoint is rejected before the data file, which does not exist;
@@ -624,10 +609,10 @@ class TestCheckpoint:
         assert "Traceback" not in err
 
 
-# The seven fields of a checkpoint's extra block, and the norm_stats lists
+# The six fields of a checkpoint's extra block, and the norm_stats lists
 # whose elements an edit may replace.
 EXTRA_FIELDS = ("window_length", "train_fraction", "split_seed", "norm_stats",
-                "feature_names", "horizon_hours", "untrained")
+                "feature_names", "untrained")
 STAT_LISTS = ("norm_stats.mean", "norm_stats.std", "norm_stats.constant")
 DELETE = object()  # an edit that deletes the key
 
@@ -690,7 +675,6 @@ def evaluate_edited_extra(checkpoint, edits) -> None:
     if code == 0:
         assert errors == []
         metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
-        assert type(metrics["horizon_hours"]) is int and metrics["horizon_hours"] >= 1
         assert type(metrics["untrained"]) is bool
     else:
         assert code == 2

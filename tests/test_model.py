@@ -158,6 +158,23 @@ class TestForward:
             _, attention = predict_one(net, seq[perm])
             assert abs(attention.sum() - 1.0) < 1e-10
 
+    def test_saturated_gates_raise_no_floating_point_error(self):
+        # pre-activations of +-1e3 and more: tanh(z / 2) is exactly +-1, so i,
+        # f and o are exactly 0 or 1, and nothing overflows in either pass
+        rng = np.random.default_rng(0)
+        n, T, d, H = 7, 5, 3, 4
+        params = _random_params(d, H, rng, scale=0.5)
+        params.w_x[:] = 1e3 * rng.choice([-1.0, 1.0], size=params.w_x.shape)
+        X = rng.choice([-1.0, 1.0], size=(n, T, d))  # d odd: no sum of +-1e3 is 0
+        with np.errstate(over="raise", invalid="raise"):
+            p, _, cache = model.forward_batch(params, X)
+            model.backward_batch(params, cache, p * (1.0 - p), grads=zero_grads(params),
+                                 out=np.empty(X.shape))
+        ifo = cache["A"][:, :3]
+        assert np.isin(ifo, [0.0, 1.0]).all()
+        assert (ifo == 0.0).any() and (ifo == 1.0).any()
+        assert not np.signbit(ifo).any()
+
     def test_overflow_error_identifies_step(self):
         params = model.init_params(3, 2, seed=0)
         params.w_x[0, 0] = np.nan  # bypass LstmModel's finite check
@@ -166,17 +183,13 @@ class TestForward:
         assert err.value.step == 0
 
     def test_overflow_error_identifies_later_step(self):
-        # every gate pre-activation is 1e300 * x, except that h_{t-1} (about
-        # tanh(1) from step 1 on) drives the input gate to -inf; step 1 only
-        # closes that gate, and step 2, where x = 1e300, computes inf - inf
-        H = 2
-        params = model.init_params(1, H, seed=0)
-        params.w_x[:] = 1e300
-        params.w_h[:] = 0.0
-        params.w_h[:H] = -1.7e308
-        params.b[:] = 0.0
+        # an infinite input weight saturates every gate while x = 1, and step 2,
+        # where x = 0, computes 0 * inf; finite terms cannot make a NaN there,
+        # as a BLAS product with fused multiply-adds turns inf - inf into inf
+        params = model.init_params(1, 2, seed=0)
+        params.w_x[:] = np.inf  # bypass LstmModel's finite check
         X = np.ones((2, 4, 1))
-        X[:, 2, :] = 1e300
+        X[:, 2, :] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ModelOverflowError) as err:
                 model.forward_batch(params, X)
@@ -325,8 +338,8 @@ class TestBitsAgainstReference:
             assert same_bits(grads[name], grad), name
 
     def test_closed_input_gate_keeps_the_sign_of_the_cell_state(self):
-        # i = 1 / (1 + exp(800)) is exactly 0 and g < 0, so i * g is -0, and
-        # c_0 = f * c_{-1} + i * g is +0 only because f * c_{-1} is added
+        # i = 1/2 + tanh(-400) / 2 is exactly +0 and g < 0, so i * g is -0,
+        # and c_0 = f * c_{-1} + i * g is +0 only because f * c_{-1} is added
         params = model.init_params(1, 1, seed=0)
         params.w_x[:, 0] = [-800.0, 0.5, 0.5, -1.0]
         params.b[:] = 0.0
@@ -338,13 +351,84 @@ class TestBitsAgainstReference:
             assert same_bits(cache[key], want[key]), key
 
 
+def _textbook_cell(params, X):
+    """p and dp/dX of the model, with separate input and recurrent products
+    and sigmoid(z) = 1 / (1 + exp(-z)) in each gate, written apart from
+    lstm_reference."""
+    n, T, _ = X.shape
+    H = params.hidden
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    h, c = np.zeros((n, H)), np.zeros((n, H))
+    gates, cells, hs = [], [c], []
+    for t in range(T):
+        a = X[:, t] @ params.w_x.T + h @ params.w_h.T + params.b
+        i, f, o = (sigmoid(a[:, k * H : (k + 1) * H]) for k in range(3))
+        g = np.tanh(a[:, 3 * H :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        gates.append((i, f, o, g))
+        cells.append(c)
+        hs.append(h)
+    Hs = np.stack(hs)  # (T, n, H)
+    S = np.tanh(Hs @ params.w_att.T + params.b_att)
+    e = (S @ params.v_att).T  # (n, T)
+    alpha = np.exp(e - e.max(axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    ctx = np.einsum("nt,tnh->nh", alpha, Hs)
+    p = sigmoid(ctx @ params.w_out + params.b_out[0])
+
+    dctx = (p * (1.0 - p))[:, None] * params.w_out
+    dalpha = np.einsum("nh,tnh->nt", dctx, Hs)
+    de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+    dHs = (de.T[:, :, None] * params.v_att * (1.0 - S**2)) @ params.w_att
+    dHs += alpha.T[:, :, None] * dctx
+    dX = np.empty(X.shape)
+    dh, dc = np.zeros((n, H)), np.zeros((n, H))
+    for t in range(T - 1, -1, -1):
+        i, f, o, g = gates[t]
+        tc = np.tanh(cells[t + 1])
+        dh = dh + dHs[t]
+        dc = dc + dh * o * (1.0 - tc**2)
+        da = np.concatenate([dc * g * i * (1.0 - i), dc * cells[t] * f * (1.0 - f),
+                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g**2)], axis=1)
+        dX[:, t] = da @ params.w_x
+        dh, dc = da @ params.w_h, dc * f
+    return p, dX
+
+
+class TestTextbookCell:
+    """The model agrees with the cell written out as the textbook has it, to
+    rounding: a slip in the algebra of sigmoid(z) = 1/2 + tanh(z / 2) / 2 or
+    of the concatenated products, made alike in the model and in
+    lstm_reference, would fail here."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6), T=st.integers(1, 6), d=st.integers(1, 5),
+        H=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, T=10, d=12, H=16, seed=0)
+    def test_probabilities_and_input_gradients_agree(self, n, T, d, H, seed):
+        rng = np.random.default_rng(seed)
+        params = _random_params(d, H, rng, scale=1.0)
+        X = rng.normal(size=(n, T, d))
+        want_p, want_dX = _textbook_cell(params, X)
+        net = model.LstmModel(params)
+        assert np.abs(net.predict_proba(X) - want_p).max() <= 1e-12
+        assert np.abs(net.input_gradient_batch(X) - want_dX).max() <= 1e-12
+
+
 class TestBackwardOutputs:
     """Parameter gradients keep the gate gradients of every step, input
     gradients alone those of one; a call that asks for both gives the bits
     of the two calls that ask for one each."""
 
-    # H a multiple of 8: the input-gradient products then multiply w_h and
-    # w_att unpadded, as training does, so both calls have the same da
+    # H a multiple of 8: the input-gradient pass then multiplies w_att
+    # unpadded, as training does, and in these shapes its padded da [w_x, w_h]
+    # gives dh_{t-1} the bits of training's da w_h, so both calls have the same da
     @pytest.mark.parametrize("n, T, d, H, seed", [
         (1, 1, 1, 8, 0), (13, 4, 3, 8, 1), (64, 10, 12, 16, 2), (400, 10, 12, 16, 3)])
     def test_both_outputs_match_the_calls_with_one(self, n, T, d, H, seed):
@@ -380,8 +464,9 @@ class TestBackwardOutputs:
 
 
 class TestParamsUnchanged:
-    """Both passes read the parameters and never write them: the negated
-    gate rows of the forward pass are copies."""
+    """Both passes read the parameters and never write them: the forward
+    pass's W with its halved gate rows and the backward pass's padded
+    weights are copies."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
@@ -397,7 +482,7 @@ class TestParamsUnchanged:
         X = rng.normal(size=(n, T, d))
         work = {}
 
-        def unchanged(call):  # checked after each call: two negations would cancel
+        def unchanged(call):  # checked after each call: a later one could undo a write
             for name, arr in params.items():
                 assert same_bits(arr, before[name]), (call, name)
 
@@ -724,11 +809,12 @@ class TestTrain:
             assert np.array_equal(got, want), name
 
     def test_overflow_after_an_update_names_the_divergence(self):
-        # the first update leaves the weights finite but near 1e308, so the
-        # next forward pass overflows before any parameter check can fail
+        # the first update leaves the weights finite but near 6e307, so the
+        # next forward pass's attention scores overflow, from step 1 on, before
+        # any parameter check can fail
         train_set = separable_windows(n=40)
         train_set.values *= 4.0
-        cfg = model.TrainConfig(hidden=8, epochs=3, batch=32, learning_rate=1e308, seed=0)
+        cfg = model.TrainConfig(hidden=8, epochs=3, batch=32, learning_rate=6e307, seed=0)
         with pytest.raises(ModelOverflowError) as err:
             model.train(train_set, cfg)
         assert str(err.value) == ("non-finite activation at time step 1 after the update "
@@ -836,8 +922,7 @@ def full_record() -> model.TrainingRecord:
     stats = NormStats(mean=rng.normal(size=12), std=rng.uniform(0.5, 2.0, size=12),
                       constant=np.arange(12) % 5 == 0)
     return model.TrainingRecord(window_length=10, train_fraction=0.8, split_seed=42,
-                                horizon_hours=24, norm_stats=stats,
-                                feature_names=FEATURE_NAMES, untrained=True)
+                                norm_stats=stats, feature_names=FEATURE_NAMES, untrained=True)
 
 
 def assert_same_record(got: model.TrainingRecord, want: model.TrainingRecord) -> None:
@@ -880,6 +965,19 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(InputError, match=r"field 'extra\.window_length' is missing$"):
             model.load_checkpoint(path)
+
+    def test_extra_horizon_hours_is_ignored(self, tmp_path):
+        # checkpoints written while horizon_hours was a setting still hold it
+        net = model.LstmModel(model.init_params(12, 2, seed=0))
+        path = tmp_path / "model.json"
+        model.save_checkpoint(path, net, full_record())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["extra"]["horizon_hours"] = 24
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded, record = model.load_checkpoint(path)
+        assert_same_record(record, full_record())
+        X = np.random.default_rng(2).normal(size=(3, 4, 12))
+        assert np.array_equal(net.predict_proba(X), loaded.predict_proba(X))
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
