@@ -87,6 +87,7 @@ class TestTrain:
         checkpoint = json.loads((trained / "model.json").read_text())
         assert checkpoint["schema"] == "stormlens-model/1"
         assert checkpoint["extra"]["feature_names"] == list(FEATURE_NAMES)
+        assert "horizon_hours" not in metrics and "horizon_hours" not in checkpoint["extra"]
 
     def test_samples_released_before_training(self, tmp_path, monkeypatch):
         out = tmp_path / "o"
