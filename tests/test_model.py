@@ -185,7 +185,8 @@ class TestForward:
     def test_overflow_error_identifies_later_step(self):
         # an infinite input weight saturates every gate while x = 1, and step 2,
         # where x = 0, computes 0 * inf; finite terms cannot make a NaN there,
-        # as a BLAS product with fused multiply-adds turns inf - inf into inf
+        # as a BLAS product with fused multiply-adds keeps each term exact, and
+        # a sum that overflowed stays inf
         params = model.init_params(1, 2, seed=0)
         params.w_x[:] = np.inf  # bypass LstmModel's finite check
         X = np.ones((2, 4, 1))
