@@ -39,21 +39,22 @@ returns ``XH``, ``A``, ``C`` and ``Hs`` for :func:`backward_batch`; with
 returned.
 
 One rule batches every model row. ``LstmModel.predict_proba`` and
-``walk_tiles`` (which hands ``LstmModel.input_gradient_batch``, one forward
-and one backward call, every gradient tile) walk their rows in row order,
-in the tiles of ``_tile_bounds``: every tile starts at a multiple of
-``TILE_ROWS`` (itself a multiple of 8) and none is shorter than
-``TILE_ROWS`` rows unless the batch is. The coalition rows of exact and
-kernel attribution are built in groups of whole masks, ``TILE_ROWS // B``
-masks of B background windows (at least one), and each group is one
-``predict_proba`` call of at most ``max(B, TILE_ROWS)`` rows.
+``walk_tiles`` (which hands every tile to ``predict_proba``, or to
+``LstmModel.input_gradient_batch``, one forward and one backward call) walk
+their rows in row order, in the tiles of ``_tile_bounds``: every tile starts
+at a multiple of ``TILE_ROWS`` (itself a multiple of 8) and holds
+``TILE_ROWS`` rows, but the last, which also takes a rest of fewer than
+``MIN_TILE_ROWS`` rows. So no tile of a batch that is cut is shorter than
+``MIN_TILE_ROWS`` rows, and none is longer than ``TILE_ROWS + MIN_TILE_ROWS
+- 1``.
 
 Output bits depend on the numpy/BLAS build and on the batch a row is
 computed in, not on the layout of ``A`` or on the mode: the tests compare
 both passes bit for bit with a reference cell that keeps ``A`` as
 (T, n, 4H) and concatenates each step's row, and tiled calls with the
 whole batch in one call. In the builds tested, once a call has a few
-hundred rows, a row's bits depend only on its offset mod 4 in the call,
+dozen rows (see ``MIN_TILE_ROWS``), a row's bits depend only on its offset
+mod 4 in the call,
 for every forward product and for the two backward products that input
 gradients need, da [w_x, w_h] (dx_t and dh_{t-1} at once) and dU w_att, as
 they compute them: against the weights zero-padded to a multiple of 8
@@ -73,10 +74,10 @@ take the forward pass's step scratch, where ``S`` lives. ``LstmModel`` keeps one
 of ``predict_proba`` and every ``input_gradient_batch`` call runs (the
 latter also returns its result in it), so one model must not run them from
 two threads at once; ``train`` keeps another for its batches. The
-explainers hand the model no whole batch: they build one tile of their rows
-at a time in the same dict (a group of coalition rows, or through
-``walk_tiles`` gradient path points and LIME rows) and run it, so the dict
-holds at most one tile of model input and one of input gradients.
+explainers hand the model no whole batch: through ``walk_tiles`` they build
+one tile of their rows at a time in the same dict (coalition rows, gradient
+path points and LIME rows) and run it, so the dict holds at most one tile of
+model input and one of input gradients.
 
 Additive attention over the hidden states:
 
@@ -123,23 +124,26 @@ from .data import NormStats, SequenceSet, write_json
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The rows of one tile of LstmModel.predict_proba and walk_tiles, and the most
-# rows of one group of coalition masks (exact, kernel). In the numpy/BLAS
-# builds tested, a row's bits depend on its offset mod 4 in its call and on
-# whether the call has exactly one row, so tiles that start at multiples of 8
-# and hold at least TILE_ROWS rows give every row the bits of one whole-batch
-# call (the backward products are padded for this, see the module docstring;
-# tests/test_model.py holds both passes to it). A coalition group is one call
-# of its own, so its size sets its rows' offsets: another value can change the
-# bytes of exact and kernel shap.json. At T = 10, H = 16, d = 12 on one core,
-# 1,600 rows forward and backward took ~15 ms per call in tiles of 384-512
-# rows, ~16 ms in tiles of 256-320 rows and ~17 ms untiled; 4,090 rows
-# forward-only took ~37 ms in 400-row tiles against ~38.5 ms in 1,024-row
-# tiles, in a quarter of the workspace (1.6 MB against 6.5 MB).
+# The rows of one tile of LstmModel.predict_proba and walk_tiles. In the
+# numpy/BLAS builds tested, a row's bits depend on its offset mod 4 in its call
+# once the call has a few dozen rows (see MIN_TILE_ROWS), so tiles that start
+# at multiples of 8 give every row the bits of one whole-batch call, whatever
+# TILE_ROWS is (the backward products are padded for this, see the module
+# docstring; tests/test_model.py holds both passes to it). At T = 10, H = 16,
+# d = 12 on one core, 1,600 rows forward and backward took ~15 ms per call in
+# tiles of 384-512 rows, ~16 ms in tiles of 256-320 rows and ~17 ms untiled;
+# 4,090 rows forward-only took ~37 ms in 400-row tiles against ~38.5 ms in
+# 1,024-row tiles, in a quarter of the workspace (1.6 MB against 6.5 MB).
 TILE_ROWS = 400
+# The fewest rows of the last tile of a batch that is cut; a shorter rest joins
+# the tile before it. With OpenBLAS 0.3.31 at T = 10, d = 12, a call of 2 to 37
+# rows after a 400-row tile got other bits than the whole batch at some H (up
+# to 37 rows at H = 32, 13 at H = 128, only a 1-row call at H <= 16), forward-only
+# and with input gradients; no call of 38 rows or more did.
+MIN_TILE_ROWS = 64
 
 
-def work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
+def _work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float array of ``shape``: a new one when ``work`` is
     None, else a view of ``work[key]``, which grows to the largest size
     asked for."""
@@ -153,11 +157,16 @@ def work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarr
 
 
 def _tile_bounds(n: int) -> list[int]:
-    """Row bounds of the tiles of an n-row batch: every tile starts at a
-    multiple of ``TILE_ROWS`` and the last one takes the remainder, so no
-    tile is shorter than ``TILE_ROWS`` rows unless the whole batch is."""
-    starts = range(0, max(1, n // TILE_ROWS) * TILE_ROWS, TILE_ROWS)
-    return [*starts, n]
+    """Row bounds of the tiles of an n-row batch: a tile starts at every
+    multiple of ``TILE_ROWS`` that leaves at least ``MIN_TILE_ROWS`` rows
+    after it, and the last tile takes the rest. So every tile but the last
+    holds ``TILE_ROWS`` rows, and the last from ``MIN_TILE_ROWS`` (or the
+    whole batch, when it is shorter) to ``TILE_ROWS + MIN_TILE_ROWS - 1``."""
+    return [*range(0, max(1, n - MIN_TILE_ROWS + 1), TILE_ROWS), n]
+
+
+def _largest_tile(bounds: list[int]) -> int:
+    return max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool = False):
@@ -169,18 +178,19 @@ def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool 
     ``work`` dict (a new one for a model without it); then ``(lo, hi, out)``
     is yielded, where ``out`` is the model's ``predict_proba`` of X, or with
     ``gradients`` its ``input_gradient_batch``, valid until the next tile.
-    Each tile is one call of either method: ``predict_proba`` cuts no batch
-    of fewer than ``2 * TILE_ROWS`` rows, and ``input_gradient_batch`` none;
-    ``model.reserve`` sizes the workspace of either for the largest tile.
+    Each tile is one call of either method, as neither cuts a tile again;
+    ``model.reserve`` sizes the workspace of either for the largest tile
+    before the first.
     """
     work = getattr(model, "work", None)
     call = model.input_gradient_batch if gradients else model.predict_proba
     bounds = _tile_bounds(n)
-    if work is not None:  # sized for the last tile, the largest, before the first
-        work_buffer(work, "rows", (bounds[-1] - bounds[-2], *row_shape))
-        model.reserve(bounds[-1] - bounds[-2], row_shape[0], gradients)
+    if work is not None:
+        largest = _largest_tile(bounds)
+        _work_buffer(work, "rows", (largest, *row_shape))
+        model.reserve(largest, row_shape[0], gradients)
     for lo, hi in zip(bounds, bounds[1:]):
-        X = work_buffer(work, "rows", (hi - lo, *row_shape))
+        X = _work_buffer(work, "rows", (hi - lo, *row_shape))
         fill(X, lo, hi)
         yield lo, hi, call(X)
 
@@ -273,7 +283,7 @@ def _step_scratch(work: dict | None, n: int, T: int, d: int, H: int):
     of the forward pass; or the backward loop's eight (n, H) arrays. After
     the forward loop its first T n H entries hold the attention scores S,
     which the backward pass reads before its loop."""
-    return work_buffer(work, "step", (max(4 * H * (n + d + H + 1), 8 * n * H, T * n * H),))
+    return _work_buffer(work, "step", (max(4 * H * (n + d + H + 1), 8 * n * H, T * n * H),))
 
 
 def _forward_arrays(work: dict | None, n: int, T: int, d: int, H: int, keep_cache: bool):
@@ -283,16 +293,16 @@ def _forward_arrays(work: dict | None, n: int, T: int, d: int, H: int, keep_cach
     with a cache and 1 without."""
     kept = T if keep_cache else 1
     return (_step_scratch(work, n, T, d, H),
-            work_buffer(work, "A", (kept, 4, n, H)),
-            work_buffer(work, "C", (kept + 1, n, H)),
-            work_buffer(work, "XH", (T + 1, n, d + H + 1)))
+            _work_buffer(work, "A", (kept, 4, n, H)),
+            _work_buffer(work, "C", (kept + 1, n, H)),
+            _work_buffer(work, "XH", (T + 1, n, d + H + 1)))
 
 
 def _padded(work: dict | None, key: str, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     """The 2-D ``blocks`` side by side, zero-padded on the right to a
     multiple of 8 columns, in ``work[key]``."""
     m = sum(w.shape[1] for w in blocks)
-    out = work_buffer(work, key, (blocks[0].shape[0], -(-m // 8) * 8))
+    out = _work_buffer(work, key, (blocks[0].shape[0], -(-m // 8) * 8))
     out[:, m:] = 0.0
     np.concatenate(blocks, axis=1, out=out[:, :m])
     return out
@@ -317,15 +327,15 @@ def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int,
     else:
         w_back, w_att = params.w_h, params.w_att
     d, H = params.input_dim, params.hidden
-    dH_ext = work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
+    dH_ext = _work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
     return (w_back, w_att,
-            work_buffer(work, "back", (n, w_back.shape[1])),
-            work_buffer(work, "dU", (T, n, H)),
+            _work_buffer(work, "back", (n, w_back.shape[1])),
+            _work_buffer(work, "dU", (T, n, H)),
             dH_ext,
             # sq (1 - S**2) is dead once dU has it, so dH_ext may overwrite it
             dH_ext.reshape(-1)[: T * n * H].reshape(T, n, H),
-            work_buffer(work, "dG", (4, n, H)),
-            work_buffer(work, "da", (T if param_grads else 1, n, 4 * H)),
+            _work_buffer(work, "dG", (4, n, H)),
+            _work_buffer(work, "da", (T if param_grads else 1, n, 4 * H)),
             # the forward pass's step scratch, where S is dead once dU has it
             _step_scratch(work, n, T, d, H)[: 8 * n * H].reshape(8, n, H))
 
@@ -539,18 +549,18 @@ class LstmModel:
         _forward_arrays(self.work, n, T, self.params.input_dim, self.params.hidden, gradients)
         if gradients:
             _backward_arrays(self.work, self.params, n, T, True, False)
-            work_buffer(self.work, "grad", (n, T, self.params.input_dim))
+            _work_buffer(self.work, "grad", (n, T, self.params.input_dim))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed
         forward-only tile by tile (see ``_tile_bounds``), in row order, in
-        ``work``. A ModelOverflowError names the step of the first tile to
-        overflow."""
+        ``work``, which is sized for the largest tile before the first. A
+        ModelOverflowError names the step of the first tile to overflow."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3:
             raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
         bounds = _tile_bounds(X.shape[0])
-        self.reserve(bounds[-1] - bounds[-2], X.shape[1])  # the last tile, the largest
+        self.reserve(_largest_tile(bounds), X.shape[1])
         p = np.empty(X.shape[0])
         for lo, hi in zip(bounds, bounds[1:]):
             p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=self.work)[0]
@@ -563,7 +573,7 @@ class LstmModel:
         the next call that uses it."""
         p, _, cache = forward_batch(self.params, X, work=self.work)
         dz = p * (1.0 - p)  # d sigmoid(z) / dz
-        out = work_buffer(self.work, "grad", cache["X"].shape)
+        out = _work_buffer(self.work, "grad", cache["X"].shape)
         return backward_batch(self.params, cache, dz, work=self.work, out=out)[1]
 
 

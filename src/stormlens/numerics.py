@@ -36,7 +36,7 @@ def _as_vector(x, name: str = "x") -> np.ndarray:
 
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A through its Cholesky
-    factor L (A = L L').
+    factor L (A = L L'). A 0 x 0 system has the empty solution.
 
     Raises
     ------
@@ -45,6 +45,8 @@ def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         ``SINGULARITY_RTOL`` times the largest diagonal entry of A or below
         (the message names the first such column k).
     """
+    if A.shape[0] == 0:
+        return np.zeros(0)
     scale = float(np.max(np.abs(np.diag(A)), initial=0.0))
     if scale <= 0.0:
         raise SingularSystemError("singular system: zero normal matrix")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .errors import InputError, SingularSystemError
-from .model import TILE_ROWS, walk_tiles, work_buffer
+from .model import walk_tiles
 
 MAX_EXACT_FEATURES = 20
 METHODS = ("exact", "kernel", "gradient")
@@ -69,34 +69,45 @@ def _coalition_values(model, sample, background, masks: np.ndarray) -> np.ndarra
     """Model output averaged over the background for each coalition mask.
 
     ``masks`` is (m, d) boolean; True columns are taken from the sample
-    (across all time steps), the rest from each background window. The
-    masks are taken ``TILE_ROWS // B`` at a time (at least one), and the
-    rows of such a group, one per (mask, background window), are built in
-    the model's workspace and run in one ``predict_proba`` call.
+    (across all time steps), the rest from each background window. The B m
+    rows, row b * m + j for mask j over background window b, go through
+    ``walk_tiles``, and each tile's outputs are added to the m sums window
+    by window, the order in which ``mean(axis=0)`` adds the (B, m) outputs.
     """
     sample = np.asarray(sample, dtype=np.float64)
     background = np.asarray(background, dtype=np.float64)
     B = background.shape[0]
     T, d = sample.shape
     m = masks.shape[0]
-    out = np.empty(m)
-    group = max(1, TILE_ROWS // B)
-    work = getattr(model, "work", None)
     bg_bits = background.reshape(B, T * d).view(np.uint64)
     sample_bits = sample.reshape(T * d).view(np.uint64)
-    for lo in range(0, m, group):
-        mk = masks[lo : lo + group]  # (k, d)
-        k = mk.shape[0]
-        # Row j * B + b of the group is where(mask j, sample, background b),
-        # selected bit by bit: (background & ~keep) | (sample & keep), where
-        # keep is all ones in the cells the mask takes from the sample.
-        keep = np.negative(np.tile(mk, (1, T)).astype(np.uint64))[:, None, :]  # (k, 1, T*d)
-        X = work_buffer(work, "rows", (k * B, T, d))
-        bits = X.reshape(k, B, T * d).view(np.uint64)
-        np.bitwise_and(bg_bits, ~keep, out=bits)
-        bits |= sample_bits & keep
-        out[lo : lo + k] = model.predict_proba(X).reshape(k, B).mean(axis=1)
-    return out
+
+    def runs(lo, hi):
+        """(r, b, j0, j1) for each run of the tile of rows lo:hi over one
+        window: its rows r:r + j1 - j0 are masks j0:j1 over window b."""
+        row = lo
+        while row < hi:
+            b, j0 = divmod(row, m)
+            j1 = min(m, j0 + hi - row)
+            yield row - lo, b, j0, j1
+            row += j1 - j0
+
+    def fill(X, lo, hi):
+        # where(mask, sample, window) bit by bit: window ^ ((window ^ sample)
+        # & keep), keep all ones in the cells the mask takes from the sample
+        bits = X.reshape(hi - lo, T * d).view(np.uint64)
+        for r, b, j0, j1 in runs(lo, hi):
+            keep = bits[r : r + j1 - j0]
+            keep.reshape(j1 - j0, T, d)[:] = masks[j0:j1, None, :]
+            np.negative(keep, out=keep)
+            keep &= bg_bits[b] ^ sample_bits
+            keep ^= bg_bits[b]
+
+    sums = np.zeros(m)
+    for lo, hi, probs in walk_tiles(model, B * m, (T, d), fill):
+        for r, _, j0, j1 in runs(lo, hi):
+            sums[j0:j1] += probs[r : r + j1 - j0]
+    return np.true_divide(sums, B, out=sums)
 
 
 def _all_masks(d: int) -> tuple[np.ndarray, np.ndarray]:

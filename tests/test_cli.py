@@ -1008,7 +1008,7 @@ class TestExplainLocal:
         texts = [el.text for el in ElementTree.parse(svg).iter() if el.tag.endswith("text")]
         assert any(t.startswith("local explanation: A<&>R0") for t in texts)
 
-    # 10, 399 and 801 rows make one, one and two tiles; 5,000 make twelve
+    # 10, 399 and 801 rows make one, one and two tiles; 5,000 make thirteen
     @pytest.mark.parametrize("n", [10, 399, 801, 5000])
     def test_lime_rows_match_one_repeated_batch(self, n):
         T, d = 10, 12

@@ -511,9 +511,11 @@ class TestForwardOnlyTiles:
     """predict_proba cuts a batch into forward-only tiles; every row keeps
     the bits of the reference cell run on the whole batch at once."""
 
-    TILE = model.TILE_ROWS
-    # either side of one and two tiles, then row counts around powers of two
+    TILE, MIN = model.TILE_ROWS, model.MIN_TILE_ROWS
+    # either side of one and two tiles, rests either side of MIN_TILE_ROWS =
+    # 64, then row counts around powers of two
     SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE + 1, 2 * TILE + 7,
+             TILE + 37, TILE + 63, TILE + 64, 2 * TILE + 64,
              1023, 1024, 1025, 2047, 2049, 2055, 4090, 4097, 5000]
 
     def test_tile_rows_keep_row_offsets_mod_8(self):
@@ -525,6 +527,7 @@ class TestForwardOnlyTiles:
            seed=st.integers(0, 2**32 - 1))
     @example(T=10, d=12, H=16, seed=1)
     @example(T=3, d=5, H=32, seed=2)
+    @example(T=10, d=12, H=32, seed=3)  # where a rest of up to 37 rows lost bits
     def test_bits_match_whole_batch_reference(self, n, T, d, H, seed):
         rng = np.random.default_rng(seed)
         params = _random_params(d, H, rng, scale=1.0)
@@ -537,14 +540,24 @@ class TestForwardOnlyTiles:
         assert np.array_equal(p, want_p) and np.array_equal(alpha, want_alpha)
 
     @pytest.mark.parametrize("n, bounds", [
-        (0, [0, 0]), (1, [0, 1]), (1024, [0, 400, 1024]),
+        (0, [0, 0]), (1, [0, 1]), (1024, [0, 400, 800, 1024]),
         (2047, [0, 400, 800, 1200, 1600, 2047]), (2048, [0, 400, 800, 1200, 1600, 2048]),
-        (3077, [0, 400, 800, 1200, 1600, 2000, 2400, 3077]),
-        (400, [0, 400]), (799, [0, 799]), (800, [0, 400, 800]),
+        (3077, [0, 400, 800, 1200, 1600, 2000, 2400, 2800, 3077]),
+        (400, [0, 400]), (799, [0, 400, 799]), (800, [0, 400, 800]),
+        (399, [0, 399]), (401, [0, 401]), (463, [0, 463]), (464, [0, 400, 464]),
     ])
     def test_no_tile_shorter_than_tile_rows(self, n, bounds):
-        assert self.TILE == 400  # the bounds above are written out for it
+        # tiles of TILE_ROWS, and a rest shorter than MIN_TILE_ROWS joins the last
+        assert (self.TILE, self.MIN) == (400, 64)  # the bounds above are written out for them
         assert model._tile_bounds(n) == bounds
+
+    def test_tile_rows_lie_between_min_and_max(self):
+        for n in range(3 * self.TILE):
+            bounds = model._tile_bounds(n)
+            rows = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n and np.all(np.array(bounds[:-1]) % 8 == 0)
+            assert rows.max() <= self.TILE + self.MIN - 1, n
+            assert rows.size == 1 or rows.min() >= self.MIN, n
 
     def test_peak_memory_below_half_of_full_forward(self):
         params = model.init_params(12, 16, seed=0)
@@ -610,10 +623,10 @@ class TestSharedWorkspace:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("n", [5000, 850])  # the last tile is 600 and 450 rows
+    @pytest.mark.parametrize("n", [5000, 850])  # the largest tile is the first and the last
     def test_cold_walk_allocates_its_workspace_once(self, n):
         # beyond the workspace, a cold call peaks where a warm one does: the
-        # arrays are sized for the last tile, the largest, before the first
+        # arrays are sized for the largest tile before the first
         T, d, H = 10, 12, 16
         params = model.init_params(d, H, seed=0)
         X = np.random.default_rng(0).normal(size=(n, T, d))
@@ -653,11 +666,12 @@ class TestGradientWorkspace:
 
 class TestGradientTiles:
     """walk_tiles is the one gradient tiler: it runs input_gradient_batch on
-    tiles of TILE_ROWS rows, and every row keeps the bits of one
+    the tiles of _tile_bounds, and every row keeps the bits of one
     input_gradient_batch call on the whole batch."""
 
-    TILE = model.TILE_ROWS
-    SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE + 7, 1600, 4100]
+    TILE, MIN = model.TILE_ROWS, model.MIN_TILE_ROWS
+    SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE + 7, TILE + 37, TILE + 63, TILE + 64,
+             2 * TILE + 64, 1600, 4100]
 
     def test_tile_rows_keep_row_offsets_mod_8(self):
         assert self.TILE % 8 == 0 and 256 <= self.TILE <= 512
@@ -669,7 +683,8 @@ class TestGradientTiles:
     @classmethod
     def _walked(cls, net, X):
         """X's input gradients from gradient walk_tiles, whose tiles start at
-        multiples of TILE_ROWS and hold fewer than 2 * TILE_ROWS rows."""
+        multiples of TILE_ROWS and hold fewer than TILE_ROWS + MIN_TILE_ROWS
+        rows."""
         got = np.empty(X.shape)
 
         def fill(rows, lo, hi):
@@ -678,7 +693,7 @@ class TestGradientTiles:
         bounds = [0]
         for lo, hi, grads in model.walk_tiles(net, X.shape[0], X.shape[1:], fill,
                                               gradients=True):
-            assert lo == bounds[-1] and lo % cls.TILE == 0 and hi - lo < 2 * cls.TILE
+            assert lo == bounds[-1] and lo % cls.TILE == 0 and hi - lo < cls.TILE + cls.MIN
             bounds.append(hi)
             got[lo:hi] = grads
         assert bounds[-1] == X.shape[0]
@@ -691,6 +706,7 @@ class TestGradientTiles:
     @example(T=10, d=12, H=16, seed=1)
     @example(T=5, d=7, H=9, seed=2)
     @example(T=3, d=12, H=27, seed=3)
+    @example(T=10, d=12, H=32, seed=4)  # where a rest of up to 37 rows lost bits
     def test_bits_match_one_untiled_call(self, n, T, d, H, seed):
         rng = np.random.default_rng(seed)
         params = _random_params(d, H, rng, scale=1.0)
@@ -730,9 +746,9 @@ class TestGradientTiles:
         assert max(arr.nbytes for arr in net.work.values()) < untiled_A
 
     def test_cold_walk_sizes_its_workspace_once(self):
-        # tiles of 400, 400 and 500 rows: the forward-with-cache, backward and
-        # result arrays are sized for the last, the largest, before the first
-        T, d, H, n = 10, 12, 16, 1300
+        # tiles of 400, 400 and 450 rows: the forward-with-cache, backward and
+        # result arrays are sized for the largest, the last, before the first
+        T, d, H, n = 10, 12, 16, 1250
         net = model.LstmModel(model.init_params(d, H, seed=0))
         X = np.random.default_rng(0).normal(size=(n, T, d))
 

@@ -1,9 +1,10 @@
 import tracemalloc
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import LinearWindowModel, random_lstm
 from stormlens import model, shapley
@@ -73,26 +74,21 @@ class TestCoalitionValue:
 
 
 class TestCoalitionValues:
-    """The value function takes the masks in groups of max(1, TILE_ROWS // B)
-    whole masks; every value keeps the bits of masking each group afresh with
-    np.where and running it in one predict_proba call."""
+    """The value function walks its B m rows, background-major, in the tiles
+    of walk_tiles; every value keeps the bits of masking all rows at once
+    with np.where, running them in one untiled forward_batch call and adding
+    each mask's B outputs window by window."""
 
     @staticmethod
     def where_oracle(net, sample, background, masks):
         B, (T, d) = background.shape[0], sample.shape
-        group = max(1, model.TILE_ROWS // B)
-        out = np.empty(masks.shape[0])
-        for lo in range(0, masks.shape[0], group):
-            mk = masks[lo : lo + group]
-            mixed = np.where(mk[:, None, None, :], sample[None, None], background[None])
-            probs = net.predict_proba(mixed.reshape(-1, T, d))
-            out[lo : lo + mk.shape[0]] = probs.reshape(mk.shape[0], B).mean(axis=1)
-        return out
+        mixed = np.where(masks[None, :, None, :], sample[None, None], background[:, None])
+        probs, _, _ = model.forward_batch(net.params, mixed.reshape(-1, T, d), keep_cache=False)
+        return reduce(np.add, probs.reshape(B, masks.shape[0])) / B
 
-    # "desk": B = 10 and all 4,096 masks of d = 12, so groups of 40 masks
-    # (400 rows) and a last one of 16; "wide": B = 450 > TILE_ROWS, so one
-    # mask per group; "b100": groups of 4 masks, each exactly one 400-row
-    # tile; "ragged": B = 100 and 63 masks, so the last group has 3
+    # "desk": B = 10 and all 4,096 masks of d = 12, 40,960 rows; "wide":
+    # B = 450 windows of 8 masks; "b100": 64 masks, 16 tiles of whole windows;
+    # "ragged": B = 100 and 63 masks, so tiles cut windows
     @pytest.mark.parametrize("which", ["all", "few", "desk", "wide", "b100", "ragged"])
     def test_bits_match_where_oracle(self, which):
         d, T, B = {"desk": (12, 10, 10), "wide": (3, 2, 450), "b100": (6, 3, 100),
@@ -102,39 +98,29 @@ class TestCoalitionValues:
         sample = rng.normal(size=(T, d))
         bg = rng.normal(size=(B, T, d))
         _, masks = shapley._all_masks(d)  # empty first, full last
-        if which == "few":  # less than one group, the full mask first
+        if which == "few":  # less than one tile, the full mask first
             masks = np.concatenate([masks[::-1][:2], rng.random((3, d)) < 0.5])
         elif which == "ragged":
             masks = masks[1:]
         got = shapley._coalition_values(net, sample, bg, masks)
         assert np.array_equal(got, self.where_oracle(net, sample, bg, masks))
 
-    class RowSpy:
-        """A model that records the row count of every predict_proba call."""
-
-        def __init__(self, net):
-            self.net, self.work, self.calls = net, net.work, []
-
-        def predict_proba(self, X):
-            self.calls.append(X.shape[0])
-            return self.net.predict_proba(X)
-
+    # the 16 masks of d = 4 over B windows: one tile up to B = 28, then 25
+    # windows per 400-row tile, and at B = 401 a last tile of 416 rows, as
+    # its rest of 16 rows joins the tile before
     @pytest.mark.parametrize("B", [1, 3, 10, 100, 399, 400, 401, 450, 850])
-    def test_every_call_holds_whole_masks_of_at_most_one_tile(self, B):
+    def test_bits_match_where_oracle_at_background_size(self, B):
         d, T = 4, 2
         net = random_lstm(d, 3, seed=32)
         rng = np.random.default_rng(B)
         sample, bg = rng.normal(size=(T, d)), rng.normal(size=(B, T, d))
         _, masks = shapley._all_masks(d)
-        spy = self.RowSpy(net)
-        got = shapley._coalition_values(spy, sample, bg, masks)
-        assert sum(spy.calls) == masks.shape[0] * B
-        assert all(n % B == 0 and n <= max(B, model.TILE_ROWS) for n in spy.calls), spy.calls
+        got = shapley._coalition_values(net, sample, bg, masks)
         assert np.array_equal(got, self.where_oracle(net, sample, bg, masks))
 
     def test_warm_call_holds_no_chunk_of_rows(self):
-        # the rows of all 4,096 masks x 10 windows are 39 MB, and one group of
-        # them, 40 masks x 10 windows, is 0.38 MB
+        # the rows of all 4,096 masks x 10 windows are 39 MB, and one tile of
+        # them, 400 rows, is 0.38 MB
         d, T, B, H = 12, 10, 10, 16
         net = random_lstm(d, H, seed=31)
         rng = np.random.default_rng(31)
@@ -241,11 +227,13 @@ class TestAxiomProperties:
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(**SMALL_LSTMS)
+    @example(d=1, T=3, H=2, B=3, seed=0)  # no non-trivial coalition to regress on
     def test_kernel_full_enumeration_is_exact(self, d, T, H, B, seed):
         params, sample, bg, _ = _random_lstm_case(d, T, H, B, seed)
         net = model.LstmModel(params)
         exact = shapley.exact_shapley(net, sample, bg)
-        kernel = shapley.kernel_shap(net, sample, bg, n_coalitions=2**d, seed=seed)
+        # 2^d covers every coalition; d + 2 is the least budget kernel_shap takes
+        kernel = shapley.kernel_shap(net, sample, bg, n_coalitions=max(2**d, d + 2), seed=seed)
         assert np.abs(exact.phi - kernel.phi).max() < 1e-8
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -432,7 +420,7 @@ class TestGradientTiles:
         contrib = grads.reshape(B, n_steps, T, d) * diff[:, None, :, :]
         return contrib.mean(axis=(0, 1)).sum(axis=0)
 
-    # B * K rows: 592 (one tile), 1,300 (400, 400, 500) and 1,600 (4 x 400)
+    # B * K rows: 592 (400, 192), 1,300 (3 x 400, 100) and 1,600 (4 x 400)
     @pytest.mark.parametrize("B, K", [(37, 16), (100, 13), (100, 16), (3, 1)])
     def test_bits_match_whole_batch_oracle(self, B, K):
         T, d = 10, 12
@@ -451,6 +439,28 @@ class TestGradientTiles:
         shapley.gradient_shap(net, rng.normal(size=(T, d)), rng.normal(size=(B, T, d)),
                               n_steps=K, seed=5)
         assert max(arr.size for arr in net.work.values()) < B * K * T * d
+
+
+class TestTileRows:
+    """TILE_ROWS sets how the model rows are cut, not the attributions."""
+
+    @pytest.mark.parametrize("tile", [200, 808])
+    def test_phi_bits_do_not_depend_on_tile_rows(self, tile, monkeypatch):
+        # exact: 256 masks x 30 windows; kernel: up to 300 masks; gradient: 480 points
+        d, T, B, H = 8, 10, 30, 16
+        rng = np.random.default_rng(tile)
+        sample, bg = rng.normal(size=(T, d)), rng.normal(size=(B, T, d))
+
+        def explain():
+            net = random_lstm(d, H, seed=34)
+            return [shapley.exact_shapley(net, sample, bg).phi,
+                    shapley.kernel_shap(net, sample, bg, n_coalitions=300, seed=1).phi,
+                    shapley.gradient_shap(net, sample, bg, n_steps=16, seed=1).phi]
+
+        want = explain()
+        monkeypatch.setattr(model, "TILE_ROWS", tile)
+        for method, got, phi in zip(shapley.METHODS, explain(), want):
+            assert np.array_equal(got, phi), method
 
 
 class TestBaseValue:
