@@ -43,10 +43,10 @@ One rule batches every model row. ``LstmModel.predict_proba`` and
 ``LstmModel.input_gradient_batch``, one forward and one backward call) walk
 their rows in row order, in the tiles of ``_tile_bounds``: every tile starts
 at a multiple of ``TILE_ROWS`` (itself a multiple of 8) and holds
-``TILE_ROWS`` rows, but the last, which also takes a rest of fewer than
-``MIN_TILE_ROWS`` rows. So no tile of a batch that is cut is shorter than
-``MIN_TILE_ROWS`` rows, and none is longer than ``TILE_ROWS + MIN_TILE_ROWS
-- 1``.
+``TILE_ROWS`` rows but the last, which holds the rest, and a rest of fewer
+than ``MIN_TILE_ROWS`` rows joins the tile before it. So no tile of a batch
+that is cut is shorter than ``MIN_TILE_ROWS`` rows, and none is longer than
+``TILE_ROWS + MIN_TILE_ROWS - 1``.
 
 Output bits depend on the numpy/BLAS build and on the batch a row is
 computed in, not on the layout of ``A`` or on the mode: the tests compare
@@ -54,12 +54,12 @@ both passes bit for bit with a reference cell that keeps ``A`` as
 (T, n, 4H) and concatenates each step's row, and tiled calls with the
 whole batch in one call. In the builds tested, once a call has a few
 dozen rows (see ``MIN_TILE_ROWS``), a row's bits depend only on its offset
-mod 4 in the call,
-for every forward product and for the two backward products that input
-gradients need, da [w_x, w_h] (dx_t and dh_{t-1} at once) and dU w_att, as
-they compute them: against the weights zero-padded to a multiple of 8
-columns, keeping the first columns. Unpadded, such products change BLAS
-kernel with the row count (in OpenBLAS 0.3.31, (n, 4H) @ (4H, 12) did below
+mod 4 in the call, for every forward product and for the two backward
+products that input gradients need, da [w_x, w_h] (dx_t and dh_{t-1} at
+once) and dU w_att, as they compute them: against the weights zero-padded
+to a multiple of 8 columns, keeping the first columns. Unpadded, such
+products change BLAS kernel with the row count (in OpenBLAS 0.3.31,
+(n, 4H) @ (4H, 12) did below
 about 1,310 rows, and dU w_att at some H between 9 and 28 at every size),
 so a tile's rows would not match the whole batch. Training computes no
 input gradients and multiplies da by w_h and dU by w_att as they are.
@@ -136,10 +136,11 @@ CHECKPOINT_SCHEMA = "stormlens-model/1"
 # 1,024-row tiles, in a quarter of the workspace (1.6 MB against 6.5 MB).
 TILE_ROWS = 400
 # The fewest rows of the last tile of a batch that is cut; a shorter rest joins
-# the tile before it. With OpenBLAS 0.3.31 at T = 10, d = 12, a call of 2 to 37
-# rows after a 400-row tile got other bits than the whole batch at some H (up
-# to 37 rows at H = 32, 13 at H = 128, only a 1-row call at H <= 16), forward-only
-# and with input gradients; no call of 38 rows or more did.
+# the tile before it. With OpenBLAS 0.3.31 at T = 10, d = 12, the last rows of a
+# batch run in a call of their own after a 400-row tile lost the whole batch's
+# bits in calls of up to 37 rows at H = 32, 18 at H = 64 and 13 at H = 128, and
+# at H <= 16 in a 1-row call at most, forward-only and with input gradients; no
+# call of 38 rows or more did.
 MIN_TILE_ROWS = 64
 
 

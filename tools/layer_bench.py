@@ -10,7 +10,7 @@ H = 16, ``init_params`` at seed 0) in each and times, with
 ``time.process_time``, the three call types that every stage runs:
 
 - ``forward_400``: ``LstmModel.predict_proba`` on 400 rows, one forward-only
-  tile (predictions, coalition groups, LIME rows);
+  tile (predictions, coalition rows, LIME rows);
 - ``train_step_64``: ``forward_batch`` and ``backward_batch`` with parameter
   gradients on 64 rows, one training batch;
 - ``input_gradient_400``: ``LstmModel.input_gradient_batch`` on 400 rows,
