@@ -10,28 +10,35 @@ Forward pass, per step t on input x_t (batch, d):
 with sigmoid(z) = 1/2 + tanh(z / 2) / 2, which never overflows and is
 exactly 0 or 1 once |z| is above about 38.
 
-The rows [x_t, h_{t-1}, 1] of all steps live in one time-major
-(T + 1, n, d + H + 1) array ``XH``: each call copies X into its x slots,
-zeroes the h slot of row 0 (h_{-1}) and puts 1 in the last column, and step
-t writes h_t into the h slot of row t + 1. So the hidden states ``Hs`` are a
-view of ``XH``, and step 0 is a step like any other. Each call builds W with
-the rows of the i, f and o gates halved, which is exact unless a weight is
-subnormal, so a step is one product ``XH[t]`` W' into an (n, 4H) buffer, one
-tanh of it into ``A[t]``, and * 1/2, + 1/2 on i, f and o. ``A`` holds the
-gates gate-major, (T, 4, n, H), so that the elementwise work runs over whole
-contiguous (n, H) blocks. The buffer (also the cell update's scratch) and W
-share one step scratch array (``_step_scratch``) with the attention scores
-``S``, computed after the loop. The cell states ``C`` are a (T + 1, n, H)
-array whose last row is zero, so step 0 reads c_{-1} at index t - 1 = -1.
+Every array of both passes keeps the batch on its last, contiguous axis, in
+m columns: n rounded up to a multiple of 8 (``_columns``), the pad columns
+zero. The columns [x_t; h_{t-1}; 1] of all steps live in one
+(T + 1, d + H + 1, m) array ``XH``: each call copies X into the x rows of
+its real columns, zeroes the h rows of block 0 (h_{-1}) and puts 1 in the
+last row of the real columns and 0 in the pads, and step t writes h_t into
+the contiguous block ``XH[t + 1, d:d+H]``. So the hidden states ``Hs`` are
+a view of ``XH``, and step 0 is a step like any other. Each call builds W
+with the rows of the i, f and o gates halved, which is exact unless a
+weight is subnormal, so a step is one product W ``XH[t]`` straight into
+the (4H, m) gates ``A[t]``, one tanh of them in place, and * 1/2, + 1/2 on
+i, f and o. ``A`` holds the gates gate-major, (T, 4, H, m), so that the
+elementwise work runs over whole contiguous (H, m) blocks. W and the cell
+update's (H, m) scratch share one step scratch array (``_step_scratch``)
+with the attention scores ``S``, (H, T, m), computed after the loop. The
+cell states ``C`` are a (T + 1, H, m) array whose last block is zero, so
+step 0 reads c_{-1} at index t - 1 = -1. A pad column holds zeros in every
+step: its gates are W 0 = 0, so i = f = o = 1/2, g = 0 and c = h = 0.
 
 Finiteness is checked once per call, on the output: a NaN in any hidden
 state, or an infinite attention score, reaches its row's probability, and
-only then are the steps scanned for the first one with either. (A gate's
-sum of finite terms overflows to inf, not NaN, in a BLAS product that fuses
-its multiply-adds, so diverged weights show first in the attention.)
+only then are the steps scanned, in the real columns alone, for the first
+one with either. (A gate's sum of finite terms overflows to inf, not NaN,
+in a BLAS product that fuses its multiply-adds, so diverged weights show
+first in the attention. The pad columns of a non-finite weight are
+0 * inf = NaN from step 0, which is why the scan skips them.)
 
 ``forward_batch`` runs in one of two modes of the same loop and layout:
-``A`` keeps ``kept`` steps of gates and ``C`` ``kept + 1`` rows of cell
+``A`` keeps ``kept`` steps of gates and ``C`` ``kept + 1`` blocks of cell
 state, step t using ``A[t % kept]`` and ``C[t % (kept + 1)]``. With
 ``keep_cache=True`` (training and gradients) ``kept = T`` and the cache
 returns ``XH``, ``A``, ``C`` and ``Hs`` for :func:`backward_batch`; with
@@ -48,21 +55,20 @@ than ``MIN_TILE_ROWS`` rows joins the tile before it. So no tile of a batch
 that is cut is shorter than ``MIN_TILE_ROWS`` rows, and none is longer than
 ``TILE_ROWS + MIN_TILE_ROWS - 1``.
 
-Output bits depend on the numpy/BLAS build and on the batch a row is
-computed in, not on the layout of ``A`` or on the mode: the tests compare
-both passes bit for bit with a reference cell that keeps ``A`` as
-(T, n, 4H) and concatenates each step's row, and tiled calls with the
-whole batch in one call. In the builds tested, once a call has a few
-dozen rows (see ``MIN_TILE_ROWS``), a row's bits depend only on its offset
-mod 4 in the call, for every forward product and for the two backward
-products that input gradients need, da [w_x, w_h] (dx_t and dh_{t-1} at
-once) and dU w_att, as they compute them: against the weights zero-padded
-to a multiple of 8 columns, keeping the first columns. Unpadded, such
-products change BLAS kernel with the row count (in OpenBLAS 0.3.31,
-(n, 4H) @ (4H, 12) did below
-about 1,310 rows, and dU w_att at some H between 9 and 28 at every size),
-so a tile's rows would not match the whole batch. Training computes no
-input gradients and multiplies da by w_h and dU by w_att as they are.
+Output bits depend on the numpy/BLAS build, not on the layout of ``A``, on
+the mode or, forward-only, on the batch a row is computed in: the tests
+compare both passes bit for bit with a reference cell that keeps ``A`` as
+(T, 4H, m) and concatenates each step's column block, tiled calls with the
+whole batch in one call, and calls of 1 to 7 rows with the same rows in a
+400-row batch. Every product of both passes runs over the m columns, so a
+BLAS kernel that blocks its work by columns sees a multiple of 8 of them
+whatever n is, and a column's bits do not depend on the others. The
+weights are never padded: the backward pass multiplies da by [w_x, w_h]'
+(dx_t and dh_{t-1} at once) with input gradients and by w_h' without, and
+dU by w_att', as they are. One product is not column-invariant in the
+builds tested: with OpenBLAS 0.3.31 at H = 128, [w_x, w_h]' da over 8
+columns (a call of at most 8 rows) gives other bits than over more, which
+``MIN_TILE_ROWS`` keeps out of every batch that is cut.
 
 Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew;
@@ -92,22 +98,24 @@ that p keeps its relative precision near 0.
 
 The backward pass is exact reverse-mode differentiation of this graph and
 serves both training (parameter gradients) and attribution (input
-gradients). It reads the gates from ``A`` and computes the four gate
-gradients of a step in one contiguous (4, n, H) buffer, whose last product
-writes them into the (n, 4H) layout that every weight matmul reads; tanh(c_t)
-of every step is computed before the loop, in an array that is dead by
-then. Without input gradients step 0 computes no dh_{-1}, which nothing
-reads.
+gradients). It reads the gates from ``A`` and writes the four gate
+gradients of a step gate-major, as (4, H, m), into ``da``, the (4H, m)
+block that the weights [w_x, w_h]' (or w_h') multiply into the contiguous
+row blocks [dx_t; dh_{t-1}] (or dh_{t-1}); tanh(c_t) of every step is
+computed before the loop, in an array that is dead by then. Without input
+gradients step 0 computes no dh_{-1}, which nothing reads. The pad columns
+of dz are zero, and so is every pad column's gradient.
 
-With parameter gradients, the gate gradients da of step t go to row t of a
-(T, n, 4H) array ``DA``, and the gradient of W = [w_x, w_h, b] is one
-product over the T n rows [x_t, h_{t-1}, 1] of ``XH``. Likewise that of
-[w_att, b_att] is one product over the rows [h_t, 1] of ``XH[1:]``, and that
-of v_att one over the rows of ``S``. Without parameter gradients ``DA`` keeps
-one step, as ``A`` keeps one without a cache. A sum over all rows at once
-runs in another order than a sum of per-step products, so the trained
-weights' last bits depend on this order; the forward pass and the input
-gradients do not.
+With parameter gradients, the gate gradients da of step t go to block t
+of a (T, 4H, m) array ``DA``. After the loop ``DA`` and ``XH`` are copied
+feature-major, as (4H, T, m) and (d + H + 1, T + 1, m), and the gradient of
+W = [w_x, w_h, b] is one product over their T m columns [x_t; h_{t-1}; 1].
+Likewise that of [w_att, b_att] is one product over the columns [h_t; 1]
+of the copy of ``XH``, and that of v_att one over the columns of ``S``.
+Without parameter gradients ``DA`` keeps one step, as ``A`` keeps one
+without a cache. A sum over all columns at once runs in another order than
+a sum of per-step products, so the trained weights' last bits depend on
+this order; the forward pass and the input gradients do not.
 """
 
 from __future__ import annotations
@@ -124,23 +132,24 @@ from .data import NormStats, SequenceSet, write_json
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The rows of one tile of LstmModel.predict_proba and walk_tiles. In the
-# numpy/BLAS builds tested, a row's bits depend on its offset mod 4 in its call
-# once the call has a few dozen rows (see MIN_TILE_ROWS), so tiles that start
-# at multiples of 8 give every row the bits of one whole-batch call, whatever
-# TILE_ROWS is (the backward products are padded for this, see the module
-# docstring; tests/test_model.py holds both passes to it). At T = 10, H = 16,
-# d = 12 on one core, 1,600 rows forward and backward took ~15 ms per call in
-# tiles of 384-512 rows, ~16 ms in tiles of 256-320 rows and ~17 ms untiled;
-# 4,090 rows forward-only took ~37 ms in 400-row tiles against ~38.5 ms in
-# 1,024-row tiles, in a quarter of the workspace (1.6 MB against 6.5 MB).
+# The rows of one tile of LstmModel.predict_proba and walk_tiles. Both passes
+# pad a call's batch to a multiple of 8 columns, so in the numpy/BLAS builds
+# tested a row's bits do not depend on the call it runs in (but see
+# MIN_TILE_ROWS), and tiles give every row the bits of one whole-batch call,
+# whatever TILE_ROWS is (tests/test_model.py holds both passes to it). At
+# T = 10, H = 16, d = 12 on one core, 1,600 rows forward and backward took
+# ~15 ms per call in tiles of 384-512 rows, ~16 ms in tiles of 256-320 rows and
+# ~17 ms untiled; 4,090 rows forward-only took ~37 ms in 400-row tiles against
+# ~38.5 ms in 1,024-row tiles, in a quarter of the workspace (1.6 MB against
+# 6.5 MB); both measured before the batch was padded.
 TILE_ROWS = 400
 # The fewest rows of the last tile of a batch that is cut; a shorter rest joins
 # the tile before it. With OpenBLAS 0.3.31 at T = 10, d = 12, the last rows of a
-# batch run in a call of their own after a 400-row tile lost the whole batch's
-# bits in calls of up to 37 rows at H = 32, 18 at H = 64 and 13 at H = 128, and
-# at H <= 16 in a 1-row call at most, forward-only and with input gradients; no
-# call of 38 rows or more did.
+# batch run in a call of their own after a 400-row tile kept the whole batch's
+# bits forward-only at each of twelve H from 1 to 128 and every rest of 1 to
+# 399 rows; with input gradients, rests of 1 to 8 rows lost them at H = 128,
+# where [w_x, w_h]' da over 8 columns takes another kernel, and none of 9 rows
+# or more did.
 MIN_TILE_ROWS = 64
 
 
@@ -277,68 +286,55 @@ def init_params(input_dim: int, hidden: int, seed: int) -> LstmParams:
     return LstmParams(**arrays)
 
 
-def _step_scratch(work: dict | None, n: int, T: int, d: int, H: int):
-    """The step scratch of both passes on n rows of T steps of d inputs: a
-    flat array whose first 4 n H entries hold the forward loop's (n, 4H)
-    product [x_t, h_{t-1}, 1] W', and the next 4 H (d + H + 1) the weights W
-    of the forward pass; or the backward loop's eight (n, H) arrays. After
-    the forward loop its first T n H entries hold the attention scores S,
-    which the backward pass reads before its loop."""
-    return _work_buffer(work, "step", (max(4 * H * (n + d + H + 1), 8 * n * H, T * n * H),))
+def _columns(n: int) -> int:
+    """The columns that n rows take in the arrays of both passes: n rounded
+    up to a multiple of 8, so that no product's kernel depends on n mod 8."""
+    return -(-n // 8) * 8
 
 
-def _forward_arrays(work: dict | None, n: int, T: int, d: int, H: int, keep_cache: bool):
+def _step_scratch(work: dict | None, m: int, T: int, d: int, H: int):
+    """The step scratch of both passes on m columns of T steps of d inputs: a
+    flat array whose first 4 H (d + H + 1) entries hold the weights W of the
+    forward pass and the next H m its (H, m) product i g; or the weights
+    [w_x, w_h] of the backward pass and then its eight (H, m) arrays. After
+    the forward loop its first H T m entries hold the attention scores S,
+    which the backward pass reads before it builds its weights."""
+    return _work_buffer(work, "step", (max(4 * H * (d + H + 1) + H * m, H * T * m,
+                                           4 * H * (d + H) + 8 * H * m),))
+
+
+def _forward_arrays(work: dict | None, m: int, T: int, d: int, H: int, keep_cache: bool):
     """The step scratch, ``A`` (``kept`` steps of gates), ``C`` (``kept + 1``
-    rows of cell state) and ``XH`` (T + 1 rows of [x_t, h_{t-1}, 1]) of
-    ``forward_batch`` on n rows of T steps of d inputs, where ``kept`` is T
-    with a cache and 1 without."""
+    steps of cell state) and ``XH`` (T + 1 blocks [x_t; h_{t-1}; 1]) of
+    ``forward_batch`` on m columns of T steps of d inputs, where ``kept`` is
+    T with a cache and 1 without."""
     kept = T if keep_cache else 1
-    return (_step_scratch(work, n, T, d, H),
-            _work_buffer(work, "A", (kept, 4, n, H)),
-            _work_buffer(work, "C", (kept + 1, n, H)),
-            _work_buffer(work, "XH", (T + 1, n, d + H + 1)))
+    return (_step_scratch(work, m, T, d, H),
+            _work_buffer(work, "A", (kept, 4, H, m)),
+            _work_buffer(work, "C", (kept + 1, H, m)),
+            _work_buffer(work, "XH", (T + 1, d + H + 1, m)))
 
 
-def _padded(work: dict | None, key: str, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The 2-D ``blocks`` side by side, zero-padded on the right to a
-    multiple of 8 columns, in ``work[key]``."""
-    m = sum(w.shape[1] for w in blocks)
-    out = _work_buffer(work, key, (blocks[0].shape[0], -(-m // 8) * 8))
-    out[:, m:] = 0.0
-    np.concatenate(blocks, axis=1, out=out[:, :m])
-    return out
-
-
-def _backward_arrays(work: dict | None, params: LstmParams, n: int, T: int,
+def _backward_arrays(work: dict | None, m: int, T: int, d: int, H: int,
                      input_grads: bool, param_grads: bool):
-    """The weights w_back and w_att of ``backward_batch``'s two products on
-    n rows of T steps, da w_back per step and dU w_att once, then its arrays
-    back (da w_back), dU, dH_ext, sq, dG, DA and bptt (eight (n, H) arrays
-    of the step scratch). With ``input_grads`` w_back is [w_x, w_h], so that
-    one product gives [dx_t, dh_{t-1}], and both weights are zero-padded to a
-    multiple of 8 columns, so that no row's bits depend on the call's row
-    count (see the module docstring); without, w_back is w_h and both are
-    used as they are. ``DA`` holds the gate gradients of ``kept`` steps, step
-    t in ``DA[t % kept]``: with ``param_grads`` ``kept = T``, and the weight
-    gradients are one product of all T steps after the loop; without,
-    ``kept = 1``."""
-    if input_grads:
-        w_back = _padded(work, "w_xh8", (params.w_x, params.w_h))
-        w_att = _padded(work, "w_att8", (params.w_att,))
-    else:
-        w_back, w_att = params.w_h, params.w_att
-    d, H = params.input_dim, params.hidden
-    dH_ext = _work_buffer(work, "dH_ext", (T, n, w_att.shape[1]))
-    return (w_back, w_att,
-            _work_buffer(work, "back", (n, w_back.shape[1])),
-            _work_buffer(work, "dU", (T, n, H)),
-            dH_ext,
-            # sq (1 - S**2) is dead once dU has it, so dH_ext may overwrite it
-            dH_ext.reshape(-1)[: T * n * H].reshape(T, n, H),
-            _work_buffer(work, "dG", (4, n, H)),
-            _work_buffer(work, "da", (T if param_grads else 1, n, 4 * H)),
-            # the forward pass's step scratch, where S is dead once dU has it
-            _step_scratch(work, n, T, d, H)[: 8 * n * H].reshape(8, n, H))
+    """The arrays of ``backward_batch`` on m columns of T steps of d inputs:
+    dz (m,), back (the product with [w_x, w_h] with ``input_grads``, else
+    with w_h), dU (H, T, m), dH_ext (T, H, m), dG (4, H, m) and DA (the gate
+    gradients of ``kept`` steps, (kept, 4H, m), step t in ``DA[t % kept]``),
+    where ``kept`` is T with ``param_grads`` and 1 without; then, with
+    ``param_grads``, the feature-major copies of ``XH`` and ``DA``,
+    (d + H + 1, T + 1, m) and (4H, T, m), else None twice."""
+    kept = T if param_grads else 1
+    feature_major = ((_work_buffer(work, "XH_fm", (d + H + 1, T + 1, m)),
+                      _work_buffer(work, "DA_fm", (4 * H, T, m)))
+                     if param_grads else (None, None))
+    return (_work_buffer(work, "dz", (m,)),
+            _work_buffer(work, "back", (d + H if input_grads else H, m)),
+            _work_buffer(work, "dU", (H, T, m)),
+            _work_buffer(work, "dH_ext", (T, H, m)),
+            _work_buffer(work, "dG", (4, H, m)),
+            _work_buffer(work, "da", (kept, 4 * H, m)),
+            *feature_major)
 
 
 def forward_batch(
@@ -370,29 +366,29 @@ def forward_batch(
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
     H = params.hidden
+    m = _columns(n)
 
-    step, A, C, XH = _forward_arrays(work, n, T, d, H, keep_cache)
+    step, A, C, XH = _forward_arrays(work, m, T, d, H, keep_cache)
     kept = A.shape[0]  # steps of gates kept
-    xw = step[: 4 * n * H].reshape(n, 4 * H)
-    W = step[4 * n * H : 4 * H * (n + d + H + 1)].reshape(4 * H, d + H + 1)
+    W = step[: 4 * H * (d + H + 1)].reshape(4 * H, d + H + 1)
+    ig = step[4 * H * (d + H + 1) : 4 * H * (d + H + 1) + H * m].reshape(H, m)
     # W = [w_x, w_h, b] with its i, f, o rows halved, so that those gates'
     # tanh gives sigmoid(z) = 1/2 + tanh(z / 2) / 2
     W[:, :d] = params.w_x
     W[:, d:-1] = params.w_h
     W[:, -1] = params.b
     W[: 3 * H] *= 0.5
-    np.copyto(XH[:T, :, :d], X.transpose(1, 0, 2))
-    XH[0, :, d:-1] = 0.0  # h_{-1}
-    XH[:, :, -1] = 1.0
-    Hs = XH[1:, :, d:-1]  # h_t, written by step t into row t + 1
-    C[-1] = 0.0  # c_{-1}; every other row is written before it is read
-    ig = step[: n * H].reshape(n, H)  # xw is dead once A[t] holds its tanh
-    xw_gates = xw.reshape(n, 4, H).transpose(1, 0, 2)
-    Wt = W.T
+    np.copyto(XH[:T, :d, :n], X.transpose(1, 2, 0))
+    XH[:, :d, n:] = 0.0
+    XH[0, d:-1] = 0.0  # h_{-1}
+    XH[:, -1, :n] = 1.0
+    XH[:, -1, n:] = 0.0  # so that the pad columns stay zero in every array
+    Hs = XH[1:, d:-1]  # h_t, written by step t into block t + 1
+    C[-1] = 0.0  # c_{-1}; every other step is written before it is read
     for t in range(T):
-        np.matmul(XH[t], Wt, xw)
         a = A[t % kept]
-        np.tanh(xw_gates, a)  # gate-major
+        np.matmul(W, XH[t], a.reshape(4 * H, m))  # gate-major
+        np.tanh(a, a)
         ifo = a[:3]
         np.multiply(ifo, 0.5, ifo)
         np.add(ifo, 0.5, ifo)
@@ -405,33 +401,36 @@ def forward_batch(
         np.tanh(c, h)
         np.multiply(h, o, h)
 
-    # additive attention over hidden states
-    S = np.matmul(Hs, params.w_att.T, out=step[: T * n * H].reshape(T, n, H))
-    S += params.b_att
-    np.tanh(S, out=S)
-    # softmax over t, in place in the (n, T) transposed view of S v_att
-    alpha = (S @ params.v_att).T
-    alpha -= alpha.max(axis=1, keepdims=True)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    ctx = np.einsum("nt,tnh->nh", alpha, Hs)
-    z = ctx @ params.w_out + params.b_out[0]
+    # additive attention over hidden states; S[:, t] holds step t's scores
+    S = step[: H * T * m].reshape(H, T, m)
+    np.matmul(params.w_att, Hs, S.transpose(1, 0, 2))
+    S += params.b_att[:, None, None]
+    np.tanh(S, S)
+    # softmax over t, in place in the (T, m) product v_att S
+    alpha = (params.v_att @ S.reshape(H, T * m)).reshape(T, m)
+    alpha -= alpha.max(axis=0)
+    np.exp(alpha, alpha)
+    alpha /= alpha.sum(axis=0)
+    ctx = np.einsum("tm,thm->hm", alpha, Hs)
+    z = (params.w_out @ ctx)[:n] + params.b_out[0]
     p = _sigmoid(z)
     # A NaN in any h_t (o * tanh(c_t) is never infinite) reaches its row's p
     # through the attention, and so does an infinite attention score s_t .
-    # v_att through the softmax, so the steps are scanned only when p has one.
+    # v_att through the softmax, so the steps are scanned only when p has
+    # one, and only in the real columns.
     if not np.isfinite(p).all():
-        finite = np.isfinite(Hs).all(axis=(1, 2)) & np.isfinite(S @ params.v_att).all(axis=1)
+        e = (params.v_att @ S.reshape(H, T * m)).reshape(T, m)[:, :n]
+        finite = np.isfinite(Hs[:, :, :n]).all(axis=(1, 2)) & np.isfinite(e).all(axis=1)
         if not finite.all():
             raise ModelOverflowError(int(np.argmin(finite)))
 
     if not keep_cache:
-        return p, alpha, None
+        return p, alpha[:, :n].T, None
     cache = {
         "X": X, "XH": XH, "A": A, "C": C, "Hs": Hs, "S": S, "alpha": alpha, "ctx": ctx,
         "z": z, "p": p,
     }
-    return p, alpha, cache
+    return p, alpha[:, :n].T, cache
 
 
 def backward_batch(
@@ -454,46 +453,58 @@ def backward_batch(
     H = params.hidden
     XH, A, C, Hs, S = cache["XH"], cache["A"], cache["C"], cache["Hs"], cache["S"]
     alpha = cache["alpha"]
-    w_back, w_att, back, dU, dH_ext, sq, dG, DA, bptt = _backward_arrays(
-        work, params, n, T, out is not None, grads is not None)
+    m = XH.shape[2]
+    dzp, back, dU, dH_ext, dG, DA, XH_fm, DA_fm = _backward_arrays(
+        work, m, T, d, H, out is not None, grads is not None)
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
+    dzp[:n] = dz
+    dzp[n:] = 0.0  # so that every pad column's gradient is zero
     if grads is not None:
-        grads["w_out"] += cache["ctx"].T @ dz
+        grads["w_out"] += cache["ctx"] @ dzp
         grads["b_out"] += np.array([dz.sum()])
-    dctx = dz[:, None] * params.w_out[None, :]  # (n, H)
+    dctx = params.w_out[:, None] * dzp[None, :]  # (H, m)
 
     # attention backward
-    dalpha = np.einsum("nh,tnh->nt", dctx, Hs)  # (n, T)
-    de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    # dS, then dS * (1 - S**2); (T, n, H)
-    np.multiply(de.T[:, :, None], params.v_att, out=dU)
+    dalpha = np.einsum("hm,thm->tm", dctx, Hs)  # (T, m)
+    de = alpha * (dalpha - (alpha * dalpha).sum(axis=0))
+    # dS, then dS * (1 - S**2); (H, T, m)
+    np.multiply(de, params.v_att[:, None, None], out=dU)
+    sq = dH_ext.reshape(H, T, m)  # 1 - S**2 is dead once dU has it, so dH_ext may overwrite it
     dU *= np.subtract(1.0, np.square(S, out=sq), out=sq)
     if grads is not None:
-        grads["v_att"] += de.T.reshape(T * n) @ S.reshape(T * n, H)
-        # [w_att, b_att]: one product over the T n rows [h_t, 1] of XH[1:],
-        # copied contiguous, as at H = 1 BLAS sums a strided column in another order
-        h1 = np.ascontiguousarray(XH[1:, :, d:]).reshape(T * n, H + 1)
-        g_att = dU.reshape(T * n, H).T @ h1
+        grads["v_att"] += S.reshape(H, T * m) @ de.reshape(T * m)
+        # [w_att, b_att] here and W = [w_x, w_h, b] after the loop: one
+        # product each over the T m columns [h_t; 1] and [x_t; h_{t-1}; 1] of
+        # XH, copied feature-major so that both are (k, T m) views
+        np.copyto(XH_fm, XH.transpose(1, 0, 2))
+        g_att = dU.reshape(H, T * m) @ XH_fm[d:, 1:].reshape(H + 1, T * m).T
         grads["w_att"] += g_att[:, :H]
         grads["b_att"] += g_att[:, H]
-    dH_ext = np.matmul(dU, w_att, out=dH_ext)[:, :, :H]  # (T, n, H)
-    dH_ext += np.multiply(alpha.T[:, :, None], dctx, out=dU)
-    tanh_C = np.tanh(C[:T], out=dU)  # tanh(c_t) of every step, in the dead dU
+    np.matmul(params.w_att.T, dU.transpose(1, 0, 2), dH_ext)
+    dH_ext += np.multiply(alpha[:, None, :], dctx, out=dU.reshape(T, H, m))
+    tanh_C = np.tanh(C[:T], out=dU.reshape(T, H, m))  # tanh(c_t) of every step, in the dead dU
 
     # backprop through time; dG holds the gate gradients [i, f, o, g]
-    # gate-major, and their last factors go straight into da = DA[t % kept],
-    # the (n, 4H) layout that w_back multiplies
+    # gate-major, and their last factors go straight into da = DA[t % kept]
+    # (4H, m), which the weights [w_x, w_h]' (or w_h') multiply
+    step = _step_scratch(work, m, T, d, H)  # S is dead once dU has it
+    w_back = step[: 4 * H * (d + H)].reshape(4 * H, d + H)
+    if out is not None:  # back = [w_x, w_h]' da = [dx_t; dh_{t-1}]
+        w_back[:, :d] = params.w_x
+        w_back[:, d:] = params.w_h
+        dx, dh_next, out_steps = back[:d, :n].T, back[d:], out.transpose(1, 0, 2)
+    else:  # back = w_h' da = dh_{t-1}
+        w_back = params.w_h
+        dh_next = back
+    bptt = step[4 * H * (d + H) : 4 * H * (d + H) + 8 * H * m].reshape(8, H, m)
     dh, dc, dc_next = bptt[:3]
     factors = bptt[3:]  # 1 - i, 1 - f, 1 - o, then 1 - g**2 and 1 - tc**2
     ifo_1m, sq_1m, tc_1m = factors[:3], factors[3:], factors[4]
     kept = DA.shape[0]
-    DA_gates = DA.reshape(kept, n, 4, H).transpose(0, 2, 1, 3)
+    DA_gates = DA.reshape(kept, 4, H, m)
     dG_gi, dG_f, dG_o = dG[::3], dG[1], dG[2]  # dG_gi: the i and g rows
-    if out is not None:  # back = da [w_x, w_h] = [dx_t, dh_{t-1}]
-        dx, dh_next, out_steps = back[:, :d], back[:, d : d + H], out.transpose(1, 0, 2)
-    else:  # back = da w_h = dh_{t-1}
-        dh_next = back
+    w_back_t = w_back.T
     dh_next.fill(0.0)  # the others are written before they are read
     dc_next.fill(0.0)
     for t in range(T - 1, -1, -1):
@@ -517,14 +528,15 @@ def backward_batch(
         np.multiply(dG[:3], a[:3], dG[:3])
         np.multiply(dG, factors[:4], DA_gates[t % kept])
         if out is not None:
-            np.matmul(da, w_back, back)
+            np.matmul(w_back_t, da, back)
             np.copyto(out_steps[t], dx)
         elif t:  # dh_{-1} is never read
-            np.matmul(da, w_back, back)
+            np.matmul(w_back_t, da, back)
         np.multiply(dc, f, dc_next)
 
-    if grads is not None:  # W = [w_x, w_h, b]: one product over the T n rows [x_t, h_{t-1}, 1]
-        g_Wt = XH[:T].reshape(T * n, d + H + 1).T @ DA.reshape(T * n, 4 * H)
+    if grads is not None:  # W = [w_x, w_h, b]: one product over the T m columns [x_t; h_{t-1}; 1]
+        np.copyto(DA_fm, DA.transpose(1, 0, 2))
+        g_Wt = XH_fm[:, :T].reshape(d + H + 1, T * m) @ DA_fm.reshape(4 * H, T * m).T
         grads["w_x"] += g_Wt[:d].T
         grads["w_h"] += g_Wt[d:-1].T
         grads["b"] += g_Wt[-1]
@@ -547,10 +559,11 @@ class LstmModel:
     def reserve(self, n: int, T: int, gradients: bool = False) -> None:
         """Size ``work`` for forward-only tiles of up to n rows of T steps, or
         with ``gradients`` for ``input_gradient_batch``'s (both passes)."""
-        _forward_arrays(self.work, n, T, self.params.input_dim, self.params.hidden, gradients)
+        d, H, m = self.params.input_dim, self.params.hidden, _columns(n)
+        _forward_arrays(self.work, m, T, d, H, gradients)
         if gradients:
-            _backward_arrays(self.work, self.params, n, T, True, False)
-            _work_buffer(self.work, "grad", (n, T, self.params.input_dim))
+            _backward_arrays(self.work, m, T, d, H, True, False)
+            _work_buffer(self.work, "grad", (n, T, d))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed

@@ -280,11 +280,16 @@ def gradient_shap(
 
 
 def base_value(model, windows: np.ndarray) -> float:
-    """Mean model output over a set of (training) windows."""
+    """Mean model output over a set of (training) windows, its terms added
+    window by window as ``_coalition_values`` adds them, so that it is the
+    empty coalition's value bit for bit."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.shape[0] == 0:
         raise InputError("base value needs a nonempty window set")
-    return float(model.predict_proba(windows).mean())
+    total = 0.0
+    for p in model.predict_proba(windows):
+        total += p
+    return float(total / windows.shape[0])
 
 
 def explain_set(

@@ -4,15 +4,18 @@ reproduce every output, cache entry and gradient of these, bit for bit, and
 ``train`` there every parameter and loss of :func:`train` here, which keeps
 one Adam state array per parameter.
 
-Here the gate array ``A`` is (T, n, 4H), with the gates [i, f, o, g] side by
-side in the last axis; ``stormlens.model`` keeps it as (T, 4, n, H). Each
-step concatenates its row [x_t, h_{t-1}, 1] and multiplies it by
-W = [w_x, w_h, b] as it is, and the i, f and o gates take
-sigmoid(z) = 1/2 + tanh(z / 2) / 2; ``stormlens.model`` halves those rows
-of W instead, which gives z / 2 with the same bits. When input gradients
-are wanted, both compute the backward pass's two weight products, da
-[w_x, w_h] and dU w_att, against the weights zero-padded to a multiple of 8
-columns (see :func:`_times_padded`).
+Both keep the batch on the last axis, in m columns: n rounded up to a
+multiple of 8, the pad columns zero. Here the gate array ``A`` is
+(T, 4H, m), with the gates [i; f; o; g] stacked on the middle axis;
+``stormlens.model`` keeps it as (T, 4, H, m), and its attention scores as
+(H, T, m), where they are (T, H, m) here. Each step concatenates its column
+block [x_t; h_{t-1}; 1] and multiplies W = [w_x, w_h, b] as it is by it,
+and the i, f and o gates take sigmoid(z) = 1/2 + tanh(z / 2) / 2;
+``stormlens.model`` halves those rows of W instead, which gives z / 2 with
+the same bits. Each product that sums over steps and columns (the weight
+gradients) or is one product over all steps there (v_att S) takes its T
+blocks side by side as one (k, T m) array, as ``stormlens.model`` lays
+them out.
 """
 
 from __future__ import annotations
@@ -29,13 +32,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def _times_padded(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``a @ w``, computed against ``w`` zero-padded on the right to a
-    multiple of 8 columns, of which the first ``w.shape[1]`` are kept."""
-    m = w.shape[1]
-    return (a @ np.pad(w, ((0, 0), (0, -m % 8))))[..., :m]
-
-
 def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run the network on a batch of sequences.
 
@@ -46,7 +42,8 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
     Returns
     -------
     (probs (n,), alphas (n, T), cache) where the cache holds every
-    intermediate needed by :func:`backward_batch`.
+    intermediate needed by :func:`backward_batch`, with the batch on the
+    last axis in m columns, the pad columns zero.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
@@ -59,42 +56,53 @@ def forward_batch(params: LstmParams, X: np.ndarray) -> tuple[np.ndarray, np.nda
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite values")
     H = params.hidden
+    m = -(-n // 8) * 8
 
     W = np.concatenate([params.w_x, params.w_h, params.b[:, None]], axis=1)
-    A = np.empty((T, n, 4 * H))
-    XH = np.empty((T, n, d + H + 1))  # row t is [x_t, h_{t-1}, 1]
-    C = np.zeros((T + 1, n, H))
-    Hs = np.zeros((T + 1, n, H))
+    X_cols = np.zeros((T, d, m))  # column j of X_cols[t] is x_t of row j
+    X_cols[:, :, :n] = X.transpose(1, 2, 0)
+    ones = np.zeros((1, m))
+    ones[0, :n] = 1.0
+    A = np.empty((T, 4 * H, m))
+    XH = np.empty((T, d + H + 1, m))  # block t is [x_t; h_{t-1}; 1]
+    C = np.zeros((T + 1, H, m))
+    Hs = np.zeros((T + 1, H, m))
     for t in range(T):
-        XH[t] = np.concatenate([X[:, t], Hs[t - 1], np.ones((n, 1))], axis=1)
+        XH[t] = np.concatenate([X_cols[t], Hs[t - 1], ones], axis=0)
         a = A[t]
-        a[...] = XH[t] @ W.T
-        a[:, : 3 * H] = 0.5 + 0.5 * np.tanh(a[:, : 3 * H] / 2)  # sigmoid
-        a[:, 3 * H :] = np.tanh(a[:, 3 * H :])
-        i, f, o, g = (a[:, k * H : (k + 1) * H] for k in range(4))
+        a[...] = W @ XH[t]
+        a[: 3 * H] = 0.5 + 0.5 * np.tanh(a[: 3 * H] / 2)  # sigmoid
+        a[3 * H :] = np.tanh(a[3 * H :])
+        i, f, o, g = (a[k * H : (k + 1) * H] for k in range(4))
         C[t] = f * C[t - 1] + i * g
         Hs[t] = o * np.tanh(C[t])
     Hs_T = Hs[:T]
     # h_t = o * tanh(c_t) is non-finite wherever c_t is
-    finite = np.isfinite(Hs_T).all(axis=(1, 2))
+    finite = np.isfinite(Hs_T[:, :, :n]).all(axis=(1, 2))
     if not finite.all():
         raise ModelOverflowError(int(np.argmin(finite)))
 
     # additive attention over hidden states
-    S = np.tanh(Hs_T @ params.w_att.T + params.b_att)  # (T, n, H)
-    e = (S @ params.v_att).T  # (n, T)
-    e_shift = e - e.max(axis=1, keepdims=True)
+    S = np.tanh(params.w_att @ Hs_T + params.b_att[:, None])  # (T, H, m)
+    e = (params.v_att @ _feature_major(S)).reshape(T, m)
+    e_shift = e - e.max(axis=0)
     expe = np.exp(e_shift)
-    alpha = expe / expe.sum(axis=1, keepdims=True)  # (n, T)
-    ctx = np.einsum("nt,tnh->nh", alpha, Hs_T)
-    z = ctx @ params.w_out + params.b_out[0]
+    alpha = expe / expe.sum(axis=0)  # (T, m)
+    ctx = np.einsum("tm,thm->hm", alpha, Hs_T)
+    z = (params.w_out @ ctx)[:n] + params.b_out[0]
     p = _sigmoid(z)
 
     cache = {
         "X": X, "XH": XH, "A": A, "C": C, "Hs": Hs_T, "S": S, "alpha": alpha, "ctx": ctx,
         "z": z, "p": p,
     }
-    return p, alpha, cache
+    return p, alpha[:, :n].T, cache
+
+
+def _feature_major(Y: np.ndarray) -> np.ndarray:
+    """The (T, k, m) blocks of ``Y`` side by side, as one (k, T m) array."""
+    T, k, m = Y.shape
+    return Y.transpose(1, 0, 2).reshape(k, T * m)
 
 
 def backward_batch(
@@ -113,6 +121,7 @@ def backward_batch(
     n, T, d = X.shape
     H = params.hidden
     A, C, Hs_T, S, alpha = cache["A"], cache["C"], cache["Hs"], cache["S"], cache["alpha"]
+    m = A.shape[2]
 
     grads = (
         {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -122,51 +131,54 @@ def backward_batch(
     dX = np.zeros_like(X) if want_input_grads else None
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
+    dz_cols = np.zeros(m)
+    dz_cols[:n] = dz
     if want_param_grads:
-        grads["w_out"] += cache["ctx"].T @ dz
+        grads["w_out"] += cache["ctx"] @ dz_cols
         grads["b_out"] += np.array([dz.sum()])
-    dctx = dz[:, None] * params.w_out[None, :]  # (n, H)
+    dctx = dz_cols[None, :] * params.w_out[:, None]  # (H, m)
 
     # attention backward
-    dalpha = np.einsum("nh,tnh->nt", dctx, Hs_T)  # (n, T)
-    de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
-    dS = de.T[:, :, None] * params.v_att[None, None, :]  # (T, n, H)
+    dalpha = np.einsum("hm,thm->tm", dctx, Hs_T)  # (T, m)
+    de = alpha * (dalpha - (alpha * dalpha).sum(axis=0))
+    dS = de[:, None, :] * params.v_att[None, :, None]  # (T, H, m)
     dU = dS * (1.0 - S**2)
     if want_param_grads:
-        grads["v_att"] += de.T.reshape(T * n) @ S.reshape(T * n, H)
-        # [w_att, b_att]: all T n rows [h_t, 1] in one product
-        HO = np.concatenate([Hs_T, np.ones((T, n, 1))], axis=2)
-        g_att = dU.reshape(T * n, H).T @ HO.reshape(T * n, H + 1)
+        grads["v_att"] += _feature_major(S) @ de.reshape(T * m)
+        # [w_att, b_att]: all T m columns [h_t; 1] in one product
+        ones = np.zeros((T, 1, m))
+        ones[:, :, :n] = 1.0
+        HO = np.concatenate([Hs_T, ones], axis=1)
+        g_att = _feature_major(dU) @ _feature_major(HO).T
         grads["w_att"] += g_att[:, :H]
         grads["b_att"] += g_att[:, H]
-    times = _times_padded if want_input_grads else np.matmul
-    dH_ext = alpha.T[:, :, None] * dctx[None, :, :] + times(dU, params.w_att)  # (T, n, H)
+    dH_ext = alpha[:, None, :] * dctx[None, :, :] + params.w_att.T @ dU  # (T, H, m)
 
-    # backprop through time; da holds the gate gradients [i, f, o, g]
-    da = np.empty((n, 4 * H))
+    # backprop through time; da holds the gate gradients [i; f; o; g]
+    da = np.empty((4 * H, m))
     if want_param_grads:
-        DA = np.empty((T, n, 4 * H))  # every step's da
-    dh_next = np.zeros((n, H))
-    dc_next = np.zeros((n, H))
+        DA = np.empty((T, 4 * H, m))  # every step's da
+    dh_next = np.zeros((H, m))
+    dc_next = np.zeros((H, m))
     for t in range(T - 1, -1, -1):
-        i, f, o, g = (A[t][:, k * H : (k + 1) * H] for k in range(4))
+        i, f, o, g = (A[t][k * H : (k + 1) * H] for k in range(4))
         tc = np.tanh(C[t])
         dh = dH_ext[t] + dh_next
         dc = dc_next + dh * o * (1.0 - tc**2)
-        da[:, :H] = dc * g * i * (1.0 - i)
-        da[:, H : 2 * H] = dc * C[t - 1] * f * (1.0 - f)
-        da[:, 2 * H : 3 * H] = dh * tc * o * (1.0 - o)
-        da[:, 3 * H :] = dc * i * (1.0 - g**2)
+        da[:H] = dc * g * i * (1.0 - i)
+        da[H : 2 * H] = dc * C[t - 1] * f * (1.0 - f)
+        da[2 * H : 3 * H] = dh * tc * o * (1.0 - o)
+        da[3 * H :] = dc * i * (1.0 - g**2)
         if want_param_grads:
             DA[t] = da
-        if want_input_grads:  # [dx_t, dh_{t-1}] = da [w_x, w_h]
-            dxh = _times_padded(da, np.concatenate([params.w_x, params.w_h], axis=1))
-            dX[:, t, :], dh_next = dxh[:, :d], dxh[:, d:]
+        if want_input_grads:  # [dx_t; dh_{t-1}] = [w_x, w_h]' da
+            dxh = np.concatenate([params.w_x, params.w_h], axis=1).T @ da
+            dX[:, t, :], dh_next = dxh[:d, :n].T, dxh[d:]
         else:
-            dh_next = da @ params.w_h
+            dh_next = params.w_h.T @ da
         dc_next = dc * f
-    if want_param_grads:  # [w_x, w_h, b]: all T n rows [x_t, h_{t-1}, 1] in one product
-        g_Wt = cache["XH"].reshape(T * n, d + H + 1).T @ DA.reshape(T * n, 4 * H)
+    if want_param_grads:  # [w_x, w_h, b]: all T m columns [x_t; h_{t-1}; 1] in one product
+        g_Wt = _feature_major(cache["XH"]) @ _feature_major(DA).T
         grads["w_x"] += g_Wt[:d].T
         grads["w_h"] += g_Wt[d : d + H].T
         grads["b"] += g_Wt[d + H]

@@ -170,7 +170,7 @@ class TestForward:
             p, _, cache = model.forward_batch(params, X)
             model.backward_batch(params, cache, p * (1.0 - p), grads=zero_grads(params),
                                  out=np.empty(X.shape))
-        ifo = cache["A"][:, :3]
+        ifo = cache["A"][:, :3, :, :n]  # the pad columns' gates are 1/2
         assert np.isin(ifo, [0.0, 1.0]).all()
         assert (ifo == 0.0).any() and (ifo == 1.0).any()
         assert not np.signbit(ifo).any()
@@ -295,10 +295,18 @@ class TestBackwardProperties:
             assert rel.max() < 1e-4, name
 
 
+def reference_layout(cache):
+    """The model's cache with S, (H, T, m) there, and A, (T, 4, H, m), in
+    the reference's (T, H, m) and (T, 4H, m)."""
+    A = cache["A"]
+    return {**cache, "S": cache["S"].transpose(1, 0, 2),
+            "A": A.reshape(A.shape[0], -1, A.shape[-1])}
+
+
 class TestBitsAgainstReference:
     """The gate-major cell computes every output, cached intermediate and
     gradient with the same bits as the reference cell, whose gate array is
-    (T, n, 4H)."""
+    (T, 4H, m)."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -324,11 +332,10 @@ class TestBitsAgainstReference:
         want_p, want_alpha, want = lstm_reference.forward_batch(params, X)
         assert np.array_equal(p, want_p) and np.array_equal(alpha, want_alpha)
         assert same_bits(p, want_p) and same_bits(alpha, want_alpha)
-        for key in ("C", "Hs", "S", "alpha", "ctx", "z", "p"):
-            assert np.array_equal(cache[key], want[key]), key
-            assert same_bits(cache[key], want[key]), key
-        gates = cache["A"].transpose(0, 2, 1, 3).reshape(T, n, 4 * H)
-        assert np.array_equal(gates, want["A"]) and same_bits(gates, want["A"])
+        got = reference_layout(cache)
+        for key in ("C", "Hs", "S", "alpha", "ctx", "z", "p", "A"):
+            assert np.array_equal(got[key], want[key]), key
+            assert same_bits(got[key], want[key]), key
 
         grads, dX = model.backward_batch(params, cache, dz, grads=zero_grads(params),
                                          out=np.empty(X.shape))
@@ -348,8 +355,9 @@ class TestBitsAgainstReference:
         _, _, cache = model.forward_batch(params, X)
         _, _, want = lstm_reference.forward_batch(params, X)
         assert np.signbit(want["C"][:2]).sum() == 0
+        got = reference_layout(cache)
         for key in ("C", "Hs", "S", "alpha", "ctx", "z", "p"):
-            assert same_bits(cache[key], want[key]), key
+            assert same_bits(got[key], want[key]), key
 
 
 def _textbook_cell(params, X):
@@ -427,11 +435,11 @@ class TestBackwardOutputs:
     gradients alone those of one; a call that asks for both gives the bits
     of the two calls that ask for one each."""
 
-    # H a multiple of 8: the input-gradient pass then multiplies w_att
-    # unpadded, as training does, and in these shapes its padded da [w_x, w_h]
-    # gives dh_{t-1} the bits of training's da w_h, so both calls have the same da
+    # in these shapes the dh_{t-1} rows of [w_x, w_h]' da have the bits of
+    # training's w_h' da, so both calls have the same da
     @pytest.mark.parametrize("n, T, d, H, seed", [
-        (1, 1, 1, 8, 0), (13, 4, 3, 8, 1), (64, 10, 12, 16, 2), (400, 10, 12, 16, 3)])
+        (1, 1, 1, 8, 0), (13, 4, 3, 8, 1), (64, 10, 12, 16, 2), (400, 10, 12, 16, 3),
+        (13, 4, 3, 5, 4), (64, 10, 12, 9, 5), (7, 10, 12, 128, 6)])
     def test_both_outputs_match_the_calls_with_one(self, n, T, d, H, seed):
         rng = np.random.default_rng(seed)
         params = _random_params(d, H, rng, scale=1.5)
@@ -466,8 +474,8 @@ class TestBackwardOutputs:
 
 class TestParamsUnchanged:
     """Both passes read the parameters and never write them: the forward
-    pass's W with its halved gate rows and the backward pass's padded
-    weights are copies."""
+    pass's W with its halved gate rows and the backward pass's [w_x, w_h]
+    are copies."""
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(
@@ -527,7 +535,7 @@ class TestForwardOnlyTiles:
            seed=st.integers(0, 2**32 - 1))
     @example(T=10, d=12, H=16, seed=1)
     @example(T=3, d=5, H=32, seed=2)
-    @example(T=10, d=12, H=32, seed=3)  # where a rest of up to 37 rows lost bits
+    @example(T=10, d=12, H=32, seed=3)  # where a rest of up to 37 rows lost bits, unpadded
     def test_bits_match_whole_batch_reference(self, n, T, d, H, seed):
         rng = np.random.default_rng(seed)
         params = _random_params(d, H, rng, scale=1.0)
@@ -646,6 +654,79 @@ class TestSharedWorkspace:
             assert cold - work <= warm + 4096, name
 
 
+class TestPadColumns:
+    """Both passes pad the batch to a multiple of 8 columns. Every call
+    writes its pad columns before it reads them, and no pad column reaches
+    a real row: a row's bits are those of the same row in any batch."""
+
+    @pytest.mark.parametrize("n", [1, 13, 401])
+    def test_nan_filled_workspace_changes_no_bit(self, n):
+        T, d, H = 10, 12, 16
+        rng = np.random.default_rng(n)
+        params = _random_params(d, H, rng, scale=1.0)
+        X = rng.normal(size=(n, T, d))
+        want_p = model.LstmModel(params).predict_proba(X)
+        want_g = model.LstmModel(params).input_gradient_batch(X)
+        net = model.LstmModel(params)
+        net.reserve(n, T, gradients=True)
+        for call, want in ((net.predict_proba, want_p), (net.input_gradient_batch, want_g)):
+            for arr in net.work.values():
+                arr.fill(np.nan)
+            assert same_bits(call(X), want), call.__name__
+
+    @pytest.mark.parametrize("n", [1, 13, 64])
+    def test_nan_filled_workspace_changes_no_parameter_gradient(self, n):
+        # the weight gradients sum over every column, the pad columns too; a
+        # fresh workspace may hold NaN left by another test, so the reference
+        # cell, which allocates zeros, gives the bits
+        T, d, H = 10, 12, 16
+        rng = np.random.default_rng(n)
+        params = _random_params(d, H, rng, scale=1.0)
+        X, dz = rng.normal(size=(n, T, d)), rng.normal(size=n)
+
+        def train_step(work):
+            cache = model.forward_batch(params, X, work=work)[2]
+            return model.backward_batch(params, cache, dz, work=work, grads=zero_grads(params))[0]
+
+        want_cache = lstm_reference.forward_batch(params, X)[2]
+        want, _ = lstm_reference.backward_batch(params, want_cache, dz)
+        work = {}
+        train_step(work)
+        for arr in work.values():
+            arr.fill(np.nan)
+        for name, grad in train_step(work).items():
+            assert same_bits(grad, want[name]), name
+
+    def test_overflow_in_a_nan_filled_workspace_names_its_step(self):
+        # as in TestForward: step 2 of both rows computes 0 * inf, but the six
+        # pad columns compute it at step 0, and only the real ones are scanned
+        params = model.init_params(1, 2, seed=0)
+        X = np.ones((2, 4, 1))
+        X[:, 2, :] = 0.0
+        work = {}
+        model.forward_batch(params, X, work=work)
+        for arr in work.values():
+            arr.fill(np.nan)
+        params.w_x[:] = np.inf  # bypass LstmModel's finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelOverflowError) as err:
+                model.forward_batch(params, X, work=work)
+        assert err.value.step == 2
+
+    @pytest.mark.parametrize("H", [1, 16, 32, 64, 128])
+    def test_short_forward_only_call_keeps_its_rows_bits(self, H):
+        T, d = 10, 12
+        rng = np.random.default_rng(H)
+        params = _random_params(d, H, rng, scale=1.0)
+        X = rng.normal(scale=2.0, size=(400, T, d))
+        want_p, want_alpha, _ = model.forward_batch(params, X, keep_cache=False)
+        for k in range(1, 8):
+            for lo in (0, 3, 397 - k):
+                p, alpha, _ = model.forward_batch(params, X[lo : lo + k], keep_cache=False)
+                assert same_bits(p, want_p[lo : lo + k]), (k, lo)
+                assert same_bits(alpha, want_alpha[lo : lo + k]), (k, lo)
+
+
 class TestGradientWorkspace:
     """input_gradient_batch reuses its arrays between calls; no call may
     read what an earlier one left in them."""
@@ -706,7 +787,7 @@ class TestGradientTiles:
     @example(T=10, d=12, H=16, seed=1)
     @example(T=5, d=7, H=9, seed=2)
     @example(T=3, d=12, H=27, seed=3)
-    @example(T=10, d=12, H=32, seed=4)  # where a rest of up to 37 rows lost bits
+    @example(T=10, d=12, H=32, seed=4)  # where a rest of up to 37 rows lost bits, unpadded
     def test_bits_match_one_untiled_call(self, n, T, d, H, seed):
         rng = np.random.default_rng(seed)
         params = _random_params(d, H, rng, scale=1.0)

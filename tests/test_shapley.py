@@ -474,6 +474,19 @@ class TestBaseValue:
         windows = np.array([[[0.2, 0.0]], [[0.6, 0.0]]])
         assert shapley.base_value(net, windows) == pytest.approx(0.4, abs=1e-15)
 
+    @pytest.mark.parametrize("B", [1, 3, 10, 100])
+    def test_every_method_gives_the_same_base(self, B):
+        # exact takes its base from the coalition values, kernel and gradient
+        # from base_value: both add the B outputs window by window
+        T, d = 10, 5
+        rng = np.random.default_rng(B)
+        net = random_lstm(d, 16, seed=B)
+        sample, bg = rng.normal(size=(T, d)), rng.normal(size=(B, T, d))
+        bases = [shapley.exact_shapley(net, sample, bg).base,
+                 shapley.kernel_shap(net, sample, bg, n_coalitions=30, seed=1).base,
+                 shapley.gradient_shap(net, sample, bg, n_steps=2, seed=1).base]
+        assert len({np.float64(b).view(np.uint64) for b in bases}) == 1, bases
+
 
 def _exp(phi, method="exact", base=0.0, fx=None, sid=""):
     phi = np.asarray(phi, dtype=np.float64)
@@ -545,10 +558,13 @@ class TestExplainSet:
         }[method]
         got = shapley.explain_set(net, windows, bg, method=method, seed=5,
                                   n_coalitions=20, n_steps=4)
+        batch = net.predict_proba(windows)
         for i, e in enumerate(got):
             alone = explain(windows[i], shapley.subseed(5, i))
             assert e.phi.tobytes() == alone.phi.tobytes()
             assert (e.base, e.fx) == (alone.base, alone.fx)
+            # fx, a one-row call, has the window's bits in a batch of them all
+            assert np.float64(e.fx).tobytes() == batch[i].tobytes()
 
     def test_unknown_method_rejected(self):
         net = LinearWindowModel(np.ones((1, 3)))
