@@ -48,12 +48,12 @@ returned.
 One rule batches every model row. ``LstmModel.predict_proba`` and
 ``walk_tiles`` (which hands every tile to ``predict_proba``, or to
 ``LstmModel.input_gradient_batch``, one forward and one backward call) walk
-their rows in row order, in the tiles of ``_tile_bounds``: every tile starts
-at a multiple of ``TILE_ROWS`` (itself a multiple of 8) and holds
-``TILE_ROWS`` rows but the last, which holds the rest, and a rest of fewer
-than ``MIN_TILE_ROWS`` rows joins the tile before it. So no tile of a batch
-that is cut is shorter than ``MIN_TILE_ROWS`` rows, and none is longer than
-``TILE_ROWS + MIN_TILE_ROWS - 1``.
+their rows in row order, in the tiles of ``_tile_bounds``: an n-row batch is
+cut into ceil(n / ``TILE_ROWS``) tiles that share its 8-row blocks as evenly
+as they go, the larger tiles first. So every tile starts at a multiple of 8,
+no tile holds more than ``TILE_ROWS`` rows, the first tile is the largest,
+and no tile of a batch that is cut holds fewer than ``TILE_ROWS`` / 2 - 7
+rows (193 at 400).
 
 Output bits depend on the numpy/BLAS build, not on the layout of ``A``, on
 the mode or, forward-only, on the batch a row is computed in: the tests
@@ -68,22 +68,23 @@ weights are never padded: the backward pass multiplies da by [w_x, w_h]'
 dU by w_att', as they are. One product is not column-invariant in the
 builds tested: with OpenBLAS 0.3.31 at H = 128, [w_x, w_h]' da over 8
 columns (a call of at most 8 rows) gives other bits than over more, which
-``MIN_TILE_ROWS`` keeps out of every batch that is cut.
+the tile rule keeps out of every batch that is cut.
 
 Both passes take an optional ``work`` dict and then keep their large arrays
 in it, reused by the next call with that dict instead of allocated anew;
 ``_forward_arrays`` and ``_backward_arrays`` list them. A cache built with a
 ``work`` dict, and the input gradients read from it, are valid only until
 the next call with that dict; the backward call is one, as its step arrays
-take the forward pass's step scratch, where ``S`` lives. ``LstmModel`` keeps one such dict, sized by
-``reserve`` for a walk's largest tile before its first, in which every tile
-of ``predict_proba`` and every ``input_gradient_batch`` call runs (the
-latter also returns its result in it), so one model must not run them from
-two threads at once; ``train`` keeps another for its batches. The
-explainers hand the model no whole batch: through ``walk_tiles`` they build
-one tile of their rows at a time in the same dict (coalition rows, gradient
-path points and LIME rows) and run it, so the dict holds at most one tile of
-model input and one of input gradients.
+take the forward pass's step scratch, where ``S`` lives. ``LstmModel`` keeps
+one such dict, in which every tile of ``predict_proba`` and every
+``input_gradient_batch`` call runs (the latter also returns its result in
+it), so one model must not run them from two threads at once; a walk's
+first tile is its largest, so its call sizes the dict for the whole walk.
+``train`` keeps another dict for its batches. The explainers hand the model
+no whole batch: through ``walk_tiles`` they build one tile of their rows at
+a time in the same dict (coalition rows, gradient path points and LIME
+rows) and run it, so the dict holds at most one tile of model input and one
+of input gradients.
 
 Additive attention over the hidden states:
 
@@ -132,25 +133,12 @@ from .data import NormStats, SequenceSet, write_json
 
 CHECKPOINT_SCHEMA = "stormlens-model/1"
 
-# The rows of one tile of LstmModel.predict_proba and walk_tiles. Both passes
-# pad a call's batch to a multiple of 8 columns, so in the numpy/BLAS builds
-# tested a row's bits do not depend on the call it runs in (but see
-# MIN_TILE_ROWS), and tiles give every row the bits of one whole-batch call,
-# whatever TILE_ROWS is (tests/test_model.py holds both passes to it). At
-# T = 10, H = 16, d = 12 on one core, 1,600 rows forward and backward took
-# ~15 ms per call in tiles of 384-512 rows, ~16 ms in tiles of 256-320 rows and
-# ~17 ms untiled; 4,090 rows forward-only took ~37 ms in 400-row tiles against
-# ~38.5 ms in 1,024-row tiles, in a quarter of the workspace (1.6 MB against
-# 6.5 MB); both measured before the batch was padded.
+# The most rows of one tile of LstmModel.predict_proba and walk_tiles, a
+# multiple of 8. Both passes pad a call's batch to a multiple of 8 columns, so
+# in the numpy/BLAS builds tested a row's bits do not depend on the call it
+# runs in, and tiles give every row the bits of one whole-batch call, whatever
+# TILE_ROWS is (tests/test_model.py holds both passes to it).
 TILE_ROWS = 400
-# The fewest rows of the last tile of a batch that is cut; a shorter rest joins
-# the tile before it. With OpenBLAS 0.3.31 at T = 10, d = 12, the last rows of a
-# batch run in a call of their own after a 400-row tile kept the whole batch's
-# bits forward-only at each of twelve H from 1 to 128 and every rest of 1 to
-# 399 rows; with input gradients, rests of 1 to 8 rows lost them at H = 128,
-# where [w_x, w_h]' da over 8 columns takes another kernel, and none of 9 rows
-# or more did.
-MIN_TILE_ROWS = 64
 
 
 def _work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -167,16 +155,15 @@ def _work_buffer(work: dict | None, key: str, shape: tuple[int, ...]) -> np.ndar
 
 
 def _tile_bounds(n: int) -> list[int]:
-    """Row bounds of the tiles of an n-row batch: a tile starts at every
-    multiple of ``TILE_ROWS`` that leaves at least ``MIN_TILE_ROWS`` rows
-    after it, and the last tile takes the rest. So every tile but the last
-    holds ``TILE_ROWS`` rows, and the last from ``MIN_TILE_ROWS`` (or the
-    whole batch, when it is shorter) to ``TILE_ROWS + MIN_TILE_ROWS - 1``."""
-    return [*range(0, max(1, n - MIN_TILE_ROWS + 1), TILE_ROWS), n]
-
-
-def _largest_tile(bounds: list[int]) -> int:
-    return max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    """Row bounds of the tiles of an n-row batch: ceil(n / ``TILE_ROWS``)
+    tiles (one for n = 0) that share the batch's ``_columns(n) // 8`` blocks
+    of 8 rows as evenly as they go, the larger tiles first, the last tile
+    ending at n. So no tile holds more than ``TILE_ROWS`` rows, the first is
+    the largest, and a tile of a batch that is cut holds at least
+    ``TILE_ROWS`` / 2 - 7 rows."""
+    k = max(1, -(-n // TILE_ROWS))
+    q, r = divmod(_columns(n) // 8, k)
+    return [min(n, 8 * (i * q + min(i, r))) for i in range(k + 1)]
 
 
 def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool = False):
@@ -188,17 +175,13 @@ def walk_tiles(model, n: int, row_shape: tuple[int, ...], fill, gradients: bool 
     ``work`` dict (a new one for a model without it); then ``(lo, hi, out)``
     is yielded, where ``out`` is the model's ``predict_proba`` of X, or with
     ``gradients`` its ``input_gradient_batch``, valid until the next tile.
-    Each tile is one call of either method, as neither cuts a tile again;
-    ``model.reserve`` sizes the workspace of either for the largest tile
-    before the first.
+    Each tile is one call of either method, as neither cuts a tile again.
+    The first tile is the largest, so its call sizes X and the workspace of
+    either method for the whole walk.
     """
     work = getattr(model, "work", None)
     call = model.input_gradient_batch if gradients else model.predict_proba
     bounds = _tile_bounds(n)
-    if work is not None:
-        largest = _largest_tile(bounds)
-        _work_buffer(work, "rows", (largest, *row_shape))
-        model.reserve(largest, row_shape[0], gradients)
     for lo, hi in zip(bounds, bounds[1:]):
         X = _work_buffer(work, "rows", (hi - lo, *row_shape))
         fill(X, lo, hi)
@@ -556,25 +539,15 @@ class LstmModel:
         self.params = params
         self.work: dict[str, np.ndarray] = {}
 
-    def reserve(self, n: int, T: int, gradients: bool = False) -> None:
-        """Size ``work`` for forward-only tiles of up to n rows of T steps, or
-        with ``gradients`` for ``input_gradient_batch``'s (both passes)."""
-        d, H, m = self.params.input_dim, self.params.hidden, _columns(n)
-        _forward_arrays(self.work, m, T, d, H, gradients)
-        if gradients:
-            _backward_arrays(self.work, m, T, d, H, True, False)
-            _work_buffer(self.work, "grad", (n, T, d))
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Positive-class probabilities for (n, T, d) input, computed
         forward-only tile by tile (see ``_tile_bounds``), in row order, in
-        ``work``, which is sized for the largest tile before the first. A
+        ``work``, which the first tile, the largest, sizes for the rest. A
         ModelOverflowError names the step of the first tile to overflow."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3:
             raise ValueError(f"expected (n, T, d) input, got shape {X.shape}")
         bounds = _tile_bounds(X.shape[0])
-        self.reserve(_largest_tile(bounds), X.shape[1])
         p = np.empty(X.shape[0])
         for lo, hi in zip(bounds, bounds[1:]):
             p[lo:hi] = forward_batch(self.params, X[lo:hi], keep_cache=False, work=self.work)[0]

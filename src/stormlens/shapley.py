@@ -122,7 +122,9 @@ def exact_shapley(model, sample, background, sample_id: str = "") -> ShapExplana
     phi_i = sum over S not containing i of
             |S|! (d-1-|S|)! / d! * (v(S + {i}) - v(S))
 
-    Efficiency (base + sum phi = fx) holds by construction.
+    Efficiency (base + sum phi = fx) holds by construction. v of the full
+    coalition is not enumerated: it is ``fx``, the window's prediction, as
+    kernel and gradient take it.
     """
     sample = np.asarray(sample, dtype=np.float64)
     d = sample.shape[1]
@@ -132,7 +134,8 @@ def exact_shapley(model, sample, background, sample_id: str = "") -> ShapExplana
             f"(got {d}); use kernel_shap instead"
         )
     ints, masks = _all_masks(d)
-    values = _coalition_values(model, sample, background, masks)
+    fx = float(model.predict_proba(sample[None, :, :])[0])
+    values = np.append(_coalition_values(model, sample, background, masks[:-1]), fx)
     pop = masks.sum(axis=1)
 
     fact = [math.factorial(k) for k in range(d + 1)]
@@ -148,7 +151,7 @@ def exact_shapley(model, sample, background, sample_id: str = "") -> ShapExplana
         sample_id=sample_id,
         method="exact",
         base=float(values[0]),
-        fx=float(values[-1]),
+        fx=fx,
         phi=phi,
     )
 

@@ -519,9 +519,9 @@ class TestForwardOnlyTiles:
     """predict_proba cuts a batch into forward-only tiles; every row keeps
     the bits of the reference cell run on the whole batch at once."""
 
-    TILE, MIN = model.TILE_ROWS, model.MIN_TILE_ROWS
-    # either side of one and two tiles, rests either side of MIN_TILE_ROWS =
-    # 64, then row counts around powers of two
+    TILE = model.TILE_ROWS
+    # either side of one and two tiles and of 463/464 rows, then row counts
+    # around powers of two
     SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE + 1, 2 * TILE + 7,
              TILE + 37, TILE + 63, TILE + 64, 2 * TILE + 64,
              1023, 1024, 1025, 2047, 2049, 2055, 4090, 4097, 5000]
@@ -548,24 +548,30 @@ class TestForwardOnlyTiles:
         assert np.array_equal(p, want_p) and np.array_equal(alpha, want_alpha)
 
     @pytest.mark.parametrize("n, bounds", [
-        (0, [0, 0]), (1, [0, 1]), (1024, [0, 400, 800, 1024]),
-        (2047, [0, 400, 800, 1200, 1600, 2047]), (2048, [0, 400, 800, 1200, 1600, 2048]),
-        (3077, [0, 400, 800, 1200, 1600, 2000, 2400, 2800, 3077]),
+        (0, [0, 0]), (1, [0, 1]), (1024, [0, 344, 688, 1024]),
+        (2047, [0, 344, 688, 1032, 1376, 1712, 2047]),
+        (2048, [0, 344, 688, 1032, 1376, 1712, 2048]),
+        (3077, [0, 392, 776, 1160, 1544, 1928, 2312, 2696, 3077]),
         (400, [0, 400]), (799, [0, 400, 799]), (800, [0, 400, 800]),
-        (399, [0, 399]), (401, [0, 401]), (463, [0, 463]), (464, [0, 400, 464]),
+        (399, [0, 399]), (401, [0, 208, 401]), (463, [0, 232, 463]), (464, [0, 232, 464]),
     ])
     def test_no_tile_shorter_than_tile_rows(self, n, bounds):
-        # tiles of TILE_ROWS, and a rest shorter than MIN_TILE_ROWS joins the last
-        assert (self.TILE, self.MIN) == (400, 64)  # the bounds above are written out for them
+        # ceil(n / TILE_ROWS) tiles of whole 8-row blocks, the larger first
+        assert self.TILE == 400  # the bounds above are written out for it
         assert model._tile_bounds(n) == bounds
 
     def test_tile_rows_lie_between_min_and_max(self):
-        for n in range(3 * self.TILE):
+        # no tile of a cut batch under TILE_ROWS / 2 - 7 = 193 rows, which keeps
+        # the 8-column kernel of [w_x, w_h]' da (see model.py) out of it
+        for n in [*range(3 * self.TILE + 2), 4090, 5000, 9150, 40801, 40960]:
             bounds = model._tile_bounds(n)
             rows = np.diff(bounds)
-            assert bounds[0] == 0 and bounds[-1] == n and np.all(np.array(bounds[:-1]) % 8 == 0)
-            assert rows.max() <= self.TILE + self.MIN - 1, n
-            assert rows.size == 1 or rows.min() >= self.MIN, n
+            assert rows.size == max(1, -(-n // self.TILE)), n
+            assert bounds[0] == 0 and bounds[-1] == n, n
+            assert all(bound % 8 == 0 for bound in bounds[:-1]), n
+            assert rows.max() <= self.TILE and rows[0] == rows.max(), n
+            assert sum(map(model._columns, rows)) == model._columns(n), n
+            assert rows.size == 1 or rows.min() >= self.TILE // 2 - 7, n
 
     def test_peak_memory_below_half_of_full_forward(self):
         params = model.init_params(12, 16, seed=0)
@@ -631,10 +637,10 @@ class TestSharedWorkspace:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("n", [5000, 850])  # the largest tile is the first and the last
+    @pytest.mark.parametrize("n", [5000, 850])  # tiles of 392 then 384, 288 then 274
     def test_cold_walk_allocates_its_workspace_once(self, n):
         # beyond the workspace, a cold call peaks where a warm one does: the
-        # arrays are sized for the largest tile before the first
+        # first tile, the largest, sizes the arrays
         T, d, H = 10, 12, 16
         params = model.init_params(d, H, seed=0)
         X = np.random.default_rng(0).normal(size=(n, T, d))
@@ -668,7 +674,7 @@ class TestPadColumns:
         want_p = model.LstmModel(params).predict_proba(X)
         want_g = model.LstmModel(params).input_gradient_batch(X)
         net = model.LstmModel(params)
-        net.reserve(n, T, gradients=True)
+        net.input_gradient_batch(X)  # sizes every array that either call uses
         for call, want in ((net.predict_proba, want_p), (net.input_gradient_batch, want_g)):
             for arr in net.work.values():
                 arr.fill(np.nan)
@@ -750,7 +756,7 @@ class TestGradientTiles:
     the tiles of _tile_bounds, and every row keeps the bits of one
     input_gradient_batch call on the whole batch."""
 
-    TILE, MIN = model.TILE_ROWS, model.MIN_TILE_ROWS
+    TILE = model.TILE_ROWS
     SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE + 7, TILE + 37, TILE + 63, TILE + 64,
              2 * TILE + 64, 1600, 4100]
 
@@ -764,8 +770,7 @@ class TestGradientTiles:
     @classmethod
     def _walked(cls, net, X):
         """X's input gradients from gradient walk_tiles, whose tiles start at
-        multiples of TILE_ROWS and hold fewer than TILE_ROWS + MIN_TILE_ROWS
-        rows."""
+        multiples of 8 and hold at most TILE_ROWS rows."""
         got = np.empty(X.shape)
 
         def fill(rows, lo, hi):
@@ -774,7 +779,7 @@ class TestGradientTiles:
         bounds = [0]
         for lo, hi, grads in model.walk_tiles(net, X.shape[0], X.shape[1:], fill,
                                               gradients=True):
-            assert lo == bounds[-1] and lo % cls.TILE == 0 and hi - lo < cls.TILE + cls.MIN
+            assert lo == bounds[-1] and lo % 8 == 0 and hi - lo <= cls.TILE
             bounds.append(hi)
             got[lo:hi] = grads
         assert bounds[-1] == X.shape[0]
@@ -790,6 +795,17 @@ class TestGradientTiles:
     @example(T=10, d=12, H=32, seed=4)  # where a rest of up to 37 rows lost bits, unpadded
     def test_bits_match_one_untiled_call(self, n, T, d, H, seed):
         rng = np.random.default_rng(seed)
+        params = _random_params(d, H, rng, scale=1.0)
+        X = rng.normal(scale=2.0, size=(n, T, d))
+        got = self._walked(model.LstmModel(params), X)
+        assert np.array_equal(got, self._untiled(params, X))
+
+    @pytest.mark.parametrize("n", [401, 408, 801])
+    def test_bits_match_one_untiled_call_at_h_128(self, n):
+        # at H = 128, [w_x, w_h]' da over 8 columns takes another kernel than
+        # over more (see model.py), so a tile of 1 to 8 rows would lose bits
+        T, d, H = 10, 12, 128
+        rng = np.random.default_rng(n)
         params = _random_params(d, H, rng, scale=1.0)
         X = rng.normal(scale=2.0, size=(n, T, d))
         got = self._walked(model.LstmModel(params), X)
@@ -827,8 +843,8 @@ class TestGradientTiles:
         assert max(arr.nbytes for arr in net.work.values()) < untiled_A
 
     def test_cold_walk_sizes_its_workspace_once(self):
-        # tiles of 400, 400 and 450 rows: the forward-with-cache, backward and
-        # result arrays are sized for the largest, the last, before the first
+        # tiles of 320, 312, 312 and 306 rows: the first, the largest, sizes
+        # the forward-with-cache, backward and result arrays
         T, d, H, n = 10, 12, 16, 1250
         net = model.LstmModel(model.init_params(d, H, seed=0))
         X = np.random.default_rng(0).normal(size=(n, T, d))

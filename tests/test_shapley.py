@@ -546,13 +546,16 @@ class TestExplainSet:
         assert shapley.subseed(42, 3) == shapley.subseed(42, 3)
         assert shapley.subseed(42, 3) != shapley.subseed(42, 4)
 
-    @pytest.mark.parametrize("method", ["gradient", "kernel"])
+    @pytest.mark.parametrize("method", ["exact", "gradient", "kernel"])
     def test_each_window_seeded_by_its_index(self, method):
+        # at 10 background windows, a mean of B outputs of the window itself
+        # is not always the window's output: fx must be the one-row call's
         rng = np.random.default_rng(21)
         net = random_lstm(5, 3, seed=21)
         windows = rng.normal(size=(6, 2, 5))
-        bg = rng.normal(size=(3, 2, 5))
+        bg = rng.normal(size=(10, 2, 5))
         explain = {
+            "exact": lambda w, seed: shapley.exact_shapley(net, w, bg),
             "gradient": lambda w, seed: shapley.gradient_shap(net, w, bg, 4, seed),
             "kernel": lambda w, seed: shapley.kernel_shap(net, w, bg, 20, seed),
         }[method]

@@ -306,7 +306,8 @@ def test_layer_record_times_each_call_type_on_both_sides(layer_tool, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["shape"] == {"T": 10, "d": 12, "H": 16}
     assert (record["rounds"], record["reps"]) == (3, 1)
-    assert list(record["calls"]) == ["forward_400", "train_step_64", "input_gradient_400"]
+    assert list(record["calls"]) == ["forward_400", "forward_walk_5000", "train_step_64",
+                                     "input_gradient_400"]
     for name, call in record["calls"].items():
         for side in ("this", "other"):
             q = call[side]

@@ -7,10 +7,12 @@ Usage, from the root of a checkout:
 Imports ``stormlens`` from this checkout's ``src/`` and, under another
 name, from ``--src``, then builds one desk-sized model (T = 10, d = 12,
 H = 16, ``init_params`` at seed 0) in each and times, with
-``time.process_time``, the three call types that every stage runs:
+``time.process_time``, the call types that every stage runs:
 
 - ``forward_400``: ``LstmModel.predict_proba`` on 400 rows, one forward-only
   tile (predictions, coalition rows, LIME rows);
+- ``forward_walk_5000``: ``LstmModel.predict_proba`` on 5,000 rows, LIME's
+  default sample count, a walk of several forward-only tiles;
 - ``train_step_64``: ``forward_batch`` and ``backward_batch`` with parameter
   gradients on 64 rows, one training batch;
 - ``input_gradient_400``: ``LstmModel.input_gradient_batch`` on 400 rows,
@@ -75,6 +77,7 @@ def call_types(model) -> dict:
     rng = np.random.default_rng(0)
     X400, X64 = rng.normal(size=(400, T, D)), rng.normal(size=(64, T, D))
     dz = rng.normal(size=64) / 64
+    X5000 = rng.normal(size=(5000, T, D))
     net = model.LstmModel(params)
     work: dict = {}
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -88,6 +91,7 @@ def call_types(model) -> dict:
 
     return {
         "forward_400": lambda: net.predict_proba(X400),
+        "forward_walk_5000": lambda: net.predict_proba(X5000),
         "train_step_64": train_step,
         "input_gradient_400": lambda: net.input_gradient_batch(X400).copy(),
     }
