@@ -637,6 +637,22 @@ class TestSharedWorkspace:
         finally:
             tracemalloc.stop()
 
+    def test_growing_workspace_frees_its_smaller_arrays_first(self):
+        # a 500-row call runs in tiles of 256 and 244 rows, a 2,000-row one in
+        # tiles of 400: run in that order, the arrays grow once, and the
+        # smaller ones are not held beside the larger
+        T, d, H = 10, 12, 16
+        params = model.init_params(d, H, seed=0)
+        X = np.random.default_rng(0).normal(size=(2000, T, d))
+
+        def run(sizes):
+            net = model.LstmModel(params)
+            for n in sizes:
+                net.predict_proba(X[:n])
+
+        assert self._traced_peak(lambda: run([500, 2000])) <= self._traced_peak(
+            lambda: run([2000, 500])) + 4096
+
     @pytest.mark.parametrize("n", [5000, 850])  # tiles of 392 then 384, 288 then 274
     def test_cold_walk_allocates_its_workspace_once(self, n):
         # beyond the workspace, a cold call peaks where a warm one does: the
