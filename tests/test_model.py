@@ -520,8 +520,8 @@ class TestForwardOnlyTiles:
     the bits of the reference cell run on the whole batch at once."""
 
     TILE = model.TILE_ROWS
-    # either side of one and two tiles and of 463/464 rows, then row counts
-    # around powers of two
+    # either side of one and two tiles, 7 to 64 rows past whole tiles, then row
+    # counts around powers of two
     SIZES = [TILE - 1, TILE, TILE + 1, 2 * TILE - 1, 2 * TILE + 1, 2 * TILE + 7,
              TILE + 37, TILE + 63, TILE + 64, 2 * TILE + 64,
              1023, 1024, 1025, 2047, 2049, 2055, 4090, 4097, 5000]

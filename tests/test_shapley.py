@@ -87,7 +87,7 @@ class TestCoalitionValues:
         return reduce(np.add, probs.reshape(B, masks.shape[0])) / B
 
     # "desk": B = 10 and all 4,096 masks of d = 12, 40,960 rows; "wide":
-    # B = 450 windows of 8 masks; "b100": 64 masks, 16 tiles of whole windows;
+    # B = 450 windows of 8 masks; "b100": 64 masks, 16 tiles of 400 rows;
     # "ragged": B = 100 and 63 masks, so tiles cut windows
     @pytest.mark.parametrize("which", ["all", "few", "desk", "wide", "b100", "ragged"])
     def test_bits_match_where_oracle(self, which):
@@ -105,9 +105,9 @@ class TestCoalitionValues:
         got = shapley._coalition_values(net, sample, bg, masks)
         assert np.array_equal(got, self.where_oracle(net, sample, bg, masks))
 
-    # the 16 masks of d = 4 over B windows: one tile up to B = 28, then 25
-    # windows per 400-row tile, and at B = 401 a last tile of 416 rows, as
-    # its rest of 16 rows joins the tile before
+    # the 16 masks of d = 4 over B windows: one tile up to B = 25; tiles of
+    # 25 whole windows at B = 100, 400, 450 and 850; at B = 399 and 401 tiles
+    # of 376 to 400 rows that cut windows
     @pytest.mark.parametrize("B", [1, 3, 10, 100, 399, 400, 401, 450, 850])
     def test_bits_match_where_oracle_at_background_size(self, B):
         d, T = 4, 2
