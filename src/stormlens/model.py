@@ -22,12 +22,11 @@ with the rows of the i, f and o gates halved, which is exact unless a
 weight is subnormal, so a step is one product W ``XH[t]`` straight into
 the (4H, m) gates ``A[t]``, one tanh of them in place, and * 1/2, + 1/2 on
 i, f and o. ``A`` holds the gates gate-major, (T, 4, H, m), so that the
-elementwise work runs over whole contiguous (H, m) blocks. W and the cell
-update's (H, m) scratch share one step scratch array (``_step_scratch``)
-with the attention scores ``S``, (H, T, m), computed after the loop. The
-cell states ``C`` are a (T + 1, H, m) array whose last block is zero, so
-step 0 reads c_{-1} at index t - 1 = -1. A pad column holds zeros in every
-step: its gates are W 0 = 0, so i = f = o = 1/2, g = 0 and c = h = 0.
+elementwise work runs over whole contiguous (H, m) blocks. The attention
+scores ``S``, (H, T, m), are computed after the loop. The cell states
+``C`` are a (T + 1, H, m) array whose last block is zero, so step 0 reads
+c_{-1} at index t - 1 = -1. A pad column holds zeros in every step: its
+gates are W 0 = 0, so i = f = o = 1/2, g = 0 and c = h = 0.
 
 Finiteness is checked once per call, on the output: a NaN in any hidden
 state, or an infinite attention score, reaches its row's probability, and
@@ -71,15 +70,16 @@ columns (a call of at most 8 rows) gives other bits than over more, which
 the tile rule keeps out of every batch that is cut.
 
 Both passes take an optional ``work`` dict and then keep their large arrays
-in it, reused by the next call with that dict instead of allocated anew;
-``_forward_arrays`` and ``_backward_arrays`` list them. A cache built with a
-``work`` dict, and the input gradients read from it, are valid only until
-the next call with that dict; the backward call is one, as its step arrays
-take the forward pass's step scratch, where ``S`` lives. ``LstmModel`` keeps
-one such dict, in which every tile of ``predict_proba`` and every
-``input_gradient_batch`` call runs (the latter also returns its result in
-it), so one model must not run them from two threads at once; a walk's
-first tile is its largest, so its call sizes the dict for the whole walk.
+in it, one array per name, reused by the next call with that dict instead
+of allocated anew; ``_forward_arrays`` and ``_backward_arrays`` list them,
+and no name is in both lists. So the backward pass writes no array of the
+forward pass, and a cache built with a ``work`` dict is valid until the
+next forward call with that dict, through any number of backward calls.
+``LstmModel`` keeps one such dict, in which every tile of ``predict_proba``
+and every ``input_gradient_batch`` call runs (the latter also returns its
+result in it, valid until its next call), so one model must not run them
+from two threads at once; a walk's first tile is its largest, so its call
+sizes the dict for the whole walk.
 ``train`` keeps another dict for its batches. The explainers hand the model
 no whole batch: through ``walk_tiles`` they build one tile of their rows at
 a time in the same dict (coalition rows, gradient path points and LIME
@@ -141,7 +141,7 @@ CHECKPOINT_SCHEMA = "stormlens-model/1"
 # d = 12 on one core (process_time, median of 7), 4,090 rows forward-only took
 # 21.6 ms per call at TILE_ROWS = 400, 23.4 ms at 200 and at 808 and 27.9 ms
 # untiled; a 1,600-row gradient walk 20.8, 20.2, 24.2 and 25.0 ms; the workspace
-# of both holds 6.4 MB at 400 and 12.9 MB at 808.
+# of both holds 6.9 MB at 400 and 13.8 MB at 808.
 TILE_ROWS = 400
 
 
@@ -279,39 +279,34 @@ def _columns(n: int) -> int:
     return -(-n // 8) * 8
 
 
-def _step_scratch(work: dict | None, m: int, T: int, d: int, H: int):
-    """The step scratch of both passes on m columns of T steps of d inputs: a
-    flat array whose first 4 H (d + H + 1) entries hold the weights W of the
-    forward pass and the next H m its (H, m) product i g; or the weights
-    [w_x, w_h] of the backward pass and then its eight (H, m) arrays. After
-    the forward loop its first H T m entries hold the attention scores S,
-    which the backward pass reads before it builds its weights."""
-    return _work_buffer(work, "step", (max(4 * H * (d + H + 1) + H * m, H * T * m,
-                                           4 * H * (d + H) + 8 * H * m),))
-
-
 def _forward_arrays(work: dict | None, m: int, T: int, d: int, H: int, keep_cache: bool):
-    """The step scratch, ``A`` (``kept`` steps of gates), ``C`` (``kept + 1``
-    steps of cell state) and ``XH`` (T + 1 blocks [x_t; h_{t-1}; 1]) of
-    ``forward_batch`` on m columns of T steps of d inputs, where ``kept`` is
-    T with a cache and 1 without."""
+    """The arrays of ``forward_batch`` on m columns of T steps of d inputs:
+    the weights W (4H, d + H + 1), the product i g (H, m), ``A`` (``kept``
+    steps of gates), ``C`` (``kept + 1`` steps of cell state), ``XH`` (T + 1
+    blocks [x_t; h_{t-1}; 1]) and the attention scores ``S`` (H, T, m), where
+    ``kept`` is T with a cache and 1 without."""
     kept = T if keep_cache else 1
-    return (_step_scratch(work, m, T, d, H),
+    return (_work_buffer(work, "W", (4 * H, d + H + 1)),
+            _work_buffer(work, "ig", (H, m)),
             _work_buffer(work, "A", (kept, 4, H, m)),
             _work_buffer(work, "C", (kept + 1, H, m)),
-            _work_buffer(work, "XH", (T + 1, d + H + 1, m)))
+            _work_buffer(work, "XH", (T + 1, d + H + 1, m)),
+            _work_buffer(work, "S", (H, T, m)))
 
 
 def _backward_arrays(work: dict | None, m: int, T: int, d: int, H: int,
                      input_grads: bool, param_grads: bool):
     """The arrays of ``backward_batch`` on m columns of T steps of d inputs:
     dz (m,), back (the product with [w_x, w_h] with ``input_grads``, else
-    with w_h), dU (H, T, m), dH_ext (T, H, m), dG (4, H, m) and DA (the gate
+    with w_h), dU (H, T, m), dH_ext (T, H, m), dG (4, H, m), DA (the gate
     gradients of ``kept`` steps, (kept, 4H, m), step t in ``DA[t % kept]``),
-    where ``kept`` is T with ``param_grads`` and 1 without; then, with
+    where ``kept`` is T with ``param_grads`` and 1 without, and the eight
+    (H, m) step arrays of the time loop, (8, H, m); then the weights
+    [w_x, w_h], (4H, d + H), with ``input_grads``, else None; then, with
     ``param_grads``, the feature-major copies of ``XH`` and ``DA``,
     (d + H + 1, T + 1, m) and (4H, T, m), else None twice."""
     kept = T if param_grads else 1
+    w_back = _work_buffer(work, "w_back", (4 * H, d + H)) if input_grads else None
     feature_major = ((_work_buffer(work, "XH_fm", (d + H + 1, T + 1, m)),
                       _work_buffer(work, "DA_fm", (4 * H, T, m)))
                      if param_grads else (None, None))
@@ -321,7 +316,8 @@ def _backward_arrays(work: dict | None, m: int, T: int, d: int, H: int,
             _work_buffer(work, "dH_ext", (T, H, m)),
             _work_buffer(work, "dG", (4, H, m)),
             _work_buffer(work, "da", (kept, 4 * H, m)),
-            *feature_major)
+            _work_buffer(work, "bptt", (8, H, m)),
+            w_back, *feature_major)
 
 
 def forward_batch(
@@ -334,7 +330,7 @@ def forward_batch(
     X : (n, T, d) finite float array.
     keep_cache : keep every step's gates and cell state and return them.
     work : optional dict of arrays reused between calls (see the module
-        docstring); the cache is valid until the next call with it.
+        docstring); the cache is valid until the next forward call with it.
 
     Returns
     -------
@@ -355,10 +351,8 @@ def forward_batch(
     H = params.hidden
     m = _columns(n)
 
-    step, A, C, XH = _forward_arrays(work, m, T, d, H, keep_cache)
+    W, ig, A, C, XH, S = _forward_arrays(work, m, T, d, H, keep_cache)
     kept = A.shape[0]  # steps of gates kept
-    W = step[: 4 * H * (d + H + 1)].reshape(4 * H, d + H + 1)
-    ig = step[4 * H * (d + H + 1) : 4 * H * (d + H + 1) + H * m].reshape(H, m)
     # W = [w_x, w_h, b] with its i, f, o rows halved, so that those gates'
     # tanh gives sigmoid(z) = 1/2 + tanh(z / 2) / 2
     W[:, :d] = params.w_x
@@ -389,7 +383,6 @@ def forward_batch(
         np.multiply(h, o, h)
 
     # additive attention over hidden states; S[:, t] holds step t's scores
-    S = step[: H * T * m].reshape(H, T, m)
     np.matmul(params.w_att, Hs, S.transpose(1, 0, 2))
     S += params.b_att[:, None, None]
     np.tanh(S, S)
@@ -441,7 +434,7 @@ def backward_batch(
     XH, A, C, Hs, S = cache["XH"], cache["A"], cache["C"], cache["Hs"], cache["S"]
     alpha = cache["alpha"]
     m = XH.shape[2]
-    dzp, back, dU, dH_ext, dG, DA, XH_fm, DA_fm = _backward_arrays(
+    dzp, back, dU, dH_ext, dG, DA, bptt, w_back, XH_fm, DA_fm = _backward_arrays(
         work, m, T, d, H, out is not None, grads is not None)
 
     dz = np.asarray(dz, dtype=np.float64).reshape(n)
@@ -475,8 +468,6 @@ def backward_batch(
     # backprop through time; dG holds the gate gradients [i, f, o, g]
     # gate-major, and their last factors go straight into da = DA[t % kept]
     # (4H, m), which the weights [w_x, w_h]' (or w_h') multiply
-    step = _step_scratch(work, m, T, d, H)  # S is dead once dU has it
-    w_back = step[: 4 * H * (d + H)].reshape(4 * H, d + H)
     if out is not None:  # back = [w_x, w_h]' da = [dx_t; dh_{t-1}]
         w_back[:, :d] = params.w_x
         w_back[:, d:] = params.w_h
@@ -484,7 +475,6 @@ def backward_batch(
     else:  # back = w_h' da = dh_{t-1}
         w_back = params.w_h
         dh_next = back
-    bptt = step[4 * H * (d + H) : 4 * H * (d + H) + 8 * H * m].reshape(8, H, m)
     dh, dc, dc_next = bptt[:3]
     factors = bptt[3:]  # 1 - i, 1 - f, 1 - o, then 1 - g**2 and 1 - tc**2
     ifo_1m, sq_1m, tc_1m = factors[:3], factors[3:], factors[4]

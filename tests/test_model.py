@@ -457,6 +457,27 @@ class TestBackwardOutputs:
         for name, grad in want_grads.items():
             assert same_bits(grads[name], grad), name
 
+    def test_cache_outlives_its_own_backward_call(self):
+        # the backward pass writes no array of the forward pass, so a cache
+        # built in a work dict serves every backward call made with that dict
+        n, T, d, H = 37, 10, 12, 16
+        rng = np.random.default_rng(7)
+        params = _random_params(d, H, rng, scale=1.5)
+        X = rng.normal(size=(n, T, d))
+        dz = rng.normal(size=n)
+        want_grads, _ = model.backward_batch(params, model.forward_batch(params, X)[2], dz,
+                                             grads=zero_grads(params))
+        work = {}
+        cache = model.forward_batch(params, X, work=work)[2]
+        S = cache["S"].copy()
+        _, dX = model.backward_batch(params, cache, dz, work=work, out=np.empty(X.shape))
+        grads, _ = model.backward_batch(params, cache, dz, work=work, grads=zero_grads(params))
+        _, again = model.backward_batch(params, cache, dz, work=work, out=np.empty(X.shape))
+        assert same_bits(again, dX)
+        for name, grad in want_grads.items():
+            assert same_bits(grads[name], grad), name
+        assert same_bits(cache["S"], S)
+
     def test_one_step_gives_w_h_an_exactly_zero_gradient(self):
         # h_{-1} is zero, so w_h takes no term; the other weights do
         rng = np.random.default_rng(0)
@@ -560,7 +581,7 @@ class TestForwardOnlyTiles:
         assert self.TILE == 400  # the bounds above are written out for it
         assert model._tile_bounds(n) == bounds
 
-    def test_tile_rows_lie_between_min_and_max(self):
+    def test_tile_rule_properties(self):
         # no tile of a cut batch under TILE_ROWS / 2 - 7 = 193 rows, which keeps
         # the 8-column kernel of [w_x, w_h]' da (see model.py) out of it
         for n in [*range(3 * self.TILE + 2), 4090, 5000, 9150, 40801, 40960]:
