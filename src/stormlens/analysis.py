@@ -65,9 +65,7 @@ def strongest_correlate(feature: str, matrix: CorrMatrix) -> CorrelateChoice:
     Ties break toward the earlier catalog feature. If every off-diagonal
     entry is <= 0 the least negative one is returned with positive=False.
     """
-    if feature not in FEATURE_NAMES:
-        raise InputError(f"unknown feature {feature!r}")
-    i = FEATURE_NAMES.index(feature)
+    i = feature_index(feature)
     row = matrix.values[i].copy()
     row[i] = -np.inf
     best_j = int(np.argmax(row))  # the first of tied maxima

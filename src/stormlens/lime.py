@@ -271,21 +271,20 @@ def explain_local(
         if disc.collapsed[j]:
             flags.append(f"collapsed bins: {FEATURE_NAMES[j]}")
 
-    keep = [j for j in range(d) if np.ptp(design[:, j]) > 0.0]
-    for j in range(d):
-        if j not in keep:
-            flags.append(f"degenerate: constant column {FEATURE_NAMES[j]}")
+    keep = ~numerics.constant_columns(design)
+    for j in np.flatnonzero(~keep):
+        flags.append(f"degenerate: constant column {FEATURE_NAMES[j]}")
 
     sw = weights / weights.sum()
     ybar = float(sw @ y)
     beta_full = np.zeros(d)
     support = int(np.count_nonzero(weights > 0))
-    if ridge_lambda == 0 and support < len(keep):
+    if ridge_lambda == 0 and support < keep.sum():
         raise InputError(
             f"lime_lambda=0 leaves the surrogate underdetermined: {support} of lime_n={n} "
-            f"perturbations have positive weight for {len(keep)} features; "
+            f"perturbations have positive weight for {keep.sum()} features; "
             f"raise lime_n or set lime_lambda > 0")
-    if keep:
+    if keep.any():
         Xk = design[:, keep]
         xbar = sw @ Xk
         try:
